@@ -4,7 +4,11 @@ The j'th ESP over nodes v_1..v_N is the sum over all size-j index subsets
 of the product of the selected nodes, written sigma(N, j) below.  All
 public outputs use this unordered convention (sigma(N, 0) = 1).
 
-Four algorithms are implemented:
+Four algorithms sit in one registry of functions on raw complex arrays,
+each giving full-set ESPs (except mikkawy) and the dropped-node sweeps of
+a list of drop rows.  Nodes are validated once, as a `NodeSet`; a reduced
+set only deletes an entry, which keeps its gaps and lowers its tolerance.
+All functions are pure.
 
 * ``proposed`` - a per-order balanced recursion.  For a target order n it
   iterates f_i(v_d) = v_d * (C_{i-1} - (n - i) * f_{i-1}(v_d)) with
@@ -12,19 +16,20 @@ Four algorithms are implemented:
   over ordered distinct index tuples equals n! times the unordered ESP,
   which is why the factorial division appears.  Every step keeps the full
   node set in play, which is what makes this recursion stable on symmetric
-  sets such as the roots of unity.  Cost is O(n * N) per order.
+  sets such as the roots of unity.  Cost is O(n * N) per order, so O(N^3)
+  per sweep and O(N^4) per closed-form inverse.  One kernel runs a batch
+  of (row, order) pairs as a (rows x orders x nodes) array, each pair its
+  own recursion, in blocks of at most 256 KB: the work is the paper's,
+  only the Python dispatch is shared.
 * ``traub``    - the classic triangular table sigma(n, j) =
-  sigma(n-1, j) + v_n * sigma(n-1, j-1) over node prefixes.
+  sigma(n-1, j) + v_n * sigma(n-1, j-1) over node prefixes; O(N^2).
 * ``yang``     - a prefix-block expansion of the same table: group each
   subset by its run of trailing consecutive nodes, giving
   sigma(n, j) = sum_k (v_n * ... * v_{n-k+1}) * sigma(n-k-1, j-k) where the
-  k = j = n term contributes the bare product of all n nodes.
+  k = j = n term contributes the bare product of all n nodes; O(N^3).
 * ``mikkawy``  - a dropped-node recursion: the node to remove is swapped
   into the leading slot and the table recursion is run over slots 2..N,
-  so the output row holds ESPs of the remaining N-1 nodes.
-
-Tables and dropped sweeps cost O(N^2).  Functions are pure; different
-orders or drop indices can be evaluated concurrently without coordination.
+  so the output row holds ESPs of the remaining N-1 nodes; O(N^2).
 """
 
 from __future__ import annotations
@@ -32,74 +37,158 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import OrderOverflowError
 from .nodes import NodeSet
 
-ESP_BACKENDS = ("proposed", "traub", "yang", "mikkawy")
-
-# Backends that can produce full-set ESPs (mikkawy only drops).
-FULL_SET_ESP_BACKENDS = ("proposed", "traub", "yang")
-
 # Largest order whose factorial still fits a double; beyond this the
 # unscaled recursion cannot finish and the scaled mode must be used.
 MAX_UNSCALED_ORDER = 170
 
+# Bytes of the (rows x orders x nodes) complex array one proposed block holds.
+_BLOCK_BYTES = 256 * 1024
+
 _ORACLE_MAX_NODES = 25
 
 
-def _ordered_sum(values: np.ndarray, compensated: bool = False) -> complex:
-    """Accumulate in index order; optionally Kahan-compensated.
-
-    cumsum keeps the strict left-to-right association at native speed.
-    """
-    if compensated:
-        total = 0j
-        carry = 0j
-        for x in values:
-            y = complex(x) - carry
-            t = total + y
-            carry = (t - total) - y
-            total = t
-        return total
-    if values.size == 0:
-        return 0j
-    return complex(np.cumsum(values)[-1])
+def _node_sum(f: np.ndarray, compensated: bool) -> np.ndarray:
+    """Sum over the last (node) axis in index order, or Kahan-compensated;
+    cumsum keeps the strict left-to-right association at native speed."""
+    if not compensated:
+        return np.cumsum(f, axis=-1)[..., -1]
+    total = carry = np.zeros(f.shape[:-1], dtype=np.complex128)
+    for d in range(f.shape[-1]):
+        y = f[..., d] - carry
+        t = total + y
+        carry, total = (t - total) - y, t
+    return total
 
 
-@dataclass
-class ESPRecursionState:
-    """One step of the balanced recursion: f_i per node and C_i = sum f_i.
-
-    At step 0, ``f_values`` equals the nodes themselves and ``running_sum``
-    their plain sum; the final state has step = target_order - 1.
-    """
-
-    target_order: int
-    step: int
-    f_values: np.ndarray
-    running_sum: complex
-
-
-def _recursion_steps(v, n, scaled, compensated):
-    f = v.astype(np.complex128, copy=True)
-    c = _ordered_sum(f, compensated)
-    yield 0, f, c
-    for i in range(1, n):
-        f = v * (c - (n - i) * f)
+def _proposed_kernel(v, orders, scaled, compensated):
+    """C_{n-1} for every row of v (rows x m) and ascending order n; finished
+    orders leave the batch, so step i touches only orders n > i."""
+    f = np.repeat(v[:, None, :], orders.size, axis=1)
+    c = _node_sum(f, compensated)
+    out, done = np.empty_like(c), 0
+    for i in range(1, int(orders[-1])):
+        live = int(np.searchsorted(orders, i, side="right"))
+        out[:, done:live] = c[:, : live - done]
+        f, c, done = f[:, live - done :], c[:, live - done :], live
+        # operand order as in v * (C - (n - i) * f): numpy's fused complex
+        # multiply rounds differently with the operands swapped
+        np.multiply((orders[done:] - i)[:, None], f, out=f)
+        np.subtract(c[..., None], f, out=f)
+        np.multiply(v[:, None, :], f, out=f)
         if scaled:
-            f = f / (i + 1)
-        c = _ordered_sum(f, compensated)
-        yield i, f, c
+            f /= i + 1
+        c = _node_sum(f, compensated)
+    out[:, done:] = c
+    return out
+
+
+def _proposed(v, orders, scaled=False, compensated=False):
+    """sigma(m, n) for every row of v (rows x m) and ascending order n >= 1,
+    in blocks of rows (or of orders, for one large row) of _BLOCK_BYTES."""
+    rows, m = v.shape
+    out = np.empty((rows, orders.size), dtype=np.complex128)
+    pairs = max(1, _BLOCK_BYTES // (16 * m))
+    row_step, order_step = max(1, pairs // orders.size), min(orders.size, pairs)
+    for r in range(0, rows, row_step):
+        for o in range(0, orders.size, order_step):
+            out[r : r + row_step, o : o + order_step] = _proposed_kernel(
+                v[r : r + row_step], orders[o : o + order_step], scaled, compensated
+            )
+    if not scaled:
+        # separate real and imaginary float divisions: numpy's complex / float
+        # takes the complex-division path and can differ by an ulp
+        fact = np.array([float(math.factorial(n)) for n in orders])
+        out.real /= fact
+        out.imag /= fact
+    return out
+
+
+def _proposed_sweeps(v):
+    """sigma(m, 0..m) for every row of v (rows x m); scaled past order 170."""
+    m = v.shape[1]
+    out = np.ones((v.shape[0], m + 1), dtype=np.complex128)
+    out[:, 1:] = _proposed(v, np.arange(1, m + 1), scaled=m > MAX_UNSCALED_ORDER)
+    return out
+
+
+def _traub_steps(w):
+    """The running traub row of every row of w (rows x m): after step n it
+    holds sigma(n, 0..n) over the first n nodes, zeros beyond."""
+    row = np.zeros((w.shape[0], w.shape[1] + 1), dtype=np.complex128)
+    row[:, 0] = 1.0
+    yield row
+    for n in range(1, w.shape[1] + 1):
+        row[:, 1 : n + 1] = row[:, 1 : n + 1] + w[:, n - 1, None] * row[:, 0:n]
+        yield row
+
+
+def _traub_sweeps(w):
+    return list(_traub_steps(w))[-1]  # every step yields the same running row
+
+
+def _yang_table(v):
+    n_total = v.size
+    t = np.zeros((n_total + 1, n_total + 1), dtype=np.complex128)
+    t[0, 0] = 1.0
+    for n in range(1, n_total + 1):
+        row = np.zeros(n + 1, dtype=np.complex128)
+        block = 1.0 + 0j
+        for k in range(n):
+            row[k:n] += block * t[n - 1 - k, 0 : n - k]
+            block *= v[n - 1 - k]
+        row[n] = block  # the whole prefix taken as one block
+        t[n, : n + 1] = row
+    return t
+
+
+def _mikkawy_dropped(v, rows):
+    """Each dropped node is swapped into the leading slot, which the table
+    recursion never reads: the original first node visits the dropped slot."""
+    w = np.repeat(v[None, :], len(rows), axis=0)
+    at = np.arange(len(rows))
+    w[at, 0], w[at, rows] = w[at, rows], w[at, 0]
+    return _traub_sweeps(w[:, 1:])
+
+
+class _Backend(NamedTuple):
+    name: str
+    full_set: Callable | None  # nodes (N,) -> sigma(N, 0..N); None: drops only
+    dropped: Callable  # nodes (N,), 0-based rows (R,) -> (R, N) sweeps
+
+
+def _backend(name, sweeps):
+    """An entry whose sweeps (rows x m -> rows x m+1) serve both paths."""
+    def dropped(v, rows):
+        return sweeps(np.array([np.delete(v, r) for r in rows]))
+
+    return _Backend(name, lambda v: sweeps(v[None, :])[0], dropped)
+
+
+_BACKENDS = {
+    b.name: b
+    for b in (
+        _backend("proposed", _proposed_sweeps),
+        _backend("traub", _traub_sweeps),
+        _backend("yang", lambda w: np.array([_yang_table(x)[-1] for x in w])),
+        _Backend("mikkawy", None, _mikkawy_dropped),
+    )
+}
+
+ESP_BACKENDS = tuple(_BACKENDS)
+
+# Backends that can produce full-set ESPs (mikkawy only drops).
+FULL_SET_ESP_BACKENDS = tuple(b.name for b in _BACKENDS.values() if b.full_set)
 
 
 def esp_proposed(
-    nodes: NodeSet,
-    order: int,
-    scaled: bool = False,
-    compensated: bool = False,
+    nodes: NodeSet, order: int, scaled: bool = False, compensated: bool = False
 ) -> complex:
     """sigma(N, order) via the balanced per-order recursion.
 
@@ -115,31 +204,9 @@ def esp_proposed(
         raise ValueError(f"order {order} outside 1..{v.size}")
     if not scaled and n > MAX_UNSCALED_ORDER:
         raise OrderOverflowError(
-            f"order {n} needs {n}! which overflows double precision; "
-            "use scaled=True"
+            f"order {n} needs {n}! which overflows double precision; use scaled=True"
         )
-    for _, _, c in _recursion_steps(v, n, scaled, compensated):
-        pass
-    if scaled:
-        return c
-    return c / float(math.factorial(n))
-
-
-def esp_recursion_trace(
-    nodes: NodeSet,
-    order: int,
-    scaled: bool = False,
-    compensated: bool = False,
-) -> list[ESPRecursionState]:
-    """Materialized per-step states of the recursion behind `esp_proposed`."""
-    v = nodes.values
-    n = int(order)
-    if not 1 <= n <= v.size:
-        raise ValueError(f"order {order} outside 1..{v.size}")
-    return [
-        ESPRecursionState(target_order=n, step=i, f_values=f.copy(), running_sum=c)
-        for i, f, c in _recursion_steps(v, n, scaled, compensated)
-    ]
+    return complex(_proposed(v[None, :], np.array([n]), scaled, compensated)[0, 0])
 
 
 @dataclass
@@ -166,101 +233,45 @@ class ESPTable:
 
 def esp_traub_table(nodes: NodeSet) -> ESPTable:
     """Full triangular ESP table by the one-node-at-a-time recursion."""
-    v = nodes.values
-    n_total = v.size
-    t = np.zeros((n_total + 1, n_total + 1), dtype=np.complex128)
-    t[0, 0] = 1.0
-    for n in range(1, n_total + 1):
-        t[n, 0] = 1.0
-        t[n, 1 : n + 1] = t[n - 1, 1 : n + 1] + v[n - 1] * t[n - 1, 0:n]
-    return ESPTable(order=n_total, entries=t)
+    rows = [row[0].copy() for row in _traub_steps(nodes.values[None, :])]
+    return ESPTable(order=len(nodes), entries=np.array(rows))
 
 
 def esp_yang_table(nodes: NodeSet) -> ESPTable:
-    """Full triangular ESP table by the prefix-block expansion.
-
-    Row n is assembled from earlier rows directly: the contribution for a
-    trailing block of k nodes is the block product times row n-k-1 shifted
-    by k, accumulated in ascending k.  Contents agree with
-    `esp_traub_table` entrywise.
-    """
-    v = nodes.values
-    n_total = v.size
-    t = np.zeros((n_total + 1, n_total + 1), dtype=np.complex128)
-    t[0, 0] = 1.0
-    for n in range(1, n_total + 1):
-        row = np.zeros(n + 1, dtype=np.complex128)
-        block = 1.0 + 0j
-        for k in range(n):
-            row[k:n] += block * t[n - 1 - k, 0 : n - k]
-            block *= v[n - 1 - k]
-        row[n] = block  # the whole prefix taken as one block
-        t[n, : n + 1] = row
-    return ESPTable(order=n_total, entries=t)
+    """Full triangular ESP table by the prefix-block expansion; each row is
+    assembled from earlier rows, block contributions in ascending k."""
+    return ESPTable(order=len(nodes), entries=_yang_table(nodes.values))
 
 
 def esp_mikkawy_dropped(nodes: NodeSet, drop_index: int) -> np.ndarray:
-    """ESPs of all orders over the nodes with the drop_index'th removed.
-
-    Returns sigma over the reduced set for orders 0..N-1.  The dropped node
-    is swapped into the leading slot, which the recursion never reads, so
-    the remaining N-1 nodes are folded in slot order 2..N with the original
-    first node visiting the dropped slot.
-    """
-    n_total = len(nodes)
-    if n_total < 2:
-        raise ValueError("dropping a node needs at least 2 nodes")
-    if not 1 <= drop_index <= n_total:
-        raise ValueError(f"drop index {drop_index} outside 1..{n_total}")
-    v = nodes.values.copy()
-    v[0], v[drop_index - 1] = v[drop_index - 1], v[0]
-    row = np.zeros(n_total, dtype=np.complex128)
-    row[0] = 1.0
-    for n in range(2, n_total + 1):
-        hi = n - 1
-        row[1 : hi + 1] = row[1 : hi + 1] + v[n - 1] * row[0:hi]
-    return row
+    """ESPs of all orders 0..N-1 over the nodes with the drop_index'th removed."""
+    return esp_dropped(nodes, drop_index, "mikkawy")
 
 
-def esp_dropped(nodes: NodeSet, drop_index: int, method: str = "proposed") -> np.ndarray:
-    """Uniform dropped-node adapter over all four backends.
+def esp_dropped(nodes: NodeSet, drop_index, method: str = "proposed") -> np.ndarray:
+    """Dropped-node sweeps: sigma over the reduced set for orders 0..N-1.
 
-    Returns sigma over the reduced set for orders 0..N-1.  For proposed,
-    traub, and yang the algorithm runs on the reduced NodeSet; mikkawy uses
-    its native leading-slot substitution.
+    ``drop_index`` is 1-based.  A sequence of indices returns one sweep per
+    index, shape (len, N), from one batched backend call.
     """
     if method not in ESP_BACKENDS:
         raise ValueError(f"unknown ESP backend {method!r}; expected one of {ESP_BACKENDS}")
-    if method == "mikkawy":
-        return esp_mikkawy_dropped(nodes, drop_index)
-    reduced = nodes.drop(drop_index)
-    if method == "traub":
-        return esp_traub_table(reduced).top_row().copy()
-    if method == "yang":
-        return esp_yang_table(reduced).top_row().copy()
-    m = len(reduced)
-    out = np.empty(m + 1, dtype=np.complex128)
-    out[0] = 1.0
-    for n in range(1, m + 1):
-        out[n] = esp_proposed(reduced, n)
-    return out
+    n_total = len(nodes)
+    if n_total < 2:
+        raise ValueError("dropping a node needs at least 2 nodes")
+    rows = np.atleast_1d(drop_index)
+    bad = (rows < 1) | (rows > n_total)
+    if bad.any():
+        raise ValueError(f"drop index {rows[bad][0]} outside 1..{n_total}")
+    sweeps = _BACKENDS[method].dropped(nodes.values, rows - 1)
+    return sweeps if np.ndim(drop_index) else sweeps[0]
 
 
 def esp_single(nodes: NodeSet, order: int, method: str = "proposed") -> complex:
     """Full-set sigma(N, order) via a full-set backend; order 0 returns 1."""
-    if method not in FULL_SET_ESP_BACKENDS:
-        raise ValueError(
-            f"full-set ESPs need one of {FULL_SET_ESP_BACKENDS}, got {method!r}"
-        )
-    n_total = len(nodes)
-    if not 0 <= order <= n_total:
-        raise ValueError(f"order {order} outside 0..{n_total}")
-    if order == 0:
-        return 1.0 + 0j
-    if method == "proposed":
-        return esp_proposed(nodes, order)
-    table = esp_traub_table(nodes) if method == "traub" else esp_yang_table(nodes)
-    return complex(table.entries[n_total, order])
+    if not 0 <= order <= len(nodes):
+        raise ValueError(f"order {order} outside 0..{len(nodes)}")
+    return complex(esp_all_orders(nodes, method)[order])
 
 
 def esp_all_orders(nodes: NodeSet, method: str = "proposed") -> np.ndarray:
@@ -269,16 +280,7 @@ def esp_all_orders(nodes: NodeSet, method: str = "proposed") -> np.ndarray:
         raise ValueError(
             f"full-set ESPs need one of {FULL_SET_ESP_BACKENDS}, got {method!r}"
         )
-    n_total = len(nodes)
-    if method == "traub":
-        return esp_traub_table(nodes).top_row().copy()
-    if method == "yang":
-        return esp_yang_table(nodes).top_row().copy()
-    out = np.empty(n_total + 1, dtype=np.complex128)
-    out[0] = 1.0
-    for n in range(1, n_total + 1):
-        out[n] = esp_proposed(nodes, n)
-    return out
+    return _BACKENDS[method].full_set(nodes.values)
 
 
 def esp_bruteforce_oracle(nodes: NodeSet, order: int) -> complex:

@@ -75,6 +75,9 @@ class NodeSet:
         v = np.atleast_1d(np.asarray(self.values, dtype=np.complex128)).copy()
         if v.ndim != 1 or v.size < 1:
             raise ValueError("a NodeSet needs a one-dimensional, non-empty value sequence")
+        if not np.isfinite(v).all():
+            k = int(np.argmin(np.isfinite(v)))
+            raise ValueError(f"node {k + 1} is not finite: {v[k]}")
         ok, pair = validate_pairwise_distinct(v)
         if not ok:
             raise ValueError(

@@ -11,7 +11,8 @@ Three inverse routes are provided:
   sigma_dropped(i, N-j), with sigma_dropped(i, 0) = 1 covering j = N.
   Each row performs one full dropped-ESP sweep with the selected ESP
   backend; sweeps are deliberately recomputed per row (no sharing), which
-  is the per-row cost profile being benchmarked.
+  is the per-row cost profile being benchmarked.  All rows go to the
+  backend in one batched call.
 * ``wa_product``            the same inverse factored as W @ A where row i
   of W is (v_i**(N-1), ..., v_i, 1) / lambda_i and A is the unit
   lower-triangular Toeplitz matrix of signed full-set ESPs.
@@ -138,14 +139,12 @@ def inverse_closed_form(nodes: NodeSet, esp_backend: str = "proposed") -> Invers
     n = len(nodes)
     lam = barycentric_weights(nodes)
     signs = (-1.0) ** (n - np.arange(1, n + 1))
-    out = np.empty((n, n), dtype=np.complex128)
-    for i in range(1, n + 1):
-        if n == 1:
-            dropped = np.ones(1, dtype=np.complex128)
-        else:
-            dropped = esp_dropped(nodes, i, esp_backend)
-        # column j wants order N - j of the dropped sweep
-        out[i - 1, :] = signs * dropped[::-1] / lam[i - 1]
+    if n == 1:
+        dropped = np.ones((1, 1), dtype=np.complex128)
+    else:
+        dropped = esp_dropped(nodes, range(1, n + 1), esp_backend)
+    # row i is the sweep without node i; column j wants its order N - j
+    out = signs * dropped[:, ::-1] / lam[:, None]
     return InverseResult(matrix=out, esp_backend=esp_backend, inverse_backend="closed_form")
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,18 +9,20 @@ from vandinv import (
     NodeSet,
     NodeSpec,
     OrderOverflowError,
+    barycentric_weights,
     esp_all_orders,
     esp_bruteforce_oracle,
     esp_dropped,
     esp_mikkawy_dropped,
     esp_proposed,
-    esp_recursion_trace,
     esp_single,
     esp_traub_table,
     esp_yang_table,
     generate_nodes,
+    inverse_closed_form,
     monic_coefficients,
 )
+from vandinv import esp as esp_module
 
 from conftest import assert_close, random_node_set
 
@@ -107,19 +111,71 @@ def test_proposed_compensated_mode_matches_oracle(rng):
         )
 
 
-def test_recursion_trace_invariants(rng):
-    ns = random_node_set(rng, 7)
-    order = 5
-    trace = esp_recursion_trace(ns, order)
-    assert [s.step for s in trace] == list(range(order))
-    first = trace[0]
-    np.testing.assert_array_equal(first.f_values, ns.values)
-    assert_close(first.running_sum, ns.values.sum(), rel=1e-14)
-    assert all(s.target_order == order for s in trace)
-    final = trace[-1]
-    assert_close(
-        final.running_sum / 120.0, esp_bruteforce_oracle(ns, order), rel=1e-9
-    )
+def reference_proposed(values, order):
+    """The balanced recursion one order at a time, as the paper states it.
+
+    f_0 = v, f_i = v * (C_{i-1} - (n - i) * f_{i-1}), C_i = sum of f_i in
+    node order, result C_{n-1} / n! by Python-complex division.  The node
+    arrays stay numpy arrays with the same operand order as the kernel:
+    numpy's complex multiply is fused, so Python scalars (or swapped
+    operands) would round differently.
+    """
+    v = np.asarray(values, dtype=np.complex128)
+    f = v.copy()
+    c = complex(np.cumsum(f)[-1])
+    for i in range(1, order):
+        f = v * (c - (order - i) * f)
+        c = complex(np.cumsum(f)[-1])
+    return c / math.factorial(order)
+
+
+def bit_exact_sets():
+    rng = np.random.default_rng(7)
+    # the dropped rows of N = 37 and N = 64 span several row blocks
+    assert 37 * 36 * 36 * 16 > esp_module._BLOCK_BYTES
+    for n in (2, 3, 37, 64):
+        yield roots(n)
+        yield NodeSet(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("ns", list(bit_exact_sets()), ids=lambda ns: f"N{len(ns)}")
+def test_proposed_kernel_is_bit_identical_to_the_scalar_recursion(ns):
+    n = len(ns)
+    expected = [1.0] + [reference_proposed(ns.values, k) for k in range(1, n + 1)]
+    assert np.array_equal(esp_all_orders(ns, "proposed"), expected)
+    # the rows behind inverse_closed_form, in one batched call
+    dropped = esp_dropped(ns, range(1, n + 1), "proposed")
+    for i, row in enumerate(dropped):
+        reduced = np.delete(ns.values, i)
+        expected = [1.0] + [reference_proposed(reduced, k) for k in range(1, n)]
+        assert np.array_equal(row, expected)
+    signs = (-1.0) ** (n - np.arange(1, n + 1))
+    lam = barycentric_weights(ns)
+    rows = np.array([signs * r[::-1] / lam[i] for i, r in enumerate(dropped)])
+    assert np.array_equal(inverse_closed_form(ns, "proposed").matrix, rows)
+
+
+def test_dropped_sequence_matches_single_drops(rng):
+    ns = random_node_set(rng, 9)
+    for method in ("proposed", "traub", "yang", "mikkawy"):
+        batch = esp_dropped(ns, [3, 1, 9], method)
+        assert batch.shape == (3, 9)
+        for row, drop in zip(batch, (3, 1, 9)):
+            assert np.array_equal(row, esp_dropped(ns, drop, method))
+
+
+def test_dropped_past_the_factorial_limit_runs_scaled():
+    rng = np.random.default_rng(173)
+    ns = NodeSet(np.exp(2j * np.pi * rng.random(173)))
+    proposed = esp_dropped(ns, [1, 87, 173], "proposed")
+    traub = esp_dropped(ns, [1, 87, 173], "traub")
+    assert np.isfinite(proposed).all()
+    for p, t in zip(proposed, traub):
+        assert np.abs(p - t).max() <= 1e-9 * np.abs(t).max()
+    # on the roots of unity the sweep without v_1 is (-v_1)**j exactly
+    v1 = roots(173).values[0]
+    exact = (-v1) ** np.arange(173)
+    assert np.abs(esp_dropped(roots(173), 1, "proposed") - exact).max() < 1e-10
 
 
 # ---------------------------------------------------------------- tables

@@ -95,6 +95,16 @@ def test_nodeset_rejects_near_duplicates():
         NodeSet([1.0, 1.0 + 1e-15, 2.0])
 
 
+def test_nodeset_names_a_nan_node():
+    with pytest.raises(ValueError, match=r"node 2 is not finite: \(nan"):
+        NodeSet([1, np.nan, 3])
+
+
+def test_nodeset_names_an_infinite_node():
+    with pytest.raises(ValueError, match=r"node 3 is not finite: \(-inf"):
+        NodeSet([1, 2, -np.inf, 4])
+
+
 def test_nodeset_values_are_read_only():
     ns = NodeSet([1, 2, 3])
     with pytest.raises(ValueError):
