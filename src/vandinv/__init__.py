@@ -19,16 +19,13 @@ from .esp import (
     ESP_BACKENDS,
     FULL_SET_ESP_BACKENDS,
     MAX_UNSCALED_ORDER,
-    ESPTable,
     esp_all_orders,
     esp_bruteforce_oracle,
     esp_dropped,
-    esp_mikkawy_dropped,
     esp_proposed,
     esp_single,
     esp_traub_table,
     esp_yang_table,
-    monic_coefficients,
 )
 from .interpolation import (
     DEFAULT_T,
@@ -56,7 +53,6 @@ from .stability import (
     SweepGrid,
     UnitCircleResult,
     companion_identity_nmse,
-    count_distinct_points,
     derive_seed,
     esp_unit_circle_experiment,
     nmse,
@@ -66,8 +62,6 @@ from .stability import (
 from .vandermonde import (
     INVERSE_BACKENDS,
     InverseResult,
-    StanleyMatrix,
-    VandermondeMatrix,
     barycentric_weights,
     build_vandermonde,
     compute_inverse,
@@ -96,19 +90,14 @@ __all__ = [
     "ESP_BACKENDS",
     "FULL_SET_ESP_BACKENDS",
     "MAX_UNSCALED_ORDER",
-    "ESPTable",
     "esp_proposed",
     "esp_traub_table",
     "esp_yang_table",
-    "esp_mikkawy_dropped",
     "esp_dropped",
     "esp_single",
     "esp_all_orders",
     "esp_bruteforce_oracle",
-    "monic_coefficients",
     "INVERSE_BACKENDS",
-    "VandermondeMatrix",
-    "StanleyMatrix",
     "InverseResult",
     "build_vandermonde",
     "barycentric_weights",
@@ -124,7 +113,6 @@ __all__ = [
     "shifted_identity_block",
     "UnitCircleResult",
     "esp_unit_circle_experiment",
-    "count_distinct_points",
     "SweepGrid",
     "noise_sweep",
     "derive_seed",

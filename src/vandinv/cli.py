@@ -13,7 +13,6 @@ Relative ``--output`` paths resolve under ``$VANDINV_OUTDIR`` when set.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -33,9 +32,10 @@ from .esp import (
     esp_yang_table,
 )
 from .interpolation import InterpFunctionSpec, interp_experiment
-from .nodes import RNG_ALGORITHM, NodeSet, NodeSpec, generate_nodes
+from .nodes import NODE_FAMILIES, RNG_ALGORITHM, NodeSet, NodeSpec, generate_nodes
 from .serialize import (
     INTERP_SUMMARY_HEADER,
+    companion_table_to_csv,
     esp_table_to_csv,
     format_float,
     interp_report_to_csv,
@@ -50,13 +50,7 @@ from .serialize import (
 from .stability import companion_identity_nmse, noise_sweep
 from .vandermonde import InverseResult, compute_inverse
 
-CLI_FAMILIES = {
-    "equidistant": "equidistant",
-    "chebyshev": "chebyshev",
-    "extended-chebyshev": "extended_chebyshev",
-    "gauss-lobatto": "gauss_lobatto",
-    "roots-of-unity": "roots_of_unity",
-}
+CLI_FAMILIES = {family.replace("_", "-"): family for family in NODE_FAMILIES}
 
 CLI_INVERSES = {
     "closed-form": "closed_form",
@@ -185,8 +179,8 @@ def _cmd_esp(args) -> int:
         if args.backend not in ("traub", "yang"):
             raise ValueError("--table needs a table-building backend (traub or yang)")
         table = esp_traub_table(nodes) if args.backend == "traub" else esp_yang_table(nodes)
-        for row_n in range(1, table.order + 1):
-            cells = " ".join(_fmt_complex(z) for z in table.row(row_n))
+        for row_n in range(1, n + 1):
+            cells = " ".join(_fmt_complex(z) for z in table[row_n, : row_n + 1])
             print(f"n={row_n}: {cells}")
         if args.output:
             out = _resolve_output(args.output)
@@ -258,25 +252,21 @@ def _cmd_companion_table(args) -> int:
     if not n_values or any(n < 2 for n in n_values):
         raise ValueError("--n-list needs integers >= 2")
     labels = [_combo_label(inv, esp) for inv, esp in COMPANION_COMBOS]
-    rows = []
+    table = []
     for n in n_values:
         nodes = generate_nodes(NodeSpec("roots_of_unity", n))
-        row = []
-        for inverse_backend, esp_backend in COMPANION_COMBOS:
+        cells = {}
+        for label, (inverse_backend, esp_backend) in zip(labels, COMPANION_COMBOS):
             inv = compute_inverse(nodes, inverse_backend, esp_backend or "proposed")
-            row.append(companion_identity_nmse(nodes, inv).nmse)
-        rows.append(row)
+            cells[label] = companion_identity_nmse(nodes, inv).nmse
+        table.append((n, cells))
     width = max(len(label) for label in labels) + 2
     print("n".rjust(4) + "".join(label.rjust(width) for label in labels))
-    for n, row in zip(n_values, rows):
-        print(str(n).rjust(4) + "".join(f"{cell:.3e}".rjust(width) for cell in row))
+    for n, cells in table:
+        print(str(n).rjust(4) + "".join(f"{cells[label]:.3e}".rjust(width) for label in labels))
     if args.output:
         out = _resolve_output(args.output)
-        with open(out, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["n", *labels])
-            for n, row in zip(n_values, rows):
-                writer.writerow([n, *[format_float(cell) for cell in row]])
+        companion_table_to_csv(table, out)
         _write_manifests("companion-table", args, [out])
     return 0
 
@@ -320,18 +310,8 @@ def _cmd_interp(args) -> int:
     family = CLI_FAMILIES[args.family]
     inverse_backend = CLI_INVERSES[args.inverse]
     print(",".join(INTERP_SUMMARY_HEADER))
-    if args.n is not None:
-        report = interp_experiment(
-            spec, family, args.n, inverse_backend, args.esp, exclude_per_side=args.exclude
-        )
-        print(",".join(str(cell) for cell in interp_summary_row(report)))
-        if args.output:
-            out = _resolve_output(args.output)
-            interp_report_to_csv(report, out)
-            _write_manifests("interp", args, [out])
-        return 0
     reports = []
-    for n in DEFAULT_INTERP_NS:
+    for n in DEFAULT_INTERP_NS if args.n is None else (args.n,):
         report = interp_experiment(
             spec, family, n, inverse_backend, args.esp, exclude_per_side=args.exclude
         )
@@ -339,7 +319,10 @@ def _cmd_interp(args) -> int:
         print(",".join(str(cell) for cell in interp_summary_row(report)))
     if args.output:
         out = _resolve_output(args.output)
-        interp_summaries_to_csv(reports, out)
+        if args.n is None:
+            interp_summaries_to_csv(reports, out)
+        else:
+            interp_report_to_csv(report, out)
         _write_manifests("interp", args, [out])
     return 0
 

@@ -15,7 +15,8 @@ class SingularityError(NumericalError):
 
 
 class OrderOverflowError(NumericalError):
-    """Unscaled balanced recursion needs n! beyond double range (n > 170)."""
+    """An ESP left double range: the unscaled balanced recursion needs n!
+    past n = 170, or a sweep or table entry overflowed to inf or NaN."""
 
 
 class NodeCollisionError(NumericalError):

@@ -8,7 +8,9 @@ Four algorithms sit in one registry of functions on raw complex arrays,
 each giving full-set ESPs (except mikkawy) and the dropped-node sweeps of
 a list of drop rows.  Nodes are validated once, as a `NodeSet`; a reduced
 set only deletes an entry, which keeps its gaps and lowers its tolerance.
-All functions are pure.
+Results are plain complex arrays (the tables are (N+1) x (N+1) and lower
+triangular), and every public result is finite: an entry that overflows
+to inf or NaN raises `OrderOverflowError`.  All functions are pure.
 
 * ``proposed`` - a per-order balanced recursion.  For a target order n it
   iterates f_i(v_d) = v_d * (C_{i-1} - (n - i) * f_{i-1}(v_d)) with
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -52,6 +53,16 @@ MAX_UNSCALED_ORDER = 170
 _BLOCK_BYTES = 256 * 1024
 
 _ORACLE_MAX_NODES = 25
+
+
+def _finite(values, what: str):
+    """values, unless an entry overflowed to inf or NaN."""
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise OrderOverflowError(
+            f"{what}: {bad} of {np.size(values)} entries overflowed double precision"
+        )
+    return values
 
 
 def _node_sum(f: np.ndarray, compensated: bool) -> np.ndarray:
@@ -206,46 +217,21 @@ def esp_proposed(
         raise OrderOverflowError(
             f"order {n} needs {n}! which overflows double precision; use scaled=True"
         )
-    return complex(_proposed(v[None, :], np.array([n]), scaled, compensated)[0, 0])
+    value = _proposed(v[None, :], np.array([n]), scaled, compensated)[0, 0]
+    return complex(_finite(value, f"sigma(N, {n})"))
 
 
-@dataclass
-class ESPTable:
-    """Lower-triangular table of sigma(n, j) for n = 1..order, j = 0..n.
-
-    ``entries`` is an (order+1) x (order+1) array; row 0 holds the empty-set
-    convention sigma(0, 0) = 1.  Entries above the diagonal are zero.
-    """
-
-    order: int
-    entries: np.ndarray
-
-    def row(self, n: int) -> np.ndarray:
-        """sigma(n, j) for j = 0..n."""
-        if not 0 <= n <= self.order:
-            raise ValueError(f"row {n} outside 0..{self.order}")
-        return self.entries[n, : n + 1]
-
-    def top_row(self) -> np.ndarray:
-        """Full-set ESPs sigma(N, j), j = 0..N."""
-        return self.row(self.order)
-
-
-def esp_traub_table(nodes: NodeSet) -> ESPTable:
-    """Full triangular ESP table by the one-node-at-a-time recursion."""
+def esp_traub_table(nodes: NodeSet) -> np.ndarray:
+    """Table t[n, j] = sigma(n, j) over the first n nodes, n, j = 0..N, by
+    the one-node-at-a-time recursion; zero above the diagonal."""
     rows = [row[0].copy() for row in _traub_steps(nodes.values[None, :])]
-    return ESPTable(order=len(nodes), entries=np.array(rows))
+    return _finite(np.array(rows), "traub table")
 
 
-def esp_yang_table(nodes: NodeSet) -> ESPTable:
-    """Full triangular ESP table by the prefix-block expansion; each row is
-    assembled from earlier rows, block contributions in ascending k."""
-    return ESPTable(order=len(nodes), entries=_yang_table(nodes.values))
-
-
-def esp_mikkawy_dropped(nodes: NodeSet, drop_index: int) -> np.ndarray:
-    """ESPs of all orders 0..N-1 over the nodes with the drop_index'th removed."""
-    return esp_dropped(nodes, drop_index, "mikkawy")
+def esp_yang_table(nodes: NodeSet) -> np.ndarray:
+    """The same table by the prefix-block expansion; each row is assembled
+    from earlier rows, block contributions in ascending k."""
+    return _finite(_yang_table(nodes.values), "yang table")
 
 
 def esp_dropped(nodes: NodeSet, drop_index, method: str = "proposed") -> np.ndarray:
@@ -264,6 +250,7 @@ def esp_dropped(nodes: NodeSet, drop_index, method: str = "proposed") -> np.ndar
     if bad.any():
         raise ValueError(f"drop index {rows[bad][0]} outside 1..{n_total}")
     sweeps = _BACKENDS[method].dropped(nodes.values, rows - 1)
+    _finite(sweeps, f"{method} dropped sweep")
     return sweeps if np.ndim(drop_index) else sweeps[0]
 
 
@@ -280,7 +267,7 @@ def esp_all_orders(nodes: NodeSet, method: str = "proposed") -> np.ndarray:
         raise ValueError(
             f"full-set ESPs need one of {FULL_SET_ESP_BACKENDS}, got {method!r}"
         )
-    return _BACKENDS[method].full_set(nodes.values)
+    return _finite(_BACKENDS[method].full_set(nodes.values), f"{method} sweep")
 
 
 def esp_bruteforce_oracle(nodes: NodeSet, order: int) -> complex:
@@ -303,15 +290,3 @@ def esp_bruteforce_oracle(nodes: NodeSet, order: int) -> complex:
         total += math.prod(combo)
     return total
 
-
-def monic_coefficients(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:
-    """Coefficients of prod_k (x - v_k) in ascending power order, monic.
-
-    The coefficient of x^(N-j) is (-1)^j * sigma(N, j).
-    """
-    sig = esp_all_orders(nodes, esp_backend)
-    n_total = len(nodes)
-    j = np.arange(n_total + 1)
-    coeffs = ((-1.0) ** (n_total - j)) * sig[::-1]
-    coeffs[-1] = 1.0
-    return coeffs

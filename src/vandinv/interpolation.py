@@ -77,8 +77,7 @@ def evaluate_superresolved(coefficients, dense_nodes: NodeSet) -> np.ndarray:
         raise ValueError(
             f"dense node count {len(dense_nodes)} must be exactly 2 x {c.size}"
         )
-    v_dense = build_vandermonde(dense_nodes, num_rows=c.size).entries
-    return v_dense.T @ c
+    return build_vandermonde(dense_nodes, num_rows=c.size).T @ c
 
 
 @dataclass

@@ -10,8 +10,9 @@ Five node families are supported on their usual domains:
 * ``roots_of_unity``     v_k = exp(2 pi i k / N), k = 1..N
 
 All generators are deterministic.  `perturb_roots_of_unity` is the only
-randomized operation and is fully determined by its 64-bit seed
-(numpy PCG64 streams derived through SeedSequence).
+randomized operation: phase and magnitude noise on the roots of unity,
+fully determined by its 64-bit seed (numpy PCG64 streams derived through
+SeedSequence), with each draw validated once as it becomes a `NodeSet`.
 
 Everything here is pure and safe to call concurrently.
 """
@@ -158,45 +159,33 @@ def generate_nodes(spec: NodeSpec) -> NodeSet:
     return NodeSet(x.astype(np.complex128))
 
 
-def perturb_roots_of_unity(
-    n: int,
-    spec: PerturbationSpec,
-    radial_shift: bool = False,
-) -> NodeSet:
+def perturb_roots_of_unity(n: int, spec: PerturbationSpec) -> NodeSet:
     """Nth roots of unity contaminated by phase and magnitude noise.
 
     Each node is ``exp(i(2 pi k / N + eta_S)) + eta_M`` with
     ``eta_S ~ Normal(0, sigma_shift**2)`` shifting the node along the circle
     and ``eta_M`` an isotropic complex Gaussian of total variance
-    ``sigma_mag**2``.  With ``radial_shift=True`` the shift noise instead
-    enters the exponent without the imaginary unit,
-    ``exp(2 pi i k / N + eta_S)``, scaling the magnitude rather than the
-    phase; this variant exists for comparison only.
+    ``sigma_mag**2``.
 
-    Deterministic per seed.  If the noise collapses two nodes within the
-    distinctness tolerance, the draw is retried up to 8 times on sub-seeds
-    derived from ``spec.seed`` before NodeCollisionError is raised.
+    Deterministic per seed.  Each draw is validated once, by building its
+    `NodeSet`; if the noise collapses two nodes within the distinctness
+    tolerance, the draw is retried up to 8 times on sub-seeds derived from
+    ``spec.seed`` before NodeCollisionError is raised.
     """
     if n < 2:
         raise ValueError("perturbed roots of unity need N >= 2")
     base = _unit_circle_points(n)
-    last = None
+    part_std = spec.sigma_mag / np.sqrt(2.0)
     for attempt in range(_PERTURB_RETRIES + 1):
         rng = np.random.default_rng(np.random.SeedSequence([int(spec.seed), attempt]))
         eta_s = rng.normal(0.0, spec.sigma_shift, n)
-        part_std = spec.sigma_mag / np.sqrt(2.0)
         eta_m = rng.normal(0.0, part_std, n) + 1j * rng.normal(0.0, part_std, n)
         # factored exponential keeps the zero-noise case bit-identical to
         # the clean generator
-        if radial_shift:
-            v = base * np.exp(eta_s) + eta_m
-        else:
-            v = base * np.exp(1j * eta_s) + eta_m
-        ok, pair = validate_pairwise_distinct(v)
-        if ok:
-            return NodeSet(v)
-        last = pair
+        try:
+            return NodeSet(base * np.exp(1j * eta_s) + eta_m)
+        except ValueError as exc:
+            last = exc
     raise NodeCollisionError(
-        f"nodes {last[0]} and {last[1]} collapsed within tolerance on "
-        f"{_PERTURB_RETRIES + 1} consecutive draws (seed {spec.seed})"
+        f"{last} on {_PERTURB_RETRIES + 1} consecutive draws (seed {spec.seed})"
     )

@@ -13,10 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .esp import ESPTable
 from .interpolation import InterpolationReport
-from .nodes import NodeSet
-from .stability import CompanionCheckReport, SweepGrid
+from .stability import SweepGrid
 from .vandermonde import InverseResult
 
 
@@ -33,27 +31,20 @@ def _open_csv(path):
     return open(path, "w", newline="", encoding="utf-8")
 
 
-def nodeset_to_csv(nodes: NodeSet, path) -> None:
-    with _open_csv(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["index", "re", "im"])
-        for k, z in enumerate(nodes.values, start=1):
-            writer.writerow([k, *_re_im(z)])
-
-
-def esp_table_to_csv(table: ESPTable, path) -> None:
+def esp_table_to_csv(table: np.ndarray, path) -> None:
     """One row per table row n = 1..N; entries beyond j = n stay blank."""
+    order = table.shape[0] - 1
     with _open_csv(path) as handle:
         writer = csv.writer(handle)
         header = ["n"]
-        for j in range(table.order + 1):
+        for j in range(order + 1):
             header += [f"sigma{j}_re", f"sigma{j}_im"]
         writer.writerow(header)
-        for n in range(1, table.order + 1):
+        for n in range(1, order + 1):
             row = [n]
-            for j in range(table.order + 1):
+            for j in range(order + 1):
                 if j <= n:
-                    row += list(_re_im(table.entries[n, j]))
+                    row += list(_re_im(table[n, j]))
                 else:
                     row += ["", ""]
             writer.writerow(row)
@@ -84,43 +75,24 @@ def inverse_to_csv(result: InverseResult, path) -> None:
             writer.writerow(out)
 
 
-def _matrix_to_pairs(matrix: np.ndarray):
-    return [[[z.real, z.imag] for z in row] for row in np.asarray(matrix, dtype=complex)]
-
-
 def inverse_to_json(result: InverseResult, path) -> None:
     doc = {
         "n": int(result.matrix.shape[0]),
         "esp_backend": result.esp_backend,
         "inverse_backend": result.inverse_backend,
-        "matrix": _matrix_to_pairs(result.matrix),
+        "matrix": [[[z.real, z.imag] for z in row] for row in result.matrix.astype(complex)],
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def companion_report_to_csv(report: CompanionCheckReport, path) -> None:
+def companion_table_to_csv(table, path) -> None:
+    """``table`` holds (n, {combination label: NMSE}) pairs, one row each."""
+    labels = list(table[0][1])
     with _open_csv(path) as handle:
         writer = csv.writer(handle)
-        writer.writerow(["n", "esp_backend", "inverse_backend", "nmse"])
-        writer.writerow(
-            [
-                report.n,
-                report.esp_backend or "none",
-                report.inverse_backend,
-                format_float(report.nmse),
-            ]
-        )
-
-
-def companion_report_to_json(report: CompanionCheckReport, path) -> None:
-    doc = {
-        "n": report.n,
-        "esp_backend": report.esp_backend,
-        "inverse_backend": report.inverse_backend,
-        "nmse": report.nmse,
-        "reconstructed_block": _matrix_to_pairs(report.reconstructed_block),
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        writer.writerow(["n", *labels])
+        for n, cells in table:
+            writer.writerow([n, *[format_float(cells[label]) for label in labels]])
 
 
 def sweep_to_csv(grid: SweepGrid, path) -> None:

@@ -31,8 +31,6 @@ from .esp import esp_dropped
 from .nodes import NodeSet, NodeSpec, PerturbationSpec, generate_nodes, perturb_roots_of_unity
 from .vandermonde import InverseResult, build_vandermonde, compute_inverse
 
-DISTINCT_POINT_TOL = 1e-6
-
 
 def nmse(estimate, reference) -> float:
     """||estimate - reference||_F / ||reference||_F."""
@@ -71,7 +69,7 @@ def companion_identity_nmse(nodes: NodeSet, inverse: InverseResult) -> Companion
         )
     if n < 2:
         raise ValueError("companion check needs N >= 2")
-    v_exact = build_vandermonde(nodes).entries
+    v_exact = build_vandermonde(nodes)
     m = (inverse.matrix.T * nodes.values[None, :]) @ v_exact.T
     block = m[:, : n - 1]
     target = shifted_identity_block(n)
@@ -82,15 +80,6 @@ def companion_identity_nmse(nodes: NodeSet, inverse: InverseResult) -> Companion
         esp_backend=inverse.esp_backend,
         inverse_backend=inverse.inverse_backend,
     )
-
-
-def count_distinct_points(values, tol: float = DISTINCT_POINT_TOL) -> int:
-    """Greedy cluster count: points closer than tol share a location."""
-    reps: list[complex] = []
-    for z in np.asarray(values, dtype=np.complex128):
-        if not any(abs(z - r) < tol for r in reps):
-            reps.append(complex(z))
-    return len(reps)
 
 
 @dataclass
@@ -111,9 +100,6 @@ class UnitCircleResult:
     def max_unit_deviation(self) -> float:
         """max over orders of | |sigma| - 1 |; exact answer is 0."""
         return float(np.abs(self.magnitudes - 1.0).max())
-
-    def distinct_point_count(self, tol: float = DISTINCT_POINT_TOL) -> int:
-        return count_distinct_points(self.values, tol)
 
 
 def esp_unit_circle_experiment(

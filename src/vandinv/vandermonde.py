@@ -21,8 +21,9 @@ Three inverse routes are provided:
 
 lambda_k = prod_{j != k} (v_k - v_j) are the barycentric denominators;
 any |lambda_k| below 1e-300, or an elimination pivot below
-1e-14 * max |entry|, raises SingularityError instead of returning
-inf/NaN matrices.
+1e-14 * max |entry|, raises SingularityError, and `compute_inverse` raises
+NumericalError on any inverse entry that overflowed to inf or NaN.
+`build_vandermonde` and `stanley_matrix` return plain arrays.
 
 Rows of the closed-form inverse are independent; everything is pure.
 """
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import SingularityError
+from .errors import NumericalError, SingularityError
 from .esp import ESP_BACKENDS, esp_all_orders, esp_dropped
 from .nodes import NodeSet
 
@@ -47,24 +48,6 @@ PIVOT_RTOL = 1e-14
 # Imaginary parts of an inverse built from real nodes must stay below this
 # times the Frobenius norm before they may be stripped.
 REAL_STRIP_RTOL = 1e-12
-
-
-@dataclass
-class VandermondeMatrix:
-    nodes: NodeSet
-    entries: np.ndarray
-
-
-@dataclass
-class StanleyMatrix:
-    """Unit lower-triangular Toeplitz matrix of signed full-set ESPs.
-
-    ``a_coeffs`` holds a_1..a_{N-1} with a_j = (-1)**j * sigma(N, j);
-    entry (r, c) of ``matrix`` is a_{r-c} below the unit diagonal.
-    """
-
-    a_coeffs: np.ndarray
-    matrix: np.ndarray
 
 
 @dataclass
@@ -86,7 +69,7 @@ class InverseResult:
         return self.matrix.real.copy()
 
 
-def build_vandermonde(nodes: NodeSet, num_rows: int | None = None) -> VandermondeMatrix:
+def build_vandermonde(nodes: NodeSet, num_rows: int | None = None) -> np.ndarray:
     """Entry (r, c) = v_c ** (r - 1); square by default, R x N when asked.
 
     The rectangular form backs dense evaluation matrices where more powers
@@ -96,8 +79,7 @@ def build_vandermonde(nodes: NodeSet, num_rows: int | None = None) -> Vandermond
     rows = n if num_rows is None else int(num_rows)
     if rows < 1:
         raise ValueError("num_rows must be at least 1")
-    entries = np.vander(nodes.values, rows, increasing=True).T
-    return VandermondeMatrix(nodes=nodes, entries=entries)
+    return np.vander(nodes.values, rows, increasing=True).T
 
 
 def barycentric_weights(nodes: NodeSet) -> np.ndarray:
@@ -119,15 +101,16 @@ def barycentric_weights(nodes: NodeSet) -> np.ndarray:
     return lam
 
 
-def stanley_matrix(nodes: NodeSet, esp_backend: str = "proposed") -> StanleyMatrix:
-    """Signed-ESP Toeplitz factor of the inverse; needs a full-set backend."""
+def stanley_matrix(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:
+    """Unit lower-triangular Toeplitz factor of the inverse: entry (r, c) is
+    a_{r-c} = (-1)**(r-c) * sigma(N, r-c) on and below the diagonal, so
+    column 0 holds 1, a_1..a_{N-1}.  Needs a full-set backend."""
     n = len(nodes)
     sig = esp_all_orders(nodes, esp_backend)
-    a = ((-1.0) ** np.arange(1, n)) * sig[1:n]
-    col = np.concatenate(([1.0 + 0j], a))
+    col = ((-1.0) ** np.arange(n)) * sig[:n]
     row = np.zeros(n, dtype=np.complex128)
     row[0] = 1.0
-    return StanleyMatrix(a_coeffs=a, matrix=scipy.linalg.toeplitz(col, row))
+    return scipy.linalg.toeplitz(col, row)
 
 
 def inverse_closed_form(nodes: NodeSet, esp_backend: str = "proposed") -> InverseResult:
@@ -155,15 +138,16 @@ def inverse_wa_product(nodes: NodeSet, esp_backend: str = "proposed") -> Inverse
     lam = barycentric_weights(nodes)
     powers = np.vander(nodes.values, n, increasing=False)  # row i: v_i^{N-1} .. 1
     w = powers / lam[:, None]
-    a = stanley_matrix(nodes, esp_backend)
     return InverseResult(
-        matrix=w @ a.matrix, esp_backend=esp_backend, inverse_backend="wa_product"
+        matrix=w @ stanley_matrix(nodes, esp_backend),
+        esp_backend=esp_backend,
+        inverse_backend="wa_product",
     )
 
 
 def inverse_elimination_baseline(nodes: NodeSet) -> InverseResult:
     """Row-pivoted elimination inverse of the explicitly built matrix."""
-    v_matrix = build_vandermonde(nodes).entries
+    v_matrix = build_vandermonde(nodes)
     n = len(nodes)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -184,16 +168,24 @@ def compute_inverse(
     inverse_backend: str = "closed_form",
     esp_backend: str = "proposed",
 ) -> InverseResult:
-    """Dispatch over the three inverse routes."""
+    """Dispatch over the three inverse routes; the result is finite or raises."""
     if inverse_backend == "closed_form":
-        return inverse_closed_form(nodes, esp_backend)
-    if inverse_backend == "wa_product":
-        return inverse_wa_product(nodes, esp_backend)
-    if inverse_backend == "elimination_baseline":
-        return inverse_elimination_baseline(nodes)
-    raise ValueError(
-        f"unknown inverse backend {inverse_backend!r}; expected one of {INVERSE_BACKENDS}"
-    )
+        result = inverse_closed_form(nodes, esp_backend)
+    elif inverse_backend == "wa_product":
+        result = inverse_wa_product(nodes, esp_backend)
+    elif inverse_backend == "elimination_baseline":
+        result = inverse_elimination_baseline(nodes)
+    else:
+        raise ValueError(
+            f"unknown inverse backend {inverse_backend!r}; expected one of {INVERSE_BACKENDS}"
+        )
+    bad = np.count_nonzero(~np.isfinite(result.matrix))
+    if bad:
+        raise NumericalError(
+            f"{inverse_backend} inverse: {bad} of {result.matrix.size} entries "
+            "overflowed to inf or NaN"
+        )
+    return result
 
 
 def solve_dual(

@@ -4,7 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from vandinv.cli import main
+from vandinv import NodeSpec, companion_identity_nmse, compute_inverse, generate_nodes
+from vandinv.cli import COMPANION_COMBOS, main
+from vandinv.serialize import format_float
+
+# sigma(59, j) over 1e6, 2e6, ..., 59e6 passes the double range near j = 40
+OVERFLOWING_NODES = ",".join(f"{k}e6" for k in range(1, 60))
 
 
 def run(capsys, *argv):
@@ -85,6 +90,17 @@ def test_esp_dropped_single_order(capsys):
     assert parse_value_lines(out)[1] == 5 + 0j
 
 
+@pytest.mark.parametrize("backend", ["proposed", "traub"])
+def test_esp_overflow_exits_3_with_nothing_on_stdout(capsys, backend):
+    with np.errstate(all="ignore"):
+        code, out, err = run(
+            capsys, "esp", "--nodes", OVERFLOWING_NODES, "--order", "59", "--backend", backend
+        )
+    assert code == 3
+    assert out == ""
+    assert "overflowed" in err
+
+
 def test_esp_bad_nodes_exit_2(capsys):
     code, _, err = run(capsys, "esp", "--nodes", "1,banana", "--order", "1")
     assert code == 2
@@ -153,6 +169,18 @@ def test_invert_numerical_failure_exits_3(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("route", ["closed-form", "wa-product", "baseline"])
+def test_invert_overflow_exits_3(capsys, route):
+    nodes = ",".join(repr(float(x)) for x in np.linspace(-1e3, 1e3, 120))
+    with np.errstate(all="ignore"):
+        code, out, err = run(
+            capsys, "invert", f"--nodes={nodes}", "--esp", "traub", "--inverse", route
+        )
+    assert code == 3
+    assert out == ""
+    assert "overflowed" in err
+
+
 # ---------------------------------------------------------------- tables
 
 def test_companion_table_default(capsys, tmp_path):
@@ -175,6 +203,24 @@ def test_companion_table_default(capsys, tmp_path):
     # the yang column at N=25 sits in the e-11/e-12 decade
     yang_25 = float(rows[2][3])
     assert 2.8e-12 < yang_25 < 2.8e-10
+
+
+def test_companion_table_csv_bytes(capsys, tmp_path):
+    out_path = tmp_path / "table.csv"
+    code, _, _ = run(capsys, "companion-table", "--n-list", "5,10", "--output", str(out_path))
+    assert code == 0
+    expected = (
+        "n,closed_form+proposed,closed_form+traub,closed_form+yang,"
+        "closed_form+mikkawy,elimination_baseline\r\n"
+    )
+    for n in (5, 10):
+        nodes = generate_nodes(NodeSpec("roots_of_unity", n))
+        cells = [
+            format_float(companion_identity_nmse(nodes, compute_inverse(nodes, inv, esp)).nmse)
+            for inv, esp in COMPANION_COMBOS
+        ]
+        expected += ",".join([str(n), *cells]) + "\r\n"
+    assert out_path.read_bytes() == expected.encode()
 
 
 # ---------------------------------------------------------------- sweep

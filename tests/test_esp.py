@@ -13,14 +13,12 @@ from vandinv import (
     esp_all_orders,
     esp_bruteforce_oracle,
     esp_dropped,
-    esp_mikkawy_dropped,
     esp_proposed,
     esp_single,
     esp_traub_table,
     esp_yang_table,
     generate_nodes,
     inverse_closed_form,
-    monic_coefficients,
 )
 from vandinv import esp as esp_module
 
@@ -182,33 +180,33 @@ def test_dropped_past_the_factorial_limit_runs_scaled():
 
 def test_traub_table_small_integers():
     table = esp_traub_table(NodeSet([1, 2, 3]))
-    np.testing.assert_allclose(table.row(3), [1, 6, 11, 6], atol=1e-12)
+    np.testing.assert_allclose(table[3], [1, 6, 11, 6], atol=1e-12)
 
 
 def test_traub_table_single_node():
     table = esp_traub_table(NodeSet([5]))
-    np.testing.assert_allclose(table.row(1), [1, 5], atol=0)
+    np.testing.assert_allclose(table, [[1, 0], [1, 5]], atol=0)
 
 
 def test_traub_table_roots4():
     table = esp_traub_table(roots(4))
-    np.testing.assert_allclose(table.row(4), [1, 0, 0, 0, -1], atol=1e-14)
+    np.testing.assert_allclose(table[4], [1, 0, 0, 0, -1], atol=1e-14)
 
 
 def test_yang_table_small_integers():
     table = esp_yang_table(NodeSet([1, 2, 3]))
-    np.testing.assert_allclose(table.row(3), [1, 6, 11, 6], atol=1e-12)
+    np.testing.assert_allclose(table[3], [1, 6, 11, 6], atol=1e-12)
 
 
 def test_yang_table_two_nodes():
     table = esp_yang_table(NodeSet([2, 4]))
-    np.testing.assert_allclose(table.row(2), [1, 6, 8], atol=1e-12)
+    np.testing.assert_allclose(table[2], [1, 6, 8], atol=1e-12)
 
 
 def test_tables_agree_entrywise(rng):
     ns = random_node_set(rng, 20)
-    t = esp_traub_table(ns).entries
-    y = esp_yang_table(ns).entries
+    t = esp_traub_table(ns)
+    y = esp_yang_table(ns)
     scale = np.maximum(np.abs(t), 1.0)
     assert (np.abs(t - y) / scale).max() < 1e-12
 
@@ -216,38 +214,36 @@ def test_tables_agree_entrywise(rng):
 def test_table_invariants(rng):
     ns = random_node_set(rng, 10)
     for table in (esp_traub_table(ns), esp_yang_table(ns)):
-        n = table.order
-        np.testing.assert_array_equal(table.entries[1:, 0], np.ones(n))
-        upper = np.triu_indices(n + 1, k=1)
-        assert np.all(table.entries[upper] == 0)
-        with pytest.raises(ValueError):
-            table.row(n + 1)
+        assert table.shape == (11, 11)
+        np.testing.assert_array_equal(table[:, 0], np.ones(11))
+        upper = np.triu_indices(11, k=1)
+        assert np.all(table[upper] == 0)
 
 
 # ---------------------------------------------------------------- dropped
 
 def test_mikkawy_drop_first():
     np.testing.assert_allclose(
-        esp_mikkawy_dropped(NodeSet([1, 2, 3]), 1), [1, 5, 6], atol=1e-12
+        esp_dropped(NodeSet([1, 2, 3]), 1, "mikkawy"), [1, 5, 6], atol=1e-12
     )
 
 
 def test_mikkawy_drop_last():
     np.testing.assert_allclose(
-        esp_mikkawy_dropped(NodeSet([1, 2, 3]), 3), [1, 3, 2], atol=1e-12
+        esp_dropped(NodeSet([1, 2, 3]), 3, "mikkawy"), [1, 3, 2], atol=1e-12
     )
 
 
 def test_mikkawy_unit_magnitudes_on_roots():
     ns = roots(12)
     for drop in range(1, 13):
-        mags = np.abs(esp_mikkawy_dropped(ns, drop))
+        mags = np.abs(esp_dropped(ns, drop, "mikkawy"))
         np.testing.assert_allclose(mags, 1.0, atol=1e-10)
 
 
 def test_mikkawy_needs_two_nodes():
     with pytest.raises(ValueError):
-        esp_mikkawy_dropped(NodeSet([5]), 1)
+        esp_dropped(NodeSet([5]), 1, "mikkawy")
 
 
 def test_dropped_proposed_example():
@@ -277,6 +273,25 @@ def test_dropped_matches_oracle_on_reduced_set(rng, method):
 def test_dropped_roots50_magnitudes_near_one():
     seq = esp_dropped(roots(50), 1, "proposed")
     np.testing.assert_allclose(np.abs(seq), 1.0, atol=1e-6)
+
+
+def test_overflow_raises_instead_of_returning_nan():
+    # sigma(59, j) over 1e6, 2e6, ..., 59e6 passes the double range near j = 40
+    ns = NodeSet(np.arange(1, 60) * 1e6)
+    with np.errstate(all="ignore"):
+        for method in ("proposed", "traub", "yang"):
+            with pytest.raises(OrderOverflowError):
+                esp_all_orders(ns, method)
+            with pytest.raises(OrderOverflowError):
+                esp_single(ns, 59, method)
+        for method in ("proposed", "traub", "yang", "mikkawy"):
+            with pytest.raises(OrderOverflowError):
+                esp_dropped(ns, [1, 59], method)
+        for table in (esp_traub_table, esp_yang_table):
+            with pytest.raises(OrderOverflowError):
+                table(ns)
+        with pytest.raises(OrderOverflowError):
+            esp_proposed(ns, 59)
 
 
 def test_dropped_unknown_method():
@@ -335,35 +350,16 @@ def test_permutation_invariance_property(values, pyrandom):
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
-# ---------------------------------------------------------------- monic
-
-def test_monic_two_nodes():
-    np.testing.assert_allclose(
-        monic_coefficients(NodeSet([1, 2])), [2, -3, 1], atol=1e-12
-    )
-
-
-def test_monic_roots_of_unity():
-    n = 16
-    coeffs = monic_coefficients(roots(n))
-    expected = np.zeros(n + 1, dtype=complex)
-    expected[0] = -1.0
-    expected[n] = 1.0
-    np.testing.assert_allclose(coeffs, expected, atol=1e-12)
-
-
-def test_monic_single_zero_node():
-    np.testing.assert_allclose(monic_coefficients(NodeSet([0])), [0, 1], atol=0)
-
+# ---------------------------------------------------------------- vieta
 
 def test_vieta_closure(rng):
+    # the signed sweep (-1)**j sigma(N, j) lists prod_k (x - v_k) from x**N down
     for n in (5, 12, 20):
         ns = random_node_set(rng, n)
-        coeffs = monic_coefficients(ns)
+        coeffs = (-1.0) ** np.arange(n + 1) * esp_all_orders(ns)
         bound = 1e-8 * max(1.0, np.abs(ns.values).max() ** n)
         for v in ns.values:
-            p = np.polyval(coeffs[::-1], v)
-            assert abs(p) < bound
+            assert abs(np.polyval(coeffs, v)) < bound
 
 
 # ---------------------------------------------------------------- helpers
@@ -380,6 +376,6 @@ def test_esp_single_rejects_mikkawy():
 def test_esp_all_orders_consistency(rng):
     ns = random_node_set(rng, 8)
     top = esp_all_orders(ns, "proposed")
-    ref = esp_traub_table(ns).top_row()
+    ref = esp_traub_table(ns)[-1]
     for a, b in zip(top, ref):
         assert_close(a, b, rel=1e-9)

@@ -143,13 +143,6 @@ def test_perturbation_phase_mode_keeps_unit_magnitude():
     np.testing.assert_allclose(np.abs(v), 1.0, atol=1e-14)
 
 
-def test_perturbation_radial_mode_scales_magnitude():
-    v = perturb_roots_of_unity(16, PerturbationSpec(0.3, 0.0, 5), radial_shift=True).values
-    base = np.angle(family("roots_of_unity", 16))
-    np.testing.assert_allclose(np.angle(v), base, atol=1e-12)
-    assert np.abs(np.abs(v) - 1.0).max() > 1e-3
-
-
 def test_perturbation_negative_sigma_rejected():
     with pytest.raises(ValueError):
         PerturbationSpec(-0.1, 0.0, 1)

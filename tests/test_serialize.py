@@ -6,24 +6,19 @@ import numpy as np
 from vandinv import (
     InterpFunctionSpec,
     NodeSet,
-    NodeSpec,
-    companion_identity_nmse,
     esp_traub_table,
-    generate_nodes,
     interp_experiment,
     inverse_closed_form,
     noise_sweep,
 )
 from vandinv.serialize import (
-    companion_report_to_csv,
-    companion_report_to_json,
+    companion_table_to_csv,
     esp_table_to_csv,
     format_float,
     interp_report_to_csv,
     interp_summaries_to_csv,
     inverse_to_csv,
     inverse_to_json,
-    nodeset_to_csv,
     order_values_to_csv,
     sweep_to_csv,
     sweep_to_json,
@@ -41,21 +36,11 @@ def test_format_float_round_trips():
 
 
 def test_csv_files_use_crlf(tmp_path):
-    path = tmp_path / "nodes.csv"
-    nodeset_to_csv(NodeSet([1, 2]), path)
-    raw = path.read_bytes()
-    assert b"\r\n" in raw
-
-
-def test_nodeset_csv(tmp_path):
-    path = tmp_path / "nodes.csv"
-    nodeset_to_csv(NodeSet([1 + 2j, 3]), path)
-    rows = read_rows(path)
-    assert rows[0] == ["index", "re", "im"]
-    assert rows[1][0] == "1"
-    assert float(rows[1][1]) == 1.0
-    assert float(rows[1][2]) == 2.0
-    assert float(rows[2][1]) == 3.0
+    path = tmp_path / "orders.csv"
+    order_values_to_csv([0, 1], [1 + 0j, 2 - 1j], path)
+    lines = path.read_bytes().split(b"\r\n")
+    assert len(lines) == 4 and lines[-1] == b""  # header, two rows, CRLF ending
+    assert all(b"\n" not in line for line in lines)
 
 
 def test_esp_table_csv_blank_above_diagonal(tmp_path):
@@ -99,21 +84,17 @@ def test_inverse_csv_and_json(tmp_path):
     np.testing.assert_allclose(matrix, inv.matrix, atol=0)
 
 
-def test_companion_report_serialization(tmp_path):
-    ns = generate_nodes(NodeSpec("roots_of_unity", 6))
-    report = companion_identity_nmse(ns, inverse_closed_form(ns))
-    csv_path = tmp_path / "companion.csv"
-    companion_report_to_csv(report, csv_path)
-    rows = read_rows(csv_path)
-    assert rows[0] == ["n", "esp_backend", "inverse_backend", "nmse"]
-    assert float(rows[1][3]) == report.nmse
-
-    json_path = tmp_path / "companion.json"
-    companion_report_to_json(report, json_path)
-    doc = json.loads(json_path.read_text())
-    assert doc["n"] == 6
-    assert len(doc["reconstructed_block"]) == 6
-    assert len(doc["reconstructed_block"][0]) == 5
+def test_companion_table_csv(tmp_path):
+    table = [(5, {"a+b": 1 / 3, "c": 2e-16}), (10, {"a+b": 0.25, "c": 5.74e-15})]
+    path = tmp_path / "companion.csv"
+    companion_table_to_csv(table, path)
+    assert path.read_bytes() == (
+        b"n,a+b,c\r\n"
+        b"5,0.33333333333333331,2e-16\r\n"
+        b"10,0.25,5.7400000000000002e-15\r\n"
+    )
+    rows = read_rows(path)
+    assert float(rows[1][1]) == 1 / 3 and float(rows[2][2]) == 5.74e-15
 
 
 def test_sweep_serialization(tmp_path):

@@ -8,7 +8,6 @@ from vandinv import (
     NodeSpec,
     companion_identity_nmse,
     compute_inverse,
-    count_distinct_points,
     derive_seed,
     esp_unit_circle_experiment,
     generate_nodes,
@@ -119,19 +118,16 @@ def test_unit_circle_traub_deviates_at_64():
 
 
 def test_unit_circle_70_maps_to_few_points():
+    # without v_1 the sweep is exactly (-v_1)**j, which cycles over 35 points
     res = esp_unit_circle_experiment(70, 1, "proposed")
-    assert res.distinct_point_count() <= 36
+    exact = (-roots(70).values[0]) ** np.arange(70)
+    assert np.abs(res.values - exact).max() < 1e-12
 
 
 def test_unit_circle_stable_for_any_drop_at_70():
     for drop in (1, 35, 70):
         res = esp_unit_circle_experiment(70, drop, "proposed")
         assert res.max_unit_deviation < 1e-6, f"drop {drop}"
-
-
-def test_count_distinct_points_clusters():
-    pts = [1.0, 1.0 + 1e-8, -1.0, 1j]
-    assert count_distinct_points(pts) == 3
 
 
 # ------------------------------------------------------------- sweep
@@ -159,7 +155,7 @@ def test_sweep_validates_arguments():
 
 
 def test_sweep_marks_cells_failed_when_all_trials_collapse(monkeypatch):
-    def always_collides(n, spec, radial_shift=False):
+    def always_collides(n, spec):
         raise NodeCollisionError("forced")
 
     monkeypatch.setattr(stability_mod, "perturb_roots_of_unity", always_collides)
@@ -172,11 +168,11 @@ def test_sweep_averages_surviving_trials(monkeypatch):
     real = stability_mod.perturb_roots_of_unity
     calls = {"n": 0}
 
-    def flaky(n, spec, radial_shift=False):
+    def flaky(n, spec):
         calls["n"] += 1
         if calls["n"] == 1:
             raise NodeCollisionError("forced first-trial failure")
-        return real(n, spec, radial_shift)
+        return real(n, spec)
 
     monkeypatch.setattr(stability_mod, "perturb_roots_of_unity", flaky)
     grid = noise_sweep(8, [0.05], [0.05], trials=3, seed=2)

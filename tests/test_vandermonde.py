@@ -4,6 +4,7 @@ import pytest
 from vandinv import (
     NodeSet,
     NodeSpec,
+    NumericalError,
     SingularityError,
     barycentric_weights,
     build_vandermonde,
@@ -31,23 +32,23 @@ def rel_entrywise(a, b):
 # ---------------------------------------------------------------- build
 
 def test_build_square_two_nodes():
-    v = build_vandermonde(NodeSet([1, 2])).entries
+    v = build_vandermonde(NodeSet([1, 2]))
     np.testing.assert_array_equal(v, [[1, 1], [1, 2]])
 
 
 def test_build_rectangular_powers():
-    v = build_vandermonde(NodeSet([2]), num_rows=3).entries
+    v = build_vandermonde(NodeSet([2]), num_rows=3)
     np.testing.assert_array_equal(v, [[1], [2], [4]])
 
 
 def test_build_roots4_is_unitary_up_to_scale():
-    v = build_vandermonde(roots(4)).entries
+    v = build_vandermonde(roots(4))
     np.testing.assert_allclose(v @ v.conj().T, 4 * np.eye(4), atol=1e-12)
 
 
 def test_build_row_recurrence(rng):
     ns = random_node_set(rng, 7)
-    v = build_vandermonde(ns).entries
+    v = build_vandermonde(ns)
     np.testing.assert_allclose(v[0], np.ones(7), atol=0)
     for r in range(1, 7):
         np.testing.assert_allclose(v[r], v[r - 1] * ns.values, rtol=1e-15)
@@ -79,19 +80,19 @@ def test_barycentric_underflow_raises():
 # ---------------------------------------------------------------- stanley
 
 def test_stanley_two_nodes():
-    s = stanley_matrix(NodeSet([1, 2]))
-    np.testing.assert_allclose(s.a_coeffs, [-3], atol=1e-12)
-    np.testing.assert_allclose(s.matrix, [[1, 0], [-3, 1]], atol=1e-12)
+    m = stanley_matrix(NodeSet([1, 2]))
+    np.testing.assert_allclose(m[1:, 0], [-3], atol=1e-12)
+    np.testing.assert_allclose(m, [[1, 0], [-3, 1]], atol=1e-12)
 
 
 def test_stanley_roots_of_unity_vanishing():
-    s = stanley_matrix(roots(12))
-    np.testing.assert_allclose(s.a_coeffs, np.zeros(11), atol=1e-12)
+    m = stanley_matrix(roots(12))
+    np.testing.assert_allclose(m[1:, 0], np.zeros(11), atol=1e-12)
 
 
 def test_stanley_three_nodes():
-    s = stanley_matrix(NodeSet([1, 2, 3]))
-    np.testing.assert_allclose(s.a_coeffs, [-6, 11], atol=1e-12)
+    m = stanley_matrix(NodeSet([1, 2, 3]))
+    np.testing.assert_allclose(m[1:, 0], [-6, 11], atol=1e-12)
 
 
 def test_stanley_rejects_mikkawy():
@@ -143,7 +144,7 @@ def test_baseline_two_nodes():
 def test_baseline_roots4_conjugate_transpose():
     ns = roots(4)
     inv = inverse_elimination_baseline(ns)
-    v = build_vandermonde(ns).entries
+    v = build_vandermonde(ns)
     np.testing.assert_allclose(inv.matrix, v.conj().T / 4, atol=1e-12)
 
 
@@ -152,7 +153,7 @@ def test_baseline_identity_on_chebyshev():
     # the closed form on the same nodes
     ns = generate_nodes(NodeSpec("chebyshev", 20))
     inv = inverse_elimination_baseline(ns)
-    v = build_vandermonde(ns).entries
+    v = build_vandermonde(ns)
     residual = np.linalg.norm(inv.matrix @ v - np.eye(20)) / np.linalg.norm(np.eye(20))
     assert residual < 1e-5
 
@@ -167,7 +168,7 @@ def test_identity_residual_all_families(kind):
     for n in (5, 12, 20):
         ns = generate_nodes(NodeSpec(kind, n))
         inv = inverse_closed_form(ns, "proposed")
-        v = build_vandermonde(ns).entries
+        v = build_vandermonde(ns)
         residual = np.linalg.norm(inv.matrix @ v - np.eye(n)) / np.linalg.norm(np.eye(n))
         limit = 1e-12 if kind == "roots_of_unity" else 1e-8
         assert residual < limit, f"{kind} n={n}: {residual:.3e}"
@@ -200,7 +201,7 @@ def test_first_column_sums_to_one(rng):
         ns = random_node_set(rng, n)
         inv = inverse_closed_form(ns).matrix
         assert abs(inv[:, 0].sum() - 1.0) < 1e-8
-        v = build_vandermonde(ns).entries
+        v = build_vandermonde(ns)
         e1 = np.zeros(n)
         e1[0] = 1.0
         np.testing.assert_allclose((inv @ v)[:, 0], e1, atol=1e-8)
@@ -220,6 +221,14 @@ def test_compute_inverse_dispatch_and_validation():
         compute_inverse(ns, "lu")
     with pytest.raises(ValueError):
         compute_inverse(ns, "closed_form", "newton")
+
+
+@pytest.mark.parametrize("route", ["closed_form", "elimination_baseline"])
+def test_compute_inverse_names_the_route_that_overflowed(route):
+    # lambda_k and the high powers of 120 nodes on [-1e3, 1e3] pass 1e308
+    ns = NodeSet(np.linspace(-1e3, 1e3, 120))
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match=f"^{route} inverse"):
+        compute_inverse(ns, route, "traub")
 
 
 def test_as_real_strips_rounding_noise():
