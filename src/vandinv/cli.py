@@ -188,16 +188,14 @@ def _cmd_esp(args) -> int:
             _write_manifests("esp", args, [out])
         return 0
 
-    if args.drop is not None:
-        values = esp_dropped(nodes, args.drop, args.backend)
-    else:
-        if args.backend == "mikkawy":
-            raise ValueError("the mikkawy backend computes dropped-node ESPs; pass --drop")
-        values = None
+    if args.drop is None and args.backend == "mikkawy":
+        raise ValueError("the mikkawy backend computes dropped-node ESPs; pass --drop")
 
     if args.all_orders:
-        if values is None:
+        if args.drop is None:
             values = esp_all_orders(nodes, args.backend)
+        else:
+            values = esp_dropped(nodes, args.drop, args.backend)
         for order, value in enumerate(values):
             _print_value_line(order, complex(value))
         if args.output:
@@ -208,12 +206,7 @@ def _cmd_esp(args) -> int:
 
     if args.order is None:
         raise ValueError("pass --order K, --all-orders, or --table")
-    if values is not None:
-        if not 0 <= args.order < len(values):
-            raise ValueError(f"order {args.order} outside 0..{len(values) - 1} for the reduced set")
-        value = complex(values[args.order])
-    else:
-        value = esp_single(nodes, args.order, args.backend)
+    value = esp_single(nodes, args.order, args.backend, drop_index=args.drop)
     _print_value_line(args.order, value)
     if args.output:
         out = _resolve_output(args.output)

@@ -11,7 +11,8 @@ class NumericalError(Exception):
 
 
 class SingularityError(NumericalError):
-    """A barycentric weight underflowed or an elimination pivot vanished."""
+    """A barycentric weight underflowed or overflowed, or an elimination
+    pivot vanished."""
 
 
 class OrderOverflowError(NumericalError):

@@ -19,16 +19,18 @@ to inf or NaN raises `OrderOverflowError`.  All functions are pure.
   which is why the factorial division appears.  Every step keeps the full
   node set in play, which is what makes this recursion stable on symmetric
   sets such as the roots of unity.  Cost is O(n * N) per order, so O(N^3)
-  per sweep and O(N^4) per closed-form inverse.  One kernel runs a batch
-  of (row, order) pairs as a (rows x orders x nodes) array, each pair its
-  own recursion, in blocks of at most 256 KB: the work is the paper's,
-  only the Python dispatch is shared.
+  per sweep and O(N^4) per closed-form inverse.  One kernel runs every
+  (row, order) pair of a call, each pair its own recursion: the pairs are
+  sorted by order, then row, and go in chunks of at most 256 KB laid out
+  node-major, as (nodes x pairs) arrays.  The work is the paper's; only
+  the Python dispatch and the memory passes are shared.
 * ``traub``    - the classic triangular table sigma(n, j) =
   sigma(n-1, j) + v_n * sigma(n-1, j-1) over node prefixes; O(N^2).
 * ``yang``     - a prefix-block expansion of the same table: group each
   subset by its run of trailing consecutive nodes, giving
   sigma(n, j) = sum_k (v_n * ... * v_{n-k+1}) * sigma(n-k-1, j-k) where the
-  k = j = n term contributes the bare product of all n nodes; O(N^3).
+  k = j = n term contributes the bare product of all n nodes; O(N^3),
+  with the tables of all dropped rows built as one batch.
 * ``mikkawy``  - a dropped-node recursion: the node to remove is swapped
   into the leading slot and the table recursion is run over slots 2..N,
   so the output row holds ESPs of the remaining N-1 nodes; O(N^2).
@@ -49,8 +51,10 @@ from .nodes import NodeSet
 # unscaled recursion cannot finish and the scaled mode must be used.
 MAX_UNSCALED_ORDER = 170
 
-# Bytes of the (rows x orders x nodes) complex array one proposed block holds.
+# Bytes of the (nodes x pairs) complex array one proposed chunk holds.
 _BLOCK_BYTES = 256 * 1024
+
+_NEG_ZERO = complex(-0.0, -0.0)  # the exact identity of complex addition
 
 _ORACLE_MAX_NODES = 25
 
@@ -66,52 +70,62 @@ def _finite(values, what: str):
 
 
 def _node_sum(f: np.ndarray, compensated: bool) -> np.ndarray:
-    """Sum over the last (node) axis in index order, or Kahan-compensated;
-    cumsum keeps the strict left-to-right association at native speed."""
-    if not compensated:
-        return np.cumsum(f, axis=-1)[..., -1]
-    total = carry = np.zeros(f.shape[:-1], dtype=np.complex128)
-    for d in range(f.shape[-1]):
-        y = f[..., d] - carry
-        t = total + y
-        carry, total = (t - total) - y, t
-    return total
+    """Sum over the node axis 0 strictly in node order, or Kahan-compensated.
+
+    Reducing over the outer axis, numpy adds the node rows one after the
+    other, as a cumsum would; the initial -0 keeps a sum of negative zeros
+    negative.  A single pair column would be reduced pairwise, so it takes
+    the cumsum."""
+    if compensated:
+        total = carry = np.zeros(f.shape[1], dtype=np.complex128)
+        for row in f:
+            y = row - carry
+            t = total + y
+            carry, total = (t - total) - y, t
+        return total
+    if f.shape[1] == 1:
+        return np.cumsum(f, axis=0)[-1]
+    return np.add.reduce(f, axis=0, initial=_NEG_ZERO)
 
 
-def _proposed_kernel(v, orders, scaled, compensated):
-    """C_{n-1} for every row of v (rows x m) and ascending order n; finished
-    orders leave the batch, so step i touches only orders n > i."""
-    f = np.repeat(v[:, None, :], orders.size, axis=1)
+def _proposed_kernel(vp, orders, scaled, compensated):
+    """C_{n-1} for every pair column of vp (nodes x pairs), the columns sorted
+    by ascending order n; finished orders are a prefix of the columns and are
+    sliced off, so step i touches only pairs with n > i."""
+    f, k = vp.copy(), orders.astype(np.complex128)
     c = _node_sum(f, compensated)
     out, done = np.empty_like(c), 0
     for i in range(1, int(orders[-1])):
         live = int(np.searchsorted(orders, i, side="right"))
-        out[:, done:live] = c[:, : live - done]
-        f, c, done = f[:, live - done :], c[:, live - done :], live
+        out[done:live] = c[: live - done]
+        f, vp, c, done = f[:, live - done :], vp[:, live - done :], c[live - done :], live
         # operand order as in v * (C - (n - i) * f): numpy's fused complex
         # multiply rounds differently with the operands swapped
-        np.multiply((orders[done:] - i)[:, None], f, out=f)
-        np.subtract(c[..., None], f, out=f)
-        np.multiply(v[:, None, :], f, out=f)
+        np.multiply(k[done:] - i, f, out=f)
+        np.subtract(c, f, out=f)
+        np.multiply(vp, f, out=f)
         if scaled:
             f /= i + 1
         c = _node_sum(f, compensated)
-    out[:, done:] = c
+    out[done:] = c
     return out
 
 
 def _proposed(v, orders, scaled=False, compensated=False):
-    """sigma(m, n) for every row of v (rows x m) and ascending order n >= 1,
-    in blocks of rows (or of orders, for one large row) of _BLOCK_BYTES."""
+    """sigma(m, n) for every row of v (rows x m) and ascending order n >= 1.
+
+    Every (row, order) pair is its own recursion.  The pairs run sorted by
+    order, then row, in chunks of at most _BLOCK_BYTES of node values."""
     rows, m = v.shape
-    out = np.empty((rows, orders.size), dtype=np.complex128)
-    pairs = max(1, _BLOCK_BYTES // (16 * m))
-    row_step, order_step = max(1, pairs // orders.size), min(orders.size, pairs)
-    for r in range(0, rows, row_step):
-        for o in range(0, orders.size, order_step):
-            out[r : r + row_step, o : o + order_step] = _proposed_kernel(
-                v[r : r + row_step], orders[o : o + order_step], scaled, compensated
-            )
+    pair_orders = np.repeat(orders, rows)
+    pair_rows = np.tile(np.arange(rows), orders.size)
+    out = np.empty(pair_orders.size, dtype=np.complex128)
+    step = max(1, _BLOCK_BYTES // (16 * m))
+    for s in range(0, out.size, step):
+        chunk = slice(s, s + step)
+        vp = v.T.take(pair_rows[chunk], axis=1)  # a C-ordered (nodes x pairs) copy
+        out[chunk] = _proposed_kernel(vp, pair_orders[chunk], scaled, compensated)
+    out = out.reshape(orders.size, rows).T
     if not scaled:
         # separate real and imaginary float divisions: numpy's complex / float
         # takes the complex-division path and can differ by an ulp
@@ -144,18 +158,25 @@ def _traub_sweeps(w):
     return list(_traub_steps(w))[-1]  # every step yields the same running row
 
 
-def _yang_table(v):
-    n_total = v.size
-    t = np.zeros((n_total + 1, n_total + 1), dtype=np.complex128)
-    t[0, 0] = 1.0
-    for n in range(1, n_total + 1):
-        row = np.zeros(n + 1, dtype=np.complex128)
-        block = 1.0 + 0j
+def _yang_tables(w):
+    """The yang table of every row of w (rows x m), shape (rows, m+1, m+1).
+
+    block[:, n, k] = v_n * v_{n-1} * ... * v_{n-k+1}, taken by real
+    arithmetic without fused multiply-adds, which is how numpy multiplies
+    complex scalars; its array multiply is fused and rounds differently."""
+    r, m = w.shape
+    block = np.zeros((r, m + 1, m + 1), dtype=np.complex128)
+    block[:, :, 0] = 1.0
+    for k in range(m):
+        b, x = block[:, k + 1 :, k], w[:, : m - k]
+        block[:, k + 1 :, k + 1].real = b.real * x.real - b.imag * x.imag
+        block[:, k + 1 :, k + 1].imag = b.real * x.imag + b.imag * x.real
+    t = np.zeros_like(block)
+    t[:, 0, 0] = 1.0
+    for n in range(1, m + 1):
         for k in range(n):
-            row[k:n] += block * t[n - 1 - k, 0 : n - k]
-            block *= v[n - 1 - k]
-        row[n] = block  # the whole prefix taken as one block
-        t[n, : n + 1] = row
+            t[:, n, k:n] += block[:, n, k, None] * t[:, n - 1 - k, : n - k]
+        t[:, n, n] = block[:, n, n]  # the whole prefix taken as one block
     return t
 
 
@@ -177,7 +198,8 @@ class _Backend(NamedTuple):
 def _backend(name, sweeps):
     """An entry whose sweeps (rows x m -> rows x m+1) serve both paths."""
     def dropped(v, rows):
-        return sweeps(np.array([np.delete(v, r) for r in rows]))
+        keep = np.arange(v.size - 1)
+        return sweeps(v[keep + (keep >= rows[:, None])])  # row r lacks node r
 
     return _Backend(name, lambda v: sweeps(v[None, :])[0], dropped)
 
@@ -187,7 +209,7 @@ _BACKENDS = {
     for b in (
         _backend("proposed", _proposed_sweeps),
         _backend("traub", _traub_sweeps),
-        _backend("yang", lambda w: np.array([_yang_table(x)[-1] for x in w])),
+        _backend("yang", lambda w: _yang_tables(w)[:, -1]),
         _Backend("mikkawy", None, _mikkawy_dropped),
     )
 }
@@ -231,15 +253,10 @@ def esp_traub_table(nodes: NodeSet) -> np.ndarray:
 def esp_yang_table(nodes: NodeSet) -> np.ndarray:
     """The same table by the prefix-block expansion; each row is assembled
     from earlier rows, block contributions in ascending k."""
-    return _finite(_yang_table(nodes.values), "yang table")
+    return _finite(_yang_tables(nodes.values[None, :])[0], "yang table")
 
 
-def esp_dropped(nodes: NodeSet, drop_index, method: str = "proposed") -> np.ndarray:
-    """Dropped-node sweeps: sigma over the reduced set for orders 0..N-1.
-
-    ``drop_index`` is 1-based.  A sequence of indices returns one sweep per
-    index, shape (len, N), from one batched backend call.
-    """
+def _dropped_sweeps(nodes: NodeSet, drop_index, method: str) -> np.ndarray:
     if method not in ESP_BACKENDS:
         raise ValueError(f"unknown ESP backend {method!r}; expected one of {ESP_BACKENDS}")
     n_total = len(nodes)
@@ -250,24 +267,50 @@ def esp_dropped(nodes: NodeSet, drop_index, method: str = "proposed") -> np.ndar
     if bad.any():
         raise ValueError(f"drop index {rows[bad][0]} outside 1..{n_total}")
     sweeps = _BACKENDS[method].dropped(nodes.values, rows - 1)
-    _finite(sweeps, f"{method} dropped sweep")
     return sweeps if np.ndim(drop_index) else sweeps[0]
 
 
-def esp_single(nodes: NodeSet, order: int, method: str = "proposed") -> complex:
-    """Full-set sigma(N, order) via a full-set backend; order 0 returns 1."""
-    if not 0 <= order <= len(nodes):
-        raise ValueError(f"order {order} outside 0..{len(nodes)}")
-    return complex(esp_all_orders(nodes, method)[order])
-
-
-def esp_all_orders(nodes: NodeSet, method: str = "proposed") -> np.ndarray:
-    """Full-set ESPs for every order 0..N as one array."""
+def _full_sweep(nodes: NodeSet, method: str) -> np.ndarray:
     if method not in FULL_SET_ESP_BACKENDS:
         raise ValueError(
             f"full-set ESPs need one of {FULL_SET_ESP_BACKENDS}, got {method!r}"
         )
-    return _finite(_BACKENDS[method].full_set(nodes.values), f"{method} sweep")
+    return _BACKENDS[method].full_set(nodes.values)
+
+
+def esp_dropped(nodes: NodeSet, drop_index, method: str = "proposed") -> np.ndarray:
+    """Dropped-node sweeps: sigma over the reduced set for orders 0..N-1.
+
+    ``drop_index`` is 1-based.  A sequence of indices returns one sweep per
+    index, shape (len, N), from one batched backend call.
+    """
+    return _finite(_dropped_sweeps(nodes, drop_index, method), f"{method} dropped sweep")
+
+
+def esp_single(
+    nodes: NodeSet, order: int, method: str = "proposed", drop_index: int | None = None
+) -> complex:
+    """Full-set sigma(N, order) via a full-set backend; with a 1-based
+    ``drop_index``, sigma of order ``order`` over the other N - 1 nodes via
+    any backend.  Order 0 returns 1.
+
+    Only the returned entry must be finite: the other orders of the sweep it
+    is read from may overflow.
+    """
+    top = len(nodes) - (drop_index is not None)
+    if not 0 <= order <= top:
+        raise ValueError(f"order {order} outside 0..{top}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if drop_index is None:
+            sweep = _full_sweep(nodes, method)
+        else:
+            sweep = _dropped_sweeps(nodes, int(drop_index), method)
+    return complex(_finite(sweep[order], f"{method} sigma({top}, {order})"))
+
+
+def esp_all_orders(nodes: NodeSet, method: str = "proposed") -> np.ndarray:
+    """Full-set ESPs for every order 0..N as one array."""
+    return _finite(_full_sweep(nodes, method), f"{method} sweep")
 
 
 def esp_bruteforce_oracle(nodes: NodeSet, order: int) -> complex:

@@ -20,9 +20,10 @@ Three inverse routes are provided:
   of the explicitly built matrix; the method-independent reference.
 
 lambda_k = prod_{j != k} (v_k - v_j) are the barycentric denominators;
-any |lambda_k| below 1e-300, or an elimination pivot below
-1e-14 * max |entry|, raises SingularityError, and `compute_inverse` raises
-NumericalError on any inverse entry that overflowed to inf or NaN.
+a |lambda_k| below 1e-300 or past double range, or an elimination pivot
+below 1e-14 * max |entry|, raises SingularityError (naming the weight's
+index).  `compute_inverse` raises NumericalError on any inverse entry that
+overflowed to inf or NaN, and starts every failure message with the route.
 `build_vandermonde` and `stanley_matrix` return plain arrays.
 
 Rows of the closed-form inverse are independent; everything is pure.
@@ -90,7 +91,15 @@ def barycentric_weights(nodes: NodeSet) -> np.ndarray:
     v = nodes.values
     diff = v[:, None] - v[None, :]
     np.fill_diagonal(diff, 1.0)
-    lam = np.prod(diff, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = np.prod(diff, axis=1)
+    big = ~np.isfinite(lam)
+    if big.any():
+        k = int(np.argmax(big)) + 1
+        raise SingularityError(
+            f"barycentric weight {k} overflowed double precision; "
+            "the nodes span too wide a range"
+        )
     small = np.abs(lam) < LAMBDA_FLOOR
     if small.any():
         k = int(np.argmax(small)) + 1
@@ -168,17 +177,21 @@ def compute_inverse(
     inverse_backend: str = "closed_form",
     esp_backend: str = "proposed",
 ) -> InverseResult:
-    """Dispatch over the three inverse routes; the result is finite or raises."""
-    if inverse_backend == "closed_form":
-        result = inverse_closed_form(nodes, esp_backend)
-    elif inverse_backend == "wa_product":
-        result = inverse_wa_product(nodes, esp_backend)
-    elif inverse_backend == "elimination_baseline":
-        result = inverse_elimination_baseline(nodes)
-    else:
+    """Dispatch over the three inverse routes; the result is finite or raises
+    a NumericalError whose message starts with the route."""
+    if inverse_backend not in INVERSE_BACKENDS:
         raise ValueError(
             f"unknown inverse backend {inverse_backend!r}; expected one of {INVERSE_BACKENDS}"
         )
+    try:
+        if inverse_backend == "closed_form":
+            result = inverse_closed_form(nodes, esp_backend)
+        elif inverse_backend == "wa_product":
+            result = inverse_wa_product(nodes, esp_backend)
+        else:
+            result = inverse_elimination_baseline(nodes)
+    except NumericalError as exc:
+        raise type(exc)(f"{inverse_backend} inverse: {exc}") from None
     bad = np.count_nonzero(~np.isfinite(result.matrix))
     if bad:
         raise NumericalError(

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 
 import numpy as np
@@ -95,6 +96,31 @@ def test_esp_overflow_exits_3_with_nothing_on_stdout(capsys, backend):
     with np.errstate(all="ignore"):
         code, out, err = run(
             capsys, "esp", "--nodes", OVERFLOWING_NODES, "--order", "59", "--backend", backend
+        )
+    assert code == 3
+    assert out == ""
+    assert "overflowed" in err
+
+
+@pytest.mark.parametrize(
+    "backend, drop", [("proposed", None), ("traub", None), ("proposed", 59), ("mikkawy", 59)]
+)
+def test_esp_single_order_checks_only_its_entry(capsys, backend, drop):
+    # the sweep's top orders overflow, but --order checks only the entry it prints
+    keep = [k for k in range(1, 60) if k != drop]
+    exact = sum(a * b * c for a, b, c in itertools.combinations(keep, 3)) * 1e18
+    drop_args = () if drop is None else ("--drop", str(drop))
+    with np.errstate(all="ignore"):
+        code, out, _ = run(
+            capsys, "esp", "--nodes", OVERFLOWING_NODES, "--order", "3",
+            "--backend", backend, *drop_args,
+        )
+        assert code == 0
+        assert abs(parse_value_lines(out)[3] - exact) <= 1e-14 * exact
+        top = str(len(keep))
+        code, out, err = run(
+            capsys, "esp", "--nodes", OVERFLOWING_NODES, "--order", top,
+            "--backend", backend, *drop_args,
         )
     assert code == 3
     assert out == ""

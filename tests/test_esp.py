@@ -109,27 +109,49 @@ def test_proposed_compensated_mode_matches_oracle(rng):
         )
 
 
-def reference_proposed(values, order):
+def kahan_sum(values):
+    total = carry = 0j
+    for x in values:
+        y = x - carry
+        t = total + y
+        carry, total = (t - total) - y, t
+    return total
+
+
+def reference_proposed(values, order, scaled=False, compensated=False):
     """The balanced recursion one order at a time, as the paper states it.
 
     f_0 = v, f_i = v * (C_{i-1} - (n - i) * f_{i-1}), C_i = sum of f_i in
     node order, result C_{n-1} / n! by Python-complex division.  The node
     arrays stay numpy arrays with the same operand order as the kernel:
     numpy's complex multiply is fused, so Python scalars (or swapped
-    operands) would round differently.
+    operands) would round differently.  ``scaled`` divides f_i by i + 1
+    instead of dividing by n! at the end; ``compensated`` takes each C_i as
+    a Kahan sum of Python complex numbers.
     """
+    def node_sum(f):
+        return kahan_sum(f.tolist()) if compensated else complex(np.cumsum(f)[-1])
+
     v = np.asarray(values, dtype=np.complex128)
     f = v.copy()
-    c = complex(np.cumsum(f)[-1])
+    c = node_sum(f)
     for i in range(1, order):
         f = v * (c - (order - i) * f)
-        c = complex(np.cumsum(f)[-1])
-    return c / math.factorial(order)
+        if scaled:
+            f = f / (i + 1)
+        c = node_sum(f)
+    return c if scaled else c / math.factorial(order)
+
+
+def same_bits(a, b):
+    """Equal including the sign of zero, which np.array_equal ignores."""
+    a, b = (np.ascontiguousarray(x, dtype=np.complex128) for x in (a, b))
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def bit_exact_sets():
     rng = np.random.default_rng(7)
-    # the dropped rows of N = 37 and N = 64 span several row blocks
+    # the dropped (row, order) pairs of N = 37 and N = 64 span several pair chunks
     assert 37 * 36 * 36 * 16 > esp_module._BLOCK_BYTES
     for n in (2, 3, 37, 64):
         yield roots(n)
@@ -151,6 +173,64 @@ def test_proposed_kernel_is_bit_identical_to_the_scalar_recursion(ns):
     lam = barycentric_weights(ns)
     rows = np.array([signs * r[::-1] / lam[i] for i, r in enumerate(dropped)])
     assert np.array_equal(inverse_closed_form(ns, "proposed").matrix, rows)
+
+
+def chunk_pairs(monkeypatch, pairs, nodes):
+    """Make each proposed chunk hold ``pairs`` (row, order) pairs of ``nodes`` nodes."""
+    monkeypatch.setattr(esp_module, "_BLOCK_BYTES", pairs * 16 * nodes)
+
+
+# 12 dropped rows of 11 nodes run orders 1..11 as 132 pairs sorted by order,
+# then row.  One pair per chunk makes every node sum a single column (the
+# cumsum path); 25 pairs put order 3's rows in two chunks, the first of which
+# ends on one order-3 pair alone; 7 pairs split rows and orders everywhere.
+@pytest.mark.parametrize("pairs", [1, 25, 7])
+def test_proposed_chunks_are_bit_identical_to_the_scalar_recursion(monkeypatch, pairs):
+    chunk_pairs(monkeypatch, pairs, 11)
+    rng = np.random.default_rng(pairs)
+    ns = NodeSet(rng.standard_normal(12) + 1j * rng.standard_normal(12))
+    dropped = esp_dropped(ns, range(1, 13), "proposed")
+    for i, row in enumerate(dropped):
+        reduced = np.delete(ns.values, i)
+        assert same_bits(row, [1.0] + [reference_proposed(reduced, k) for k in range(1, 12)])
+
+
+@pytest.mark.parametrize("mode", [(True, False), (False, True), (True, True)],
+                         ids=["scaled", "compensated", "both"])
+def test_proposed_modes_are_bit_identical_to_the_scalar_recursion(monkeypatch, mode):
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+    ns = NodeSet(v)
+    for k in range(1, 11):
+        assert same_bits(esp_proposed(ns, k, *mode), reference_proposed(v, k, *mode))
+    # the batched kernel over every dropped row, in chunks that split orders
+    chunk_pairs(monkeypatch, 7, 9)
+    rows = np.array([np.delete(v, i) for i in range(10)])
+    batch = esp_module._proposed(rows, np.arange(1, 10), *mode)
+    for row, w in zip(batch, rows):
+        assert same_bits(row, [reference_proposed(w, k, *mode) for k in range(1, 10)])
+
+
+def test_proposed_full_set_and_single_orders_are_bit_identical(monkeypatch):
+    chunk_pairs(monkeypatch, 7, 20)  # the one row's 20 orders in three chunks
+    rng = np.random.default_rng(20)
+    ns = NodeSet(rng.standard_normal(20) + 1j * rng.standard_normal(20))
+    expected = [reference_proposed(ns.values, k) for k in range(1, 21)]
+    assert same_bits(esp_all_orders(ns, "proposed"), [1.0] + expected)
+    assert same_bits([esp_proposed(ns, k) for k in range(1, 21)], expected)
+    assert same_bits(esp_all_orders(NodeSet([2 - 3j]), "proposed"), [1, 2 - 3j])
+
+
+def test_proposed_keeps_negative_zero_sums():
+    # products with negative real nodes leave -0 imaginary parts, whose node
+    # sum must stay -0 as in a left-to-right sum
+    ns = NodeSet(-np.arange(1.0, 13.0))
+    sweep = esp_all_orders(ns, "proposed")
+    assert np.signbit(sweep.imag[1:]).any()
+    assert same_bits(sweep, [1.0] + [reference_proposed(ns.values, k) for k in range(1, 13)])
+    for i, row in enumerate(esp_dropped(ns, range(1, 13), "proposed")):
+        reduced = np.delete(ns.values, i)
+        assert same_bits(row, [1.0] + [reference_proposed(reduced, k) for k in range(1, 12)])
 
 
 def test_dropped_sequence_matches_single_drops(rng):
@@ -209,6 +289,30 @@ def test_tables_agree_entrywise(rng):
     y = esp_yang_table(ns)
     scale = np.maximum(np.abs(t), 1.0)
     assert (np.abs(t - y) / scale).max() < 1e-12
+
+
+def reference_yang_table(values):
+    """The prefix-block table one row at a time, block products by numpy's
+    complex scalars and block contributions in ascending k."""
+    v = np.asarray(values, dtype=np.complex128)
+    t = np.zeros((v.size + 1, v.size + 1), dtype=np.complex128)
+    t[0, 0] = 1.0
+    for n in range(1, v.size + 1):
+        block = 1.0 + 0j
+        for k in range(n):
+            t[n, k:n] += block * t[n - 1 - k, 0 : n - k]
+            block *= v[n - 1 - k]
+        t[n, n] = block
+    return t
+
+
+@pytest.mark.parametrize("ns", [roots(12), NodeSet(np.arange(1, 13) * (0.3 - 0.7j)),
+                                random_node_set(np.random.default_rng(5), 12)],
+                         ids=["roots", "ray", "random"])
+def test_batched_yang_is_bit_identical_to_the_one_row_table(ns):
+    assert same_bits(esp_yang_table(ns), reference_yang_table(ns.values))
+    for i, row in enumerate(esp_dropped(ns, range(1, 13), "yang")):
+        assert same_bits(row, reference_yang_table(np.delete(ns.values, i))[-1])
 
 
 def test_table_invariants(rng):

@@ -77,6 +77,15 @@ def test_barycentric_underflow_raises():
         barycentric_weights(ns)
 
 
+def test_barycentric_overflow_names_the_weight():
+    # |lambda_1| = 119! * (2000 / 119)^119, about 4e342
+    ns = NodeSet(np.linspace(-1e3, 1e3, 120))
+    with pytest.raises(SingularityError, match="weight 1 overflowed"):
+        barycentric_weights(ns)
+    with pytest.raises(SingularityError, match="weight 1 overflowed"):
+        compute_inverse(ns, "closed_form", "traub")
+
+
 # ---------------------------------------------------------------- stanley
 
 def test_stanley_two_nodes():
