@@ -23,7 +23,9 @@ to inf or NaN raises `OrderOverflowError`.  All functions are pure.
   (row, order) pair of a call, each pair its own recursion: the pairs are
   sorted by order, then row, and go in chunks of at most 256 KB laid out
   node-major, as (nodes x pairs) arrays.  The work is the paper's; only
-  the Python dispatch and the memory passes are shared.
+  the Python dispatch and the memory passes are shared.  A zero node
+  drops out of the recursion, so the full product of a set holding one is
+  returned as exactly 0 rather than as the recursion's rounding residue.
 * ``traub``    - the classic triangular table sigma(n, j) =
   sigma(n-1, j) + v_n * sigma(n-1, j-1) over node prefixes; O(N^2).
 * ``yang``     - a prefix-block expansion of the same table: group each
@@ -132,6 +134,9 @@ def _proposed(v, orders, scaled=False, compensated=False):
         fact = np.array([float(math.factorial(n)) for n in orders])
         out.real /= fact
         out.imag /= fact
+    # a zero node's f_i stays 0, so an order above a row's count of nonzero
+    # nodes is exactly 0; the recursion reaches it only up to rounding
+    out[orders > np.count_nonzero(v, axis=1)[:, None]] = 0
     return out
 
 

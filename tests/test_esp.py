@@ -437,6 +437,18 @@ def test_backends_match_oracle_property(values):
         assert_close(esp_single(ns, order, "yang"), expected)
 
 
+def test_proposed_orders_past_the_nonzero_nodes_vanish():
+    # with a zero node the full product is 0; the recursion alone leaves
+    # rounding noise above the absolute floor here
+    ns = NodeSet([0.5, 0, 1j, 1 + 1j, 3j, 2j, 3 + 2.938j, 1])
+    for order in range(1, 9):
+        assert_close(esp_proposed(ns, order), esp_bruteforce_oracle(ns, order))
+    assert esp_proposed(ns, 8) == 0
+    assert esp_all_orders(NodeSet([2, 0, 1j]), "proposed")[3] == 0
+    dropped = esp_dropped(NodeSet([2, 0, 1j]), range(1, 4), "proposed")
+    assert dropped[0, 2] == 0 and dropped[1, 2] != 0 and dropped[2, 2] == 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(distinct_complex_nodes(), st.randoms(use_true_random=False))
 def test_permutation_invariance_property(values, pyrandom):
