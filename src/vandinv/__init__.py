@@ -22,10 +22,8 @@ from .esp import (
     esp_all_orders,
     esp_bruteforce_oracle,
     esp_dropped,
-    esp_proposed,
     esp_single,
-    esp_traub_table,
-    esp_yang_table,
+    esp_table,
 )
 from .interpolation import (
     DEFAULT_T,
@@ -68,7 +66,6 @@ from .vandermonde import (
     inverse_closed_form,
     inverse_elimination_baseline,
     inverse_wa_product,
-    solve_dual,
     stanley_matrix,
 )
 
@@ -90,9 +87,7 @@ __all__ = [
     "ESP_BACKENDS",
     "FULL_SET_ESP_BACKENDS",
     "MAX_UNSCALED_ORDER",
-    "esp_proposed",
-    "esp_traub_table",
-    "esp_yang_table",
+    "esp_table",
     "esp_dropped",
     "esp_single",
     "esp_all_orders",
@@ -106,7 +101,6 @@ __all__ = [
     "inverse_wa_product",
     "inverse_elimination_baseline",
     "compute_inverse",
-    "solve_dual",
     "nmse",
     "CompanionCheckReport",
     "companion_identity_nmse",

@@ -28,8 +28,7 @@ from .esp import (
     esp_all_orders,
     esp_dropped,
     esp_single,
-    esp_traub_table,
-    esp_yang_table,
+    esp_table,
 )
 from .interpolation import InterpFunctionSpec, interp_experiment
 from .nodes import NODE_FAMILIES, RNG_ALGORITHM, NodeSet, NodeSpec, generate_nodes
@@ -176,9 +175,7 @@ def _cmd_esp(args) -> int:
     if args.table:
         if args.drop is not None:
             raise ValueError("--table shows the full-set table; it cannot combine with --drop")
-        if args.backend not in ("traub", "yang"):
-            raise ValueError("--table needs a table-building backend (traub or yang)")
-        table = esp_traub_table(nodes) if args.backend == "traub" else esp_yang_table(nodes)
+        table = esp_table(nodes, args.backend)
         for row_n in range(1, n + 1):
             cells = " ".join(_fmt_complex(z) for z in table[row_n, : row_n + 1])
             print(f"n={row_n}: {cells}")

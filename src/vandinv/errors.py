@@ -16,8 +16,8 @@ class SingularityError(NumericalError):
 
 
 class OrderOverflowError(NumericalError):
-    """An ESP left double range: the unscaled balanced recursion needs n!
-    past n = 170, or a sweep or table entry overflowed to inf or NaN."""
+    """An ESP left double range: a sweep or table entry overflowed to inf
+    or NaN."""
 
 
 class NodeCollisionError(NumericalError):

@@ -8,9 +8,12 @@ Four algorithms sit in one registry of functions on raw complex arrays,
 each giving full-set ESPs (except mikkawy) and the dropped-node sweeps of
 a list of drop rows.  Nodes are validated once, as a `NodeSet`; a reduced
 set only deletes an entry, which keeps its gaps and lowers its tolerance.
-Results are plain complex arrays (the tables are (N+1) x (N+1) and lower
-triangular), and every public result is finite: an entry that overflows
-to inf or NaN raises `OrderOverflowError`.  All functions are pure.
+Each result has one public function, the backend picked by name:
+`esp_single` (one order), `esp_all_orders`, `esp_dropped` and `esp_table`
+(traub or yang; (N+1) x (N+1), lower triangular).  Results are plain
+complex arrays, and every public result is finite: an entry that
+overflows to inf or NaN raises `OrderOverflowError`.  All functions are
+pure.
 
 * ``proposed`` - a per-order balanced recursion.  For a target order n it
   iterates f_i(v_d) = v_d * (C_{i-1} - (n - i) * f_{i-1}(v_d)) with
@@ -26,6 +29,8 @@ to inf or NaN raises `OrderOverflowError`.  All functions are pure.
   the Python dispatch and the memory passes are shared.  A zero node
   drops out of the recursion, so the full product of a set holding one is
   returned as exactly 0 rather than as the recursion's rounding residue.
+  Sweeps whose top order passes 170, where n! leaves double range, run
+  scaled: each step divides by i + 1 instead of dividing by n! at the end.
 * ``traub``    - the classic triangular table sigma(n, j) =
   sigma(n-1, j) + v_n * sigma(n-1, j-1) over node prefixes; O(N^2).
 * ``yang``     - a prefix-block expansion of the same table: group each
@@ -49,8 +54,8 @@ import numpy as np
 from .errors import OrderOverflowError
 from .nodes import NodeSet
 
-# Largest order whose factorial still fits a double; beyond this the
-# unscaled recursion cannot finish and the scaled mode must be used.
+# Largest order whose factorial still fits a double; proposed sweeps past
+# it run the scaled recursion.
 MAX_UNSCALED_ORDER = 170
 
 # Bytes of the (nodes x pairs) complex array one proposed chunk holds.
@@ -62,7 +67,10 @@ _ORACLE_MAX_NODES = 25
 
 
 def _finite(values, what: str):
-    """values, unless an entry overflowed to inf or NaN."""
+    """values, unless an entry overflowed to inf or NaN.
+
+    The backends run under np.errstate(over="ignore", invalid="ignore"), as
+    this check reports the overflow."""
     bad = np.count_nonzero(~np.isfinite(values))
     if bad:
         raise OrderOverflowError(
@@ -71,31 +79,24 @@ def _finite(values, what: str):
     return values
 
 
-def _node_sum(f: np.ndarray, compensated: bool) -> np.ndarray:
-    """Sum over the node axis 0 strictly in node order, or Kahan-compensated.
+def _node_sum(f: np.ndarray) -> np.ndarray:
+    """Sum over the node axis 0 strictly in node order.
 
     Reducing over the outer axis, numpy adds the node rows one after the
     other, as a cumsum would; the initial -0 keeps a sum of negative zeros
     negative.  A single pair column would be reduced pairwise, so it takes
     the cumsum."""
-    if compensated:
-        total = carry = np.zeros(f.shape[1], dtype=np.complex128)
-        for row in f:
-            y = row - carry
-            t = total + y
-            carry, total = (t - total) - y, t
-        return total
     if f.shape[1] == 1:
         return np.cumsum(f, axis=0)[-1]
     return np.add.reduce(f, axis=0, initial=_NEG_ZERO)
 
 
-def _proposed_kernel(vp, orders, scaled, compensated):
+def _proposed_kernel(vp, orders, scaled):
     """C_{n-1} for every pair column of vp (nodes x pairs), the columns sorted
     by ascending order n; finished orders are a prefix of the columns and are
     sliced off, so step i touches only pairs with n > i."""
     f, k = vp.copy(), orders.astype(np.complex128)
-    c = _node_sum(f, compensated)
+    c = _node_sum(f)
     out, done = np.empty_like(c), 0
     for i in range(1, int(orders[-1])):
         live = int(np.searchsorted(orders, i, side="right"))
@@ -108,16 +109,18 @@ def _proposed_kernel(vp, orders, scaled, compensated):
         np.multiply(vp, f, out=f)
         if scaled:
             f /= i + 1
-        c = _node_sum(f, compensated)
+        c = _node_sum(f)
     out[done:] = c
     return out
 
 
-def _proposed(v, orders, scaled=False, compensated=False):
+def _proposed(v, orders, scaled=False):
     """sigma(m, n) for every row of v (rows x m) and ascending order n >= 1.
 
-    Every (row, order) pair is its own recursion.  The pairs run sorted by
-    order, then row, in chunks of at most _BLOCK_BYTES of node values."""
+    ``scaled`` divides each step by i + 1 instead of dividing by n! at the
+    end, which keeps orders past 170 in range.  Every (row, order) pair is
+    its own recursion.  The pairs run sorted by order, then row, in chunks
+    of at most _BLOCK_BYTES of node values."""
     rows, m = v.shape
     pair_orders = np.repeat(orders, rows)
     pair_rows = np.tile(np.arange(rows), orders.size)
@@ -126,7 +129,7 @@ def _proposed(v, orders, scaled=False, compensated=False):
     for s in range(0, out.size, step):
         chunk = slice(s, s + step)
         vp = v.T.take(pair_rows[chunk], axis=1)  # a C-ordered (nodes x pairs) copy
-        out[chunk] = _proposed_kernel(vp, pair_orders[chunk], scaled, compensated)
+        out[chunk] = _proposed_kernel(vp, pair_orders[chunk], scaled)
     out = out.reshape(orders.size, rows).T
     if not scaled:
         # separate real and imaginary float divisions: numpy's complex / float
@@ -161,6 +164,11 @@ def _traub_steps(w):
 
 def _traub_sweeps(w):
     return list(_traub_steps(w))[-1]  # every step yields the same running row
+
+
+def _traub_tables(w):
+    """The traub table of every row of w (rows x m), shape (rows, m+1, m+1)."""
+    return np.stack([row.copy() for row in _traub_steps(w)], axis=1)
 
 
 def _yang_tables(w):
@@ -224,41 +232,21 @@ ESP_BACKENDS = tuple(_BACKENDS)
 # Backends that can produce full-set ESPs (mikkawy only drops).
 FULL_SET_ESP_BACKENDS = tuple(b.name for b in _BACKENDS.values() if b.full_set)
 
+_TABLES = {"traub": _traub_tables, "yang": _yang_tables}
 
-def esp_proposed(
-    nodes: NodeSet, order: int, scaled: bool = False, compensated: bool = False
-) -> complex:
-    """sigma(N, order) via the balanced per-order recursion.
 
-    ``scaled`` folds the final division by n! into the iteration (each step
-    divides by i + 1), extending the usable order range past 170 without
-    changing results for moderate orders.  ``compensated`` switches the
-    per-step node sum to Kahan accumulation; the default is a plain
-    node-order sum.
+def esp_table(nodes: NodeSet, method: str) -> np.ndarray:
+    """Table t[n, j] = sigma(n, j) over the first n nodes, n, j = 0..N; zero
+    above the diagonal.  ``traub`` adds one node at a time, ``yang``
+    assembles each row from earlier rows, block contributions in ascending k.
     """
-    v = nodes.values
-    n = int(order)
-    if not 1 <= n <= v.size:
-        raise ValueError(f"order {order} outside 1..{v.size}")
-    if not scaled and n > MAX_UNSCALED_ORDER:
-        raise OrderOverflowError(
-            f"order {n} needs {n}! which overflows double precision; use scaled=True"
+    if method not in _TABLES:
+        raise ValueError(
+            f"no ESP table for backend {method!r}; expected one of {tuple(_TABLES)}"
         )
-    value = _proposed(v[None, :], np.array([n]), scaled, compensated)[0, 0]
-    return complex(_finite(value, f"sigma(N, {n})"))
-
-
-def esp_traub_table(nodes: NodeSet) -> np.ndarray:
-    """Table t[n, j] = sigma(n, j) over the first n nodes, n, j = 0..N, by
-    the one-node-at-a-time recursion; zero above the diagonal."""
-    rows = [row[0].copy() for row in _traub_steps(nodes.values[None, :])]
-    return _finite(np.array(rows), "traub table")
-
-
-def esp_yang_table(nodes: NodeSet) -> np.ndarray:
-    """The same table by the prefix-block expansion; each row is assembled
-    from earlier rows, block contributions in ascending k."""
-    return _finite(_yang_tables(nodes.values[None, :])[0], "yang table")
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _TABLES[method](nodes.values[None, :])[0]
+    return _finite(table, f"{method} table")
 
 
 def _dropped_sweeps(nodes: NodeSet, drop_index, method: str) -> np.ndarray:
@@ -271,7 +259,8 @@ def _dropped_sweeps(nodes: NodeSet, drop_index, method: str) -> np.ndarray:
     bad = (rows < 1) | (rows > n_total)
     if bad.any():
         raise ValueError(f"drop index {rows[bad][0]} outside 1..{n_total}")
-    sweeps = _BACKENDS[method].dropped(nodes.values, rows - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sweeps = _BACKENDS[method].dropped(nodes.values, rows - 1)
     return sweeps if np.ndim(drop_index) else sweeps[0]
 
 
@@ -280,7 +269,8 @@ def _full_sweep(nodes: NodeSet, method: str) -> np.ndarray:
         raise ValueError(
             f"full-set ESPs need one of {FULL_SET_ESP_BACKENDS}, got {method!r}"
         )
-    return _BACKENDS[method].full_set(nodes.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _BACKENDS[method].full_set(nodes.values)
 
 
 def esp_dropped(nodes: NodeSet, drop_index, method: str = "proposed") -> np.ndarray:
@@ -305,11 +295,10 @@ def esp_single(
     top = len(nodes) - (drop_index is not None)
     if not 0 <= order <= top:
         raise ValueError(f"order {order} outside 0..{top}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if drop_index is None:
-            sweep = _full_sweep(nodes, method)
-        else:
-            sweep = _dropped_sweeps(nodes, int(drop_index), method)
+    if drop_index is None:
+        sweep = _full_sweep(nodes, method)
+    else:
+        sweep = _dropped_sweeps(nodes, int(drop_index), method)
     return complex(_finite(sweep[order], f"{method} sigma({top}, {order})"))
 
 

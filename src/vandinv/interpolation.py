@@ -21,7 +21,7 @@ import numpy as np
 
 from .nodes import NodeSet, NodeSpec, generate_nodes
 from .stability import nmse
-from .vandermonde import build_vandermonde, solve_dual
+from .vandermonde import build_vandermonde, compute_inverse
 
 FUNCTION_KINDS = ("cosine", "tanh", "exponential")
 
@@ -66,8 +66,12 @@ def fit_coefficients(
     inverse_backend: str = "closed_form",
     esp_backend: str = "proposed",
 ) -> np.ndarray:
-    """Polynomial coefficients c with V^T c = samples."""
-    return solve_dual(nodes, samples, inverse_backend, esp_backend)
+    """Polynomial coefficients c with V^T c = samples, i.e. c = (V^-1)^T
+    samples, with the chosen inverse route."""
+    f = np.atleast_1d(np.asarray(samples, dtype=np.complex128))
+    if f.shape != (len(nodes),):
+        raise ValueError(f"samples must have length {len(nodes)}, got shape {f.shape}")
+    return compute_inverse(nodes, inverse_backend, esp_backend).matrix.T @ f
 
 
 def evaluate_superresolved(coefficients, dense_nodes: NodeSet) -> np.ndarray:

@@ -1,9 +1,7 @@
 """Vandermonde construction and closed-form inversion.
 
 The matrix convention keeps nodes along columns and powers along rows:
-entry (r, c) = v_c ** (r - 1); row 1 is all ones.  The dual system
-V^T c = f used by the interpolation pipeline is solved through
-`solve_dual` so callers never transpose by hand.
+entry (r, c) = v_c ** (r - 1); row 1 is all ones.
 
 Three inverse routes are provided:
 
@@ -156,7 +154,8 @@ def inverse_wa_product(nodes: NodeSet, esp_backend: str = "proposed") -> Inverse
 
 def inverse_elimination_baseline(nodes: NodeSet) -> InverseResult:
     """Row-pivoted elimination inverse of the explicitly built matrix."""
-    v_matrix = build_vandermonde(nodes)
+    with np.errstate(over="ignore", invalid="ignore"):  # compute_inverse reports it
+        v_matrix = build_vandermonde(nodes)
     n = len(nodes)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -199,17 +198,3 @@ def compute_inverse(
             "overflowed to inf or NaN"
         )
     return result
-
-
-def solve_dual(
-    nodes: NodeSet,
-    rhs,
-    inverse_backend: str = "closed_form",
-    esp_backend: str = "proposed",
-) -> np.ndarray:
-    """Solve V^T c = rhs, i.e. c = (V^-1)^T rhs, with the chosen inverse."""
-    b = np.atleast_1d(np.asarray(rhs, dtype=np.complex128))
-    if b.shape != (len(nodes),):
-        raise ValueError(f"rhs must have length {len(nodes)}, got shape {b.shape}")
-    inv = compute_inverse(nodes, inverse_backend, esp_backend)
-    return inv.matrix.T @ b

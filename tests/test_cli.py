@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,13 @@ def test_esp_mikkawy_without_drop_is_usage_error(capsys):
     assert "drop" in err
 
 
+def test_esp_table_rejects_a_backend_without_a_table(capsys):
+    code, out, err = run(capsys, "esp", "--nodes", "1,2,3", "--backend", "proposed", "--table")
+    assert code == 2
+    assert out == ""
+    assert "'proposed'" in err
+
+
 def test_esp_table_rejects_drop(capsys):
     code, _, err = run(
         capsys, "esp", "--nodes", "1,2,3", "--backend", "traub", "--table", "--drop", "1"
@@ -93,13 +101,29 @@ def test_esp_dropped_single_order(capsys):
 
 @pytest.mark.parametrize("backend", ["proposed", "traub"])
 def test_esp_overflow_exits_3_with_nothing_on_stdout(capsys, backend):
-    with np.errstate(all="ignore"):
-        code, out, err = run(
-            capsys, "esp", "--nodes", OVERFLOWING_NODES, "--order", "59", "--backend", backend
-        )
+    code, out, err = run(
+        capsys, "esp", "--nodes", OVERFLOWING_NODES, "--order", "59", "--backend", backend
+    )
     assert code == 3
     assert out == ""
     assert "overflowed" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("--all-orders",), ("--all-orders", "--drop", "1"), ("--table", "--backend", "yang")],
+    ids=["all-orders", "dropped", "table"],
+)
+def test_esp_overflow_prints_one_stderr_line(capsys, args):
+    # a plain run prints every warning raised here to stderr, ahead of the
+    # one line that reports the failure
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "esp", "--nodes", OVERFLOWING_NODES, *args)
+    assert [str(w.message) for w in caught] == []
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -110,18 +134,17 @@ def test_esp_single_order_checks_only_its_entry(capsys, backend, drop):
     keep = [k for k in range(1, 60) if k != drop]
     exact = sum(a * b * c for a, b, c in itertools.combinations(keep, 3)) * 1e18
     drop_args = () if drop is None else ("--drop", str(drop))
-    with np.errstate(all="ignore"):
-        code, out, _ = run(
-            capsys, "esp", "--nodes", OVERFLOWING_NODES, "--order", "3",
-            "--backend", backend, *drop_args,
-        )
-        assert code == 0
-        assert abs(parse_value_lines(out)[3] - exact) <= 1e-14 * exact
-        top = str(len(keep))
-        code, out, err = run(
-            capsys, "esp", "--nodes", OVERFLOWING_NODES, "--order", top,
-            "--backend", backend, *drop_args,
-        )
+    code, out, _ = run(
+        capsys, "esp", "--nodes", OVERFLOWING_NODES, "--order", "3",
+        "--backend", backend, *drop_args,
+    )
+    assert code == 0
+    assert abs(parse_value_lines(out)[3] - exact) <= 1e-14 * exact
+    top = str(len(keep))
+    code, out, err = run(
+        capsys, "esp", "--nodes", OVERFLOWING_NODES, "--order", top,
+        "--backend", backend, *drop_args,
+    )
     assert code == 3
     assert out == ""
     assert "overflowed" in err
@@ -198,10 +221,9 @@ def test_invert_numerical_failure_exits_3(capsys):
 @pytest.mark.parametrize("route", ["closed-form", "wa-product", "baseline"])
 def test_invert_overflow_exits_3(capsys, route):
     nodes = ",".join(repr(float(x)) for x in np.linspace(-1e3, 1e3, 120))
-    with np.errstate(all="ignore"):
-        code, out, err = run(
-            capsys, "invert", f"--nodes={nodes}", "--esp", "traub", "--inverse", route
-        )
+    code, out, err = run(
+        capsys, "invert", f"--nodes={nodes}", "--esp", "traub", "--inverse", route
+    )
     assert code == 3
     assert out == ""
     assert "overflowed" in err

@@ -13,10 +13,8 @@ from vandinv import (
     esp_all_orders,
     esp_bruteforce_oracle,
     esp_dropped,
-    esp_proposed,
     esp_single,
-    esp_traub_table,
-    esp_yang_table,
+    esp_table,
     generate_nodes,
     inverse_closed_form,
 )
@@ -51,74 +49,56 @@ def test_oracle_refuses_large_sets():
 # ---------------------------------------------------------------- proposed
 
 def test_proposed_pair_sum_of_products():
-    assert_close(esp_proposed(NodeSet([1, 2, 3]), 2), 11)
+    assert_close(esp_single(NodeSet([1, 2, 3]), 2), 11)
 
 
 def test_proposed_order_one_is_node_sum():
-    assert_close(esp_proposed(NodeSet([1, 2, 3]), 1), 6)
+    assert_close(esp_single(NodeSet([1, 2, 3]), 1), 6)
 
 
 def test_proposed_roots4_full_product():
-    assert_close(esp_proposed(roots(4), 4), -1)
+    assert_close(esp_single(roots(4), 4), -1)
 
 
 def test_proposed_roots4_middle_order_vanishes():
-    assert abs(esp_proposed(roots(4), 2)) < 1e-12
+    assert abs(esp_single(roots(4), 2)) < 1e-12
 
 
 def test_proposed_rejects_out_of_range_orders():
     ns = NodeSet([1, 2, 3])
-    for bad in (0, -1, 4):
+    for bad in (-1, 4):
         with pytest.raises(ValueError):
-            esp_proposed(ns, bad)
+            esp_single(ns, bad)
 
 
 def test_proposed_overflow_guard_and_scaled_escape():
+    # 175! overflows a double: past order 170 the sweep runs scaled
     ns = NodeSet(np.linspace(0.5, 1.5, 180))
-    with pytest.raises(OrderOverflowError):
-        esp_proposed(ns, 175)
-    value = esp_proposed(ns, 175, scaled=True)
-    assert np.isfinite(value)
+    assert np.isfinite(esp_single(ns, 175))
+
+
+def scaled_proposed(ns, orders):
+    return esp_module._proposed(ns.values[None, :], np.asarray(orders), scaled=True)[0]
 
 
 def test_proposed_scaled_mode_agrees_on_unit_circle():
     # well-conditioned at every order, so the modes must track each other
     ns = generate_nodes(NodeSpec("roots_of_unity", 51)).drop(1)
-    for order in range(1, 51):
-        plain = esp_proposed(ns, order)
-        scaled = esp_proposed(ns, order, scaled=True)
-        assert abs(plain - scaled) <= 1e-12 * abs(plain)
+    plain = esp_all_orders(ns)[1:]
+    scaled = scaled_proposed(ns, range(1, 51))
+    assert (np.abs(plain - scaled) <= 1e-12 * np.abs(plain)).all()
 
 
 def test_proposed_scaled_mode_agrees_on_small_random_sets(rng):
     for _ in range(20):
         n = int(rng.integers(2, 13))
         ns = random_node_set(rng, n)
-        for order in range(1, n + 1):
-            plain = esp_proposed(ns, order)
-            scaled = esp_proposed(ns, order, scaled=True)
-            assert abs(plain - scaled) <= 1e-12 * max(1.0, abs(plain))
+        plain = esp_all_orders(ns)[1:]
+        scaled = scaled_proposed(ns, range(1, n + 1))
+        assert (np.abs(plain - scaled) <= 1e-12 * np.maximum(1.0, np.abs(plain))).all()
 
 
-def test_proposed_compensated_mode_matches_oracle(rng):
-    ns = random_node_set(rng, 9)
-    for order in range(1, 10):
-        assert_close(
-            esp_proposed(ns, order, compensated=True),
-            esp_bruteforce_oracle(ns, order),
-        )
-
-
-def kahan_sum(values):
-    total = carry = 0j
-    for x in values:
-        y = x - carry
-        t = total + y
-        carry, total = (t - total) - y, t
-    return total
-
-
-def reference_proposed(values, order, scaled=False, compensated=False):
+def reference_proposed(values, order, scaled=False):
     """The balanced recursion one order at a time, as the paper states it.
 
     f_0 = v, f_i = v * (C_{i-1} - (n - i) * f_{i-1}), C_i = sum of f_i in
@@ -126,11 +106,10 @@ def reference_proposed(values, order, scaled=False, compensated=False):
     arrays stay numpy arrays with the same operand order as the kernel:
     numpy's complex multiply is fused, so Python scalars (or swapped
     operands) would round differently.  ``scaled`` divides f_i by i + 1
-    instead of dividing by n! at the end; ``compensated`` takes each C_i as
-    a Kahan sum of Python complex numbers.
+    instead of dividing by n! at the end.
     """
     def node_sum(f):
-        return kahan_sum(f.tolist()) if compensated else complex(np.cumsum(f)[-1])
+        return complex(np.cumsum(f)[-1])
 
     v = np.asarray(values, dtype=np.complex128)
     f = v.copy()
@@ -195,20 +174,19 @@ def test_proposed_chunks_are_bit_identical_to_the_scalar_recursion(monkeypatch, 
         assert same_bits(row, [1.0] + [reference_proposed(reduced, k) for k in range(1, 12)])
 
 
-@pytest.mark.parametrize("mode", [(True, False), (False, True), (True, True)],
-                         ids=["scaled", "compensated", "both"])
-def test_proposed_modes_are_bit_identical_to_the_scalar_recursion(monkeypatch, mode):
+@pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
+def test_proposed_modes_are_bit_identical_to_the_scalar_recursion(monkeypatch, scaled):
     rng = np.random.default_rng(11)
     v = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    ns = NodeSet(v)
     for k in range(1, 11):
-        assert same_bits(esp_proposed(ns, k, *mode), reference_proposed(v, k, *mode))
+        single = esp_module._proposed(v[None, :], np.array([k]), scaled)
+        assert same_bits(single, [[reference_proposed(v, k, scaled)]])
     # the batched kernel over every dropped row, in chunks that split orders
     chunk_pairs(monkeypatch, 7, 9)
     rows = np.array([np.delete(v, i) for i in range(10)])
-    batch = esp_module._proposed(rows, np.arange(1, 10), *mode)
+    batch = esp_module._proposed(rows, np.arange(1, 10), scaled)
     for row, w in zip(batch, rows):
-        assert same_bits(row, [reference_proposed(w, k, *mode) for k in range(1, 10)])
+        assert same_bits(row, [reference_proposed(w, k, scaled) for k in range(1, 10)])
 
 
 def test_proposed_full_set_and_single_orders_are_bit_identical(monkeypatch):
@@ -217,7 +195,7 @@ def test_proposed_full_set_and_single_orders_are_bit_identical(monkeypatch):
     ns = NodeSet(rng.standard_normal(20) + 1j * rng.standard_normal(20))
     expected = [reference_proposed(ns.values, k) for k in range(1, 21)]
     assert same_bits(esp_all_orders(ns, "proposed"), [1.0] + expected)
-    assert same_bits([esp_proposed(ns, k) for k in range(1, 21)], expected)
+    assert same_bits([esp_single(ns, k) for k in range(1, 21)], expected)
     assert same_bits(esp_all_orders(NodeSet([2 - 3j]), "proposed"), [1, 2 - 3j])
 
 
@@ -259,34 +237,34 @@ def test_dropped_past_the_factorial_limit_runs_scaled():
 # ---------------------------------------------------------------- tables
 
 def test_traub_table_small_integers():
-    table = esp_traub_table(NodeSet([1, 2, 3]))
+    table = esp_table(NodeSet([1, 2, 3]), "traub")
     np.testing.assert_allclose(table[3], [1, 6, 11, 6], atol=1e-12)
 
 
 def test_traub_table_single_node():
-    table = esp_traub_table(NodeSet([5]))
+    table = esp_table(NodeSet([5]), "traub")
     np.testing.assert_allclose(table, [[1, 0], [1, 5]], atol=0)
 
 
 def test_traub_table_roots4():
-    table = esp_traub_table(roots(4))
+    table = esp_table(roots(4), "traub")
     np.testing.assert_allclose(table[4], [1, 0, 0, 0, -1], atol=1e-14)
 
 
 def test_yang_table_small_integers():
-    table = esp_yang_table(NodeSet([1, 2, 3]))
+    table = esp_table(NodeSet([1, 2, 3]), "yang")
     np.testing.assert_allclose(table[3], [1, 6, 11, 6], atol=1e-12)
 
 
 def test_yang_table_two_nodes():
-    table = esp_yang_table(NodeSet([2, 4]))
+    table = esp_table(NodeSet([2, 4]), "yang")
     np.testing.assert_allclose(table[2], [1, 6, 8], atol=1e-12)
 
 
 def test_tables_agree_entrywise(rng):
     ns = random_node_set(rng, 20)
-    t = esp_traub_table(ns)
-    y = esp_yang_table(ns)
+    t = esp_table(ns, "traub")
+    y = esp_table(ns, "yang")
     scale = np.maximum(np.abs(t), 1.0)
     assert (np.abs(t - y) / scale).max() < 1e-12
 
@@ -310,14 +288,20 @@ def reference_yang_table(values):
                                 random_node_set(np.random.default_rng(5), 12)],
                          ids=["roots", "ray", "random"])
 def test_batched_yang_is_bit_identical_to_the_one_row_table(ns):
-    assert same_bits(esp_yang_table(ns), reference_yang_table(ns.values))
+    assert same_bits(esp_table(ns, "yang"), reference_yang_table(ns.values))
     for i, row in enumerate(esp_dropped(ns, range(1, 13), "yang")):
         assert same_bits(row, reference_yang_table(np.delete(ns.values, i))[-1])
 
 
+@pytest.mark.parametrize("method", ["proposed", "mikkawy", "newton"])
+def test_table_rejects_other_backends(method):
+    with pytest.raises(ValueError, match=method):
+        esp_table(NodeSet([1, 2, 3]), method)
+
+
 def test_table_invariants(rng):
     ns = random_node_set(rng, 10)
-    for table in (esp_traub_table(ns), esp_yang_table(ns)):
+    for table in (esp_table(ns, "traub"), esp_table(ns, "yang")):
         assert table.shape == (11, 11)
         np.testing.assert_array_equal(table[:, 0], np.ones(11))
         upper = np.triu_indices(11, k=1)
@@ -382,20 +366,17 @@ def test_dropped_roots50_magnitudes_near_one():
 def test_overflow_raises_instead_of_returning_nan():
     # sigma(59, j) over 1e6, 2e6, ..., 59e6 passes the double range near j = 40
     ns = NodeSet(np.arange(1, 60) * 1e6)
-    with np.errstate(all="ignore"):
-        for method in ("proposed", "traub", "yang"):
-            with pytest.raises(OrderOverflowError):
-                esp_all_orders(ns, method)
-            with pytest.raises(OrderOverflowError):
-                esp_single(ns, 59, method)
-        for method in ("proposed", "traub", "yang", "mikkawy"):
-            with pytest.raises(OrderOverflowError):
-                esp_dropped(ns, [1, 59], method)
-        for table in (esp_traub_table, esp_yang_table):
-            with pytest.raises(OrderOverflowError):
-                table(ns)
+    for method in ("proposed", "traub", "yang"):
         with pytest.raises(OrderOverflowError):
-            esp_proposed(ns, 59)
+            esp_all_orders(ns, method)
+        with pytest.raises(OrderOverflowError):
+            esp_single(ns, 59, method)
+    for method in ("proposed", "traub", "yang", "mikkawy"):
+        with pytest.raises(OrderOverflowError):
+            esp_dropped(ns, [1, 59], method)
+    for method in ("traub", "yang"):
+        with pytest.raises(OrderOverflowError):
+            esp_table(ns, method)
 
 
 def test_dropped_unknown_method():
@@ -432,7 +413,7 @@ def test_backends_match_oracle_property(values):
     n = len(ns)
     for order in range(1, n + 1):
         expected = esp_bruteforce_oracle(ns, order)
-        assert_close(esp_proposed(ns, order), expected)
+        assert_close(esp_single(ns, order), expected)
         assert_close(esp_single(ns, order, "traub"), expected)
         assert_close(esp_single(ns, order, "yang"), expected)
 
@@ -442,8 +423,8 @@ def test_proposed_orders_past_the_nonzero_nodes_vanish():
     # rounding noise above the absolute floor here
     ns = NodeSet([0.5, 0, 1j, 1 + 1j, 3j, 2j, 3 + 2.938j, 1])
     for order in range(1, 9):
-        assert_close(esp_proposed(ns, order), esp_bruteforce_oracle(ns, order))
-    assert esp_proposed(ns, 8) == 0
+        assert_close(esp_single(ns, order), esp_bruteforce_oracle(ns, order))
+    assert esp_single(ns, 8) == 0
     assert esp_all_orders(NodeSet([2, 0, 1j]), "proposed")[3] == 0
     dropped = esp_dropped(NodeSet([2, 0, 1j]), range(1, 4), "proposed")
     assert dropped[0, 2] == 0 and dropped[1, 2] != 0 and dropped[2, 2] == 0
@@ -492,6 +473,6 @@ def test_esp_single_rejects_mikkawy():
 def test_esp_all_orders_consistency(rng):
     ns = random_node_set(rng, 8)
     top = esp_all_orders(ns, "proposed")
-    ref = esp_traub_table(ns)[-1]
+    ref = esp_table(ns, "traub")[-1]
     for a, b in zip(top, ref):
         assert_close(a, b, rel=1e-9)

@@ -52,6 +52,24 @@ def test_unknown_function_kind():
 
 # ---------------------------------------------------------------- fitting
 
+@pytest.mark.parametrize(
+    "nodes, samples, expected",
+    [
+        ([1, 2], [1, 2], [0, 1]),
+        ([1, 2], [1, 1], [1, 0]),
+        ([0, 1, 2], [1, 2, 5], [1, 0, 1]),
+        ([1, 2], [1, 2, 3], ValueError),
+    ],
+    ids=["identity_polynomial", "constant", "quadratic", "rejects_bad_rhs_length"],
+)
+def test_fit_coefficients_solves_the_dual_system(nodes, samples, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError, match="length 2"):
+            fit_coefficients(NodeSet(nodes), samples)
+    else:
+        np.testing.assert_allclose(fit_coefficients(NodeSet(nodes), samples), expected, atol=1e-12)
+
+
 def test_fit_exact_quadratic():
     ns = NodeSet([0, 1, 2])
     samples = ns.values**2

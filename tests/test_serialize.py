@@ -6,7 +6,7 @@ import numpy as np
 from vandinv import (
     InterpFunctionSpec,
     NodeSet,
-    esp_traub_table,
+    esp_table,
     interp_experiment,
     inverse_closed_form,
     noise_sweep,
@@ -45,7 +45,7 @@ def test_csv_files_use_crlf(tmp_path):
 
 def test_esp_table_csv_blank_above_diagonal(tmp_path):
     path = tmp_path / "table.csv"
-    esp_table_to_csv(esp_traub_table(NodeSet([1, 2, 3])), path)
+    esp_table_to_csv(esp_table(NodeSet([1, 2, 3]), "traub"), path)
     rows = read_rows(path)
     assert rows[0][0] == "n"
     assert len(rows) == 4  # header + rows n=1..3

@@ -13,7 +13,6 @@ from vandinv import (
     inverse_closed_form,
     inverse_elimination_baseline,
     inverse_wa_product,
-    solve_dual,
     stanley_matrix,
 )
 
@@ -236,7 +235,7 @@ def test_compute_inverse_dispatch_and_validation():
 def test_compute_inverse_names_the_route_that_overflowed(route):
     # lambda_k and the high powers of 120 nodes on [-1e3, 1e3] pass 1e308
     ns = NodeSet(np.linspace(-1e3, 1e3, 120))
-    with np.errstate(all="ignore"), pytest.raises(NumericalError, match=f"^{route} inverse"):
+    with pytest.raises(NumericalError, match=f"^{route} inverse"):
         compute_inverse(ns, route, "traub")
 
 
@@ -252,24 +251,3 @@ def test_as_real_rejects_genuinely_complex():
     with pytest.raises(ValueError):
         inv.as_real()
 
-
-# ---------------------------------------------------------------- dual solve
-
-def test_solve_dual_identity_polynomial():
-    ns = NodeSet([1, 2])
-    np.testing.assert_allclose(solve_dual(ns, [1, 2]), [0, 1], atol=1e-12)
-
-
-def test_solve_dual_constant():
-    ns = NodeSet([1, 2])
-    np.testing.assert_allclose(solve_dual(ns, [1, 1]), [1, 0], atol=1e-12)
-
-
-def test_solve_dual_quadratic():
-    ns = NodeSet([0, 1, 2])
-    np.testing.assert_allclose(solve_dual(ns, [1, 2, 5]), [1, 0, 1], atol=1e-12)
-
-
-def test_solve_dual_rejects_bad_rhs_length():
-    with pytest.raises(ValueError):
-        solve_dual(NodeSet([1, 2]), [1, 2, 3])
