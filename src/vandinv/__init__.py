@@ -47,19 +47,15 @@ from .nodes import (
     validate_pairwise_distinct,
 )
 from .stability import (
-    CompanionCheckReport,
     SweepGrid,
-    UnitCircleResult,
     companion_identity_nmse,
     derive_seed,
-    esp_unit_circle_experiment,
     nmse,
     noise_sweep,
     shifted_identity_block,
 )
 from .vandermonde import (
     INVERSE_BACKENDS,
-    InverseResult,
     barycentric_weights,
     build_vandermonde,
     compute_inverse,
@@ -93,7 +89,6 @@ __all__ = [
     "esp_all_orders",
     "esp_bruteforce_oracle",
     "INVERSE_BACKENDS",
-    "InverseResult",
     "build_vandermonde",
     "barycentric_weights",
     "stanley_matrix",
@@ -102,11 +97,8 @@ __all__ = [
     "inverse_elimination_baseline",
     "compute_inverse",
     "nmse",
-    "CompanionCheckReport",
     "companion_identity_nmse",
     "shifted_identity_block",
-    "UnitCircleResult",
-    "esp_unit_circle_experiment",
     "SweepGrid",
     "noise_sweep",
     "derive_seed",

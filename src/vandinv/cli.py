@@ -19,8 +19,6 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import NumericalError
 from .esp import (
@@ -47,7 +45,7 @@ from .serialize import (
     sweep_to_json,
 )
 from .stability import companion_identity_nmse, noise_sweep
-from .vandermonde import InverseResult, compute_inverse
+from .vandermonde import compute_inverse, inverse_esp_backend, real_part
 
 CLI_FAMILIES = {family.replace("_", "-"): family for family in NODE_FAMILIES}
 
@@ -68,11 +66,12 @@ COMPANION_COMBOS = (
     ("closed_form", "traub"),
     ("closed_form", "yang"),
     ("closed_form", "mikkawy"),
-    ("elimination_baseline", None),
+    ("elimination_baseline", "proposed"),
 )
 
 
 def _combo_label(inverse_backend, esp_backend):
+    esp_backend = inverse_esp_backend(inverse_backend, esp_backend)
     if esp_backend is None:
         return inverse_backend
     return f"{inverse_backend}+{esp_backend}"
@@ -83,34 +82,21 @@ def _fmt_complex(z) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}j"
 
 
-def _parse_complex_list(text: str) -> list[complex]:
+def _parse_list(text: str, kind) -> list:
+    """Comma-separated values converted by ``kind`` (complex, float or int);
+    blank tokens are skipped, and a bad token is named with its type."""
     values = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
         try:
-            values.append(complex(token))
+            values.append(kind(token))
         except ValueError:
-            raise ValueError(f"cannot parse {token!r} as a complex number") from None
+            raise ValueError(f"{token!r} is not a valid {kind.__name__}") from None
     if not values:
-        raise ValueError("empty node list")
+        raise ValueError(f"no {kind.__name__} values in {text!r}")
     return values
-
-
-def _parse_float_list(text: str) -> list[float]:
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        if token:
-            out.append(float(token))
-    if not out:
-        raise ValueError("empty axis")
-    return out
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(token) for token in text.split(",") if token.strip()]
 
 
 def _add_nodes_arguments(parser):
@@ -123,7 +109,7 @@ def _add_nodes_arguments(parser):
 
 def _nodes_from_args(args) -> NodeSet:
     if args.nodes is not None:
-        return NodeSet(_parse_complex_list(args.nodes))
+        return NodeSet(_parse_list(args.nodes, complex))
     if args.roots_of_unity is not None:
         return generate_nodes(NodeSpec("roots_of_unity", args.roots_of_unity))
     if args.count is None:
@@ -141,7 +127,7 @@ def _resolve_output(path_text: str) -> Path:
     return path
 
 
-def _write_manifests(command: str, args, outputs, seed=None) -> None:
+def _write_manifest(args, out, seed=None) -> None:
     params = {}
     for key, value in sorted(vars(args).items()):
         if key == "handler":
@@ -151,17 +137,16 @@ def _write_manifests(command: str, args, outputs, seed=None) -> None:
         else:
             params[key] = str(value)
     doc = {
-        "command": command,
+        "command": args.command,
         "parameters": params,
         "seed": seed,
         "rng_algorithm": RNG_ALGORITHM if seed is not None else None,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "outputs": [str(p) for p in outputs],
+        "outputs": [str(out)],
     }
     text = json.dumps(doc, indent=2) + "\n"
-    for out in outputs:
-        Path(f"{out}.manifest.json").write_text(text, encoding="utf-8")
+    Path(f"{out}.manifest.json").write_text(text, encoding="utf-8")
 
 
 def _print_value_line(order: int, value: complex) -> None:
@@ -182,7 +167,7 @@ def _cmd_esp(args) -> int:
         if args.output:
             out = _resolve_output(args.output)
             esp_table_to_csv(table, out)
-            _write_manifests("esp", args, [out])
+            _write_manifest(args, out)
         return 0
 
     if args.drop is None and args.backend == "mikkawy":
@@ -198,31 +183,25 @@ def _cmd_esp(args) -> int:
         if args.output:
             out = _resolve_output(args.output)
             order_values_to_csv(range(len(values)), values, out)
-            _write_manifests("esp", args, [out])
+            _write_manifest(args, out)
         return 0
 
-    if args.order is None:
-        raise ValueError("pass --order K, --all-orders, or --table")
     value = esp_single(nodes, args.order, args.backend, drop_index=args.drop)
     _print_value_line(args.order, value)
     if args.output:
         out = _resolve_output(args.output)
         order_values_to_csv([args.order], [value], out)
-        _write_manifests("esp", args, [out])
+        _write_manifest(args, out)
     return 0
 
 
 def _cmd_invert(args) -> int:
     nodes = _nodes_from_args(args)
-    result = compute_inverse(nodes, CLI_INVERSES[args.inverse], args.esp)
+    inverse_backend = CLI_INVERSES[args.inverse]
+    matrix = compute_inverse(nodes, inverse_backend, args.esp)
     if args.real:
-        real = result.as_real()
-        result = InverseResult(
-            matrix=real.astype(np.complex128),
-            esp_backend=result.esp_backend,
-            inverse_backend=result.inverse_backend,
-        )
-    for row in result.matrix:
+        matrix = real_part(matrix)
+    for row in matrix:
         print(",".join(_fmt_complex(z) for z in row))
     if args.output:
         out = _resolve_output(args.output)
@@ -230,16 +209,17 @@ def _cmd_invert(args) -> int:
         if fmt == "auto":
             fmt = "json" if out.suffix.lower() == ".json" else "csv"
         if fmt == "json":
-            inverse_to_json(result, out)
+            esp_backend = inverse_esp_backend(inverse_backend, args.esp)
+            inverse_to_json(matrix, out, esp_backend, inverse_backend)
         else:
-            inverse_to_csv(result, out)
-        _write_manifests("invert", args, [out])
+            inverse_to_csv(matrix, out)
+        _write_manifest(args, out)
     return 0
 
 
 def _cmd_companion_table(args) -> int:
-    n_values = _parse_int_list(args.n_list)
-    if not n_values or any(n < 2 for n in n_values):
+    n_values = _parse_list(args.n_list, int)
+    if any(n < 2 for n in n_values):
         raise ValueError("--n-list needs integers >= 2")
     labels = [_combo_label(inv, esp) for inv, esp in COMPANION_COMBOS]
     table = []
@@ -247,8 +227,8 @@ def _cmd_companion_table(args) -> int:
         nodes = generate_nodes(NodeSpec("roots_of_unity", n))
         cells = {}
         for label, (inverse_backend, esp_backend) in zip(labels, COMPANION_COMBOS):
-            inv = compute_inverse(nodes, inverse_backend, esp_backend or "proposed")
-            cells[label] = companion_identity_nmse(nodes, inv).nmse
+            inv = compute_inverse(nodes, inverse_backend, esp_backend)
+            cells[label] = companion_identity_nmse(nodes, inv)
         table.append((n, cells))
     width = max(len(label) for label in labels) + 2
     print("n".rjust(4) + "".join(label.rjust(width) for label in labels))
@@ -257,13 +237,13 @@ def _cmd_companion_table(args) -> int:
     if args.output:
         out = _resolve_output(args.output)
         companion_table_to_csv(table, out)
-        _write_manifests("companion-table", args, [out])
+        _write_manifest(args, out)
     return 0
 
 
 def _cmd_noise_sweep(args) -> int:
-    shift_axis = _parse_float_list(args.sigma_shift_axis)
-    mag_axis = _parse_float_list(args.sigma_mag_axis)
+    shift_axis = _parse_list(args.sigma_shift_axis, float)
+    mag_axis = _parse_list(args.sigma_mag_axis, float)
     grid = noise_sweep(
         args.n,
         shift_axis,
@@ -291,7 +271,7 @@ def _cmd_noise_sweep(args) -> int:
             sweep_to_json(grid, out)
         else:
             sweep_to_csv(grid, out)
-        _write_manifests("noise-sweep", args, [out], seed=args.seed)
+        _write_manifest(args, out, seed=args.seed)
     return 0
 
 
@@ -313,7 +293,7 @@ def _cmd_interp(args) -> int:
             interp_summaries_to_csv(reports, out)
         else:
             interp_report_to_csv(report, out)
-        _write_manifests("interp", args, [out])
+        _write_manifest(args, out)
     return 0
 
 
@@ -327,11 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_esp = sub.add_parser("esp", help="elementary symmetric polynomials")
     _add_nodes_arguments(p_esp)
-    p_esp.add_argument("--order", type=int, help="single ESP order")
-    p_esp.add_argument("--all-orders", action="store_true", help="every order at once")
+    what = p_esp.add_mutually_exclusive_group(required=True)
+    what.add_argument("--order", type=int, help="single ESP order")
+    what.add_argument("--all-orders", action="store_true", help="every order at once")
+    what.add_argument("--table", action="store_true", help="print the full triangular table")
     p_esp.add_argument("--backend", choices=ESP_BACKENDS, default="proposed")
     p_esp.add_argument("--drop", type=int, metavar="I", help="drop the I'th node (1-based)")
-    p_esp.add_argument("--table", action="store_true", help="print the full triangular table")
     p_esp.add_argument("--output", help="write results as CSV")
     p_esp.set_defaults(handler=_cmd_esp)
 

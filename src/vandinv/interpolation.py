@@ -21,7 +21,7 @@ import numpy as np
 
 from .nodes import NodeSet, NodeSpec, generate_nodes
 from .stability import nmse
-from .vandermonde import build_vandermonde, compute_inverse
+from .vandermonde import build_vandermonde, compute_inverse, inverse_esp_backend
 
 FUNCTION_KINDS = ("cosine", "tanh", "exponential")
 
@@ -71,7 +71,7 @@ def fit_coefficients(
     f = np.atleast_1d(np.asarray(samples, dtype=np.complex128))
     if f.shape != (len(nodes),):
         raise ValueError(f"samples must have length {len(nodes)}, got shape {f.shape}")
-    return compute_inverse(nodes, inverse_backend, esp_backend).matrix.T @ f
+    return compute_inverse(nodes, inverse_backend, esp_backend).T @ f
 
 
 def evaluate_superresolved(coefficients, dense_nodes: NodeSet) -> np.ndarray:
@@ -129,7 +129,7 @@ def interp_experiment(
         function=function_spec,
         family=node_kind,
         n=n,
-        esp_backend=None if inverse_backend == "elimination_baseline" else esp_backend,
+        esp_backend=inverse_esp_backend(inverse_backend, esp_backend),
         inverse_backend=inverse_backend,
         coefficients=coeffs,
         evaluations=predictions,

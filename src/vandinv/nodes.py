@@ -91,15 +91,6 @@ class NodeSet:
     def __len__(self):
         return int(self.values.size)
 
-    def drop(self, index: int) -> "NodeSet":
-        """Return a new NodeSet with the 1-based `index` node removed."""
-        n = len(self)
-        if not 1 <= index <= n:
-            raise ValueError(f"drop index {index} outside 1..{n}")
-        if n == 1:
-            raise ValueError("cannot drop the only node of a singleton set")
-        return NodeSet(np.delete(self.values, index - 1))
-
 
 @dataclass(frozen=True)
 class NodeSpec:

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .interpolation import InterpolationReport
+from .nodes import RNG_ALGORITHM
 from .stability import SweepGrid
-from .vandermonde import InverseResult
 
 
 def format_float(x: float) -> str:
@@ -60,27 +60,30 @@ def order_values_to_csv(orders, values, path) -> None:
             writer.writerow([int(n), *_re_im(z), format_float(abs(z))])
 
 
-def inverse_to_csv(result: InverseResult, path) -> None:
-    n = result.matrix.shape[1]
+def inverse_to_csv(matrix: np.ndarray, path) -> None:
+    n = matrix.shape[1]
     with _open_csv(path) as handle:
         writer = csv.writer(handle)
         header = []
         for j in range(1, n + 1):
             header += [f"col{j}_re", f"col{j}_im"]
         writer.writerow(header)
-        for row in result.matrix:
+        for row in matrix:
             out = []
             for z in row:
                 out += list(_re_im(z))
             writer.writerow(out)
 
 
-def inverse_to_json(result: InverseResult, path) -> None:
+def inverse_to_json(
+    matrix: np.ndarray, path, esp_backend: str | None, inverse_backend: str
+) -> None:
+    """``esp_backend`` is None for a route that reads no ESPs."""
     doc = {
-        "n": int(result.matrix.shape[0]),
-        "esp_backend": result.esp_backend,
-        "inverse_backend": result.inverse_backend,
-        "matrix": [[[z.real, z.imag] for z in row] for row in result.matrix.astype(complex)],
+        "n": int(matrix.shape[0]),
+        "esp_backend": esp_backend,
+        "inverse_backend": inverse_backend,
+        "matrix": [[[z.real, z.imag] for z in row] for row in matrix.astype(complex)],
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
@@ -116,7 +119,7 @@ def sweep_to_json(grid: SweepGrid, path) -> None:
         "inverse_backend": grid.inverse_backend,
         "trials_per_cell": grid.trials_per_cell,
         "seed": grid.seed,
-        "rng_algorithm": grid.rng_algorithm,
+        "rng_algorithm": RNG_ALGORITHM,
         "sigma_shift_axis": [float(x) for x in grid.sigma_shift_axis],
         "sigma_mag_axis": [float(x) for x in grid.sigma_mag_axis],
         "log10_nmse": [

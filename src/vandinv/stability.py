@@ -9,27 +9,26 @@ inverse's quality without ever forming a reference inverse:
 
     M = inv_candidate^T @ diag(v) @ V^T,   NMSE = ||M_left - I_shift|| / ||I_shift||
 
-with Frobenius norms throughout.
+with Frobenius norms throughout; `companion_identity_nmse` returns that
+one float.
 
-The module also packages two experiments: per-order dropped-ESP magnitudes
-on the roots of unity (where every true magnitude is exactly 1), and a
-Monte-Carlo sweep of the companion NMSE over phase/magnitude noise on
-perturbed roots of unity.  Sweep cells and trials use seeds derived from
-the master seed per (cell, trial), so serial and parallel evaluation
-orders produce identical grids.
+The module also packages one experiment: a Monte-Carlo sweep of the
+companion NMSE over phase/magnitude noise on perturbed roots of unity.
+Sweep cells and trials use seeds derived from the master seed per
+(cell, trial), so serial and parallel evaluation orders produce identical
+grids.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
-from .esp import esp_dropped
-from .nodes import NodeSet, NodeSpec, PerturbationSpec, generate_nodes, perturb_roots_of_unity
-from .vandermonde import InverseResult, build_vandermonde, compute_inverse
+from .nodes import NodeSet, PerturbationSpec, perturb_roots_of_unity
+from .vandermonde import build_vandermonde, compute_inverse
 
 
 def nmse(estimate, reference) -> float:
@@ -44,15 +43,6 @@ def nmse(estimate, reference) -> float:
     return float(np.linalg.norm(est - ref) / denom)
 
 
-@dataclass
-class CompanionCheckReport:
-    n: int
-    nmse: float
-    reconstructed_block: np.ndarray
-    esp_backend: str | None
-    inverse_backend: str
-
-
 def shifted_identity_block(n: int) -> np.ndarray:
     """The exact left companion block: ones at (r+1, r)."""
     block = np.zeros((n, n - 1))
@@ -60,67 +50,20 @@ def shifted_identity_block(n: int) -> np.ndarray:
     return block
 
 
-def companion_identity_nmse(nodes: NodeSet, inverse: InverseResult) -> CompanionCheckReport:
-    """Score a candidate inverse through the companion identity block."""
+def companion_identity_nmse(nodes: NodeSet, inverse: np.ndarray) -> float:
+    """Score a candidate inverse matrix through the companion identity block."""
     n = len(nodes)
-    if inverse.matrix.shape != (n, n):
+    if inverse.shape != (n, n):
         raise ValueError(
-            f"inverse shape {inverse.matrix.shape} does not match {n} nodes"
+            f"inverse shape {inverse.shape} does not match {n} nodes"
         )
     if n < 2:
         raise ValueError("companion check needs N >= 2")
     v_exact = build_vandermonde(nodes)
-    m = (inverse.matrix.T * nodes.values[None, :]) @ v_exact.T
+    m = (inverse.T * nodes.values[None, :]) @ v_exact.T
     block = m[:, : n - 1]
     target = shifted_identity_block(n)
-    return CompanionCheckReport(
-        n=n,
-        nmse=nmse(block, target),
-        reconstructed_block=block,
-        esp_backend=inverse.esp_backend,
-        inverse_backend=inverse.inverse_backend,
-    )
-
-
-@dataclass
-class UnitCircleResult:
-    """Dropped-node ESPs over the Nth roots of unity, all orders."""
-
-    n: int
-    drop_index: int
-    esp_backend: str
-    orders: np.ndarray
-    values: np.ndarray
-
-    @property
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.values)
-
-    @property
-    def max_unit_deviation(self) -> float:
-        """max over orders of | |sigma| - 1 |; exact answer is 0."""
-        return float(np.abs(self.magnitudes - 1.0).max())
-
-
-def esp_unit_circle_experiment(
-    n: int, drop_index: int = 1, esp_backend: str = "proposed"
-) -> UnitCircleResult:
-    """All dropped-set ESP orders on the Nth roots of unity.
-
-    Every true value lies on the unit circle, so the magnitude deviations
-    expose the backend's rounding behaviour directly.
-    """
-    if n < 2:
-        raise ValueError("unit-circle experiment needs N >= 2")
-    nodes = generate_nodes(NodeSpec("roots_of_unity", n))
-    values = esp_dropped(nodes, drop_index, esp_backend)
-    return UnitCircleResult(
-        n=n,
-        drop_index=drop_index,
-        esp_backend=esp_backend,
-        orders=np.arange(values.size),
-        values=values,
-    )
+    return nmse(block, target)
 
 
 @dataclass
@@ -141,7 +84,6 @@ class SweepGrid:
     seed: int
     esp_backend: str
     inverse_backend: str
-    rng_algorithm: str = field(default="numpy.PCG64")
 
 
 def derive_seed(master: int, *parts: int) -> int:
@@ -178,7 +120,7 @@ def noise_sweep(
                         n, PerturbationSpec(float(s_shift), float(s_mag), sub)
                     )
                     inv = compute_inverse(nodes, inverse_backend, esp_backend)
-                    survived.append(companion_identity_nmse(nodes, inv).nmse)
+                    survived.append(companion_identity_nmse(nodes, inv))
                 except NumericalError:
                     continue
             if survived:

@@ -17,12 +17,16 @@ Three inverse routes are provided:
 * ``elimination_baseline``  row-pivoted Gaussian elimination (LAPACK LU)
   of the explicitly built matrix; the method-independent reference.
 
+Every route returns the N x N complex inverse as a plain array, as do
+`build_vandermonde` and `stanley_matrix`.  `real_part` strips the imaginary
+parts of an inverse built from real nodes, and `inverse_esp_backend` names
+the ESP backend a route reads: none for the elimination baseline.
+
 lambda_k = prod_{j != k} (v_k - v_j) are the barycentric denominators;
 a |lambda_k| below 1e-300 or past double range, or an elimination pivot
 below 1e-14 * max |entry|, raises SingularityError (naming the weight's
 index).  `compute_inverse` raises NumericalError on any inverse entry that
 overflowed to inf or NaN, and starts every failure message with the route.
-`build_vandermonde` and `stanley_matrix` return plain arrays.
 
 Rows of the closed-form inverse are independent; everything is pure.
 """
@@ -30,7 +34,6 @@ Rows of the closed-form inverse are independent; everything is pure.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -49,23 +52,23 @@ PIVOT_RTOL = 1e-14
 REAL_STRIP_RTOL = 1e-12
 
 
-@dataclass
-class InverseResult:
-    matrix: np.ndarray
-    esp_backend: str | None
-    inverse_backend: str
+def real_part(matrix: np.ndarray) -> np.ndarray:
+    """Strip imaginary parts after checking they are rounding noise."""
+    scale = np.linalg.norm(matrix)
+    limit = REAL_STRIP_RTOL * scale
+    worst = np.abs(matrix.imag).max()
+    if worst > limit:
+        raise ValueError(
+            f"imaginary parts up to {worst:.3e} exceed {limit:.3e}; "
+            "matrix is genuinely complex"
+        )
+    return matrix.real.copy()
 
-    def as_real(self, rtol: float = REAL_STRIP_RTOL) -> np.ndarray:
-        """Strip imaginary parts after checking they are rounding noise."""
-        scale = np.linalg.norm(self.matrix)
-        limit = rtol * scale
-        worst = np.abs(self.matrix.imag).max()
-        if worst > limit:
-            raise ValueError(
-                f"imaginary parts up to {worst:.3e} exceed {limit:.3e}; "
-                "matrix is genuinely complex"
-            )
-        return self.matrix.real.copy()
+
+def inverse_esp_backend(inverse_backend: str, esp_backend: str) -> str | None:
+    """The ESP backend an inverse route reads: None for the elimination
+    baseline, which uses no ESPs."""
+    return None if inverse_backend == "elimination_baseline" else esp_backend
 
 
 def build_vandermonde(nodes: NodeSet, num_rows: int | None = None) -> np.ndarray:
@@ -120,7 +123,7 @@ def stanley_matrix(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:
     return scipy.linalg.toeplitz(col, row)
 
 
-def inverse_closed_form(nodes: NodeSet, esp_backend: str = "proposed") -> InverseResult:
+def inverse_closed_form(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:
     """Elementwise inverse from dropped-node ESPs and barycentric weights."""
     if esp_backend not in ESP_BACKENDS:
         raise ValueError(
@@ -134,25 +137,20 @@ def inverse_closed_form(nodes: NodeSet, esp_backend: str = "proposed") -> Invers
     else:
         dropped = esp_dropped(nodes, range(1, n + 1), esp_backend)
     # row i is the sweep without node i; column j wants its order N - j
-    out = signs * dropped[:, ::-1] / lam[:, None]
-    return InverseResult(matrix=out, esp_backend=esp_backend, inverse_backend="closed_form")
+    return signs * dropped[:, ::-1] / lam[:, None]
 
 
-def inverse_wa_product(nodes: NodeSet, esp_backend: str = "proposed") -> InverseResult:
+def inverse_wa_product(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:
     """The factored route: descending-power rows over lambda, times the
     signed-ESP Toeplitz matrix.  Mathematically equal to `inverse_closed_form`."""
     n = len(nodes)
     lam = barycentric_weights(nodes)
     powers = np.vander(nodes.values, n, increasing=False)  # row i: v_i^{N-1} .. 1
     w = powers / lam[:, None]
-    return InverseResult(
-        matrix=w @ stanley_matrix(nodes, esp_backend),
-        esp_backend=esp_backend,
-        inverse_backend="wa_product",
-    )
+    return w @ stanley_matrix(nodes, esp_backend)
 
 
-def inverse_elimination_baseline(nodes: NodeSet) -> InverseResult:
+def inverse_elimination_baseline(nodes: NodeSet) -> np.ndarray:
     """Row-pivoted elimination inverse of the explicitly built matrix."""
     with np.errstate(over="ignore", invalid="ignore"):  # compute_inverse reports it
         v_matrix = build_vandermonde(nodes)
@@ -167,15 +165,14 @@ def inverse_elimination_baseline(nodes: NodeSet) -> InverseResult:
             f"elimination pivot {pivots.min():.3e} below {floor:.3e}; "
             "matrix is numerically singular"
         )
-    inv = scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=np.complex128), check_finite=False)
-    return InverseResult(matrix=inv, esp_backend=None, inverse_backend="elimination_baseline")
+    return scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=np.complex128), check_finite=False)
 
 
 def compute_inverse(
     nodes: NodeSet,
     inverse_backend: str = "closed_form",
     esp_backend: str = "proposed",
-) -> InverseResult:
+) -> np.ndarray:
     """Dispatch over the three inverse routes; the result is finite or raises
     a NumericalError whose message starts with the route."""
     if inverse_backend not in INVERSE_BACKENDS:
@@ -184,17 +181,17 @@ def compute_inverse(
         )
     try:
         if inverse_backend == "closed_form":
-            result = inverse_closed_form(nodes, esp_backend)
+            matrix = inverse_closed_form(nodes, esp_backend)
         elif inverse_backend == "wa_product":
-            result = inverse_wa_product(nodes, esp_backend)
+            matrix = inverse_wa_product(nodes, esp_backend)
         else:
-            result = inverse_elimination_baseline(nodes)
+            matrix = inverse_elimination_baseline(nodes)
     except NumericalError as exc:
         raise type(exc)(f"{inverse_backend} inverse: {exc}") from None
-    bad = np.count_nonzero(~np.isfinite(result.matrix))
+    bad = np.count_nonzero(~np.isfinite(matrix))
     if bad:
         raise NumericalError(
-            f"{inverse_backend} inverse: {bad} of {result.matrix.size} entries "
+            f"{inverse_backend} inverse: {bad} of {matrix.size} entries "
             "overflowed to inf or NaN"
         )
-    return result
+    return matrix

@@ -27,6 +27,12 @@ def assert_close(actual, expected, rel=1e-10, abs_floor=1e-12):
     assert err <= tol, f"{actual} vs {expected}: err {err:.3e} > tol {tol:.3e}"
 
 
+def unit_circle_deviation(values):
+    """max over orders of | |sigma| - 1 |.  Every dropped-node ESP of the
+    roots of unity lies on the unit circle, so the exact answer is 0."""
+    return float(np.abs(np.abs(values) - 1.0).max())
+
+
 def matrix_rel_gap(a, b):
     """Largest entrywise gap relative to the magnitude of the first matrix.
 

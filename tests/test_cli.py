@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vandinv import NodeSpec, companion_identity_nmse, compute_inverse, generate_nodes
-from vandinv.cli import COMPANION_COMBOS, main
+from vandinv.cli import CLI_INVERSES, COMPANION_COMBOS, main
 from vandinv.serialize import format_float
 
 # sigma(59, j) over 1e6, 2e6, ..., 59e6 passes the double range near j = 40
@@ -156,6 +156,36 @@ def test_esp_bad_nodes_exit_2(capsys):
     assert "banana" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("--order", "2", "--all-orders"), ("--table", "--order", "2"), ()],
+    ids=["order-and-all-orders", "table-and-order", "none"],
+)
+def test_esp_needs_exactly_one_of_order_all_orders_table(capsys, args):
+    with pytest.raises(SystemExit) as excinfo:
+        run(capsys, "esp", "--nodes", "1,2,3", *args)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,token,kind",
+    [
+        (("esp", "--nodes", "1,banana", "--order", "1"), "banana", "complex"),
+        (("invert", "--nodes", "1,2+i"), "2+i", "complex"),
+        (("noise-sweep", "--n", "5", "--sigma-shift-axis", "0,abc"), "abc", "float"),
+        (("noise-sweep", "--n", "5", "--sigma-mag-axis", "0.1,1e"), "1e", "float"),
+        (("companion-table", "--n-list", "5,x"), "x", "int"),
+    ],
+    ids=["esp-nodes", "invert-nodes", "sigma-shift-axis", "sigma-mag-axis", "n-list"],
+)
+def test_bad_list_token_is_named_with_its_type(capsys, argv, token, kind):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {token!r} is not a valid {kind}\n"
+
+
 def test_esp_unknown_backend_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run(capsys, "esp", "--nodes", "1,2", "--order", "1", "--backend", "newton")
@@ -198,6 +228,26 @@ def test_invert_csv_output_and_manifest(capsys, tmp_path):
     assert manifest["command"] == "invert"
     assert manifest["outputs"] == [str(out_path)]
     assert manifest["version"]
+
+
+@pytest.mark.parametrize(
+    "route,esp,esp_label",
+    [
+        ("baseline", "traub", None),
+        ("closed-form", "traub", "traub"),
+        ("wa-product", "yang", "yang"),
+    ],
+)
+def test_invert_json_names_the_backends_it_used(capsys, tmp_path, route, esp, esp_label):
+    out_path = tmp_path / "inv.json"
+    code, _, _ = run(
+        capsys, "invert", "--nodes", "1,2,3", "--inverse", route, "--esp", esp,
+        "--output", str(out_path),
+    )
+    assert code == 0
+    doc = json.loads(out_path.read_text())
+    assert doc["esp_backend"] == esp_label
+    assert doc["inverse_backend"] == CLI_INVERSES[route]
 
 
 def test_invert_real_flag_on_complex_nodes_fails(capsys):
@@ -264,7 +314,7 @@ def test_companion_table_csv_bytes(capsys, tmp_path):
     for n in (5, 10):
         nodes = generate_nodes(NodeSpec("roots_of_unity", n))
         cells = [
-            format_float(companion_identity_nmse(nodes, compute_inverse(nodes, inv, esp)).nmse)
+            format_float(companion_identity_nmse(nodes, compute_inverse(nodes, inv, esp)))
             for inv, esp in COMPANION_COMBOS
         ]
         expected += ",".join([str(n), *cells]) + "\r\n"
@@ -336,6 +386,17 @@ def test_interp_single_run_summary(capsys, tmp_path):
     assert nmse_value < 1e-10
     rows = read_rows(out_path)
     assert len(rows) == 121  # header + 2N
+
+
+def test_interp_baseline_summary_names_no_esp_backend(capsys):
+    code, out, _ = run(
+        capsys, "interp", "--fn", "cos", "--family", "chebyshev", "--n", "10",
+        "--inverse", "baseline", "--esp", "traub",
+    )
+    assert code == 0
+    header, summary = (line.split(",") for line in out.strip().splitlines())
+    assert summary[header.index("esp_backend")] == "none"
+    assert summary[header.index("inverse_backend")] == "elimination_baseline"
 
 
 def test_interp_unknown_family_exits_2(capsys):

@@ -111,15 +111,6 @@ def test_nodeset_values_are_read_only():
         ns.values[0] = 9.0
 
 
-def test_nodeset_drop_is_one_based():
-    ns = NodeSet([1, 2, 3])
-    np.testing.assert_array_equal(ns.drop(2).values, [1, 3])
-    with pytest.raises(ValueError):
-        ns.drop(0)
-    with pytest.raises(ValueError):
-        ns.drop(4)
-
-
 def test_perturbation_zero_noise_is_exact():
     v = perturb_roots_of_unity(12, PerturbationSpec(0.0, 0.0, 42)).values
     np.testing.assert_array_equal(v, family("roots_of_unity", 12))

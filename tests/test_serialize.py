@@ -75,13 +75,13 @@ def test_inverse_csv_and_json(tmp_path):
     assert float(rows[1][2]) == -1.0
 
     json_path = tmp_path / "inv.json"
-    inverse_to_json(inv, json_path)
+    inverse_to_json(inv, json_path, "proposed", "closed_form")
     doc = json.loads(json_path.read_text())
     assert doc["n"] == 2
     assert doc["esp_backend"] == "proposed"
     assert doc["inverse_backend"] == "closed_form"
     matrix = np.array([[complex(re, im) for re, im in row] for row in doc["matrix"]])
-    np.testing.assert_allclose(matrix, inv.matrix, atol=0)
+    np.testing.assert_allclose(matrix, inv, atol=0)
 
 
 def test_companion_table_csv(tmp_path):

@@ -9,7 +9,7 @@ from vandinv import (
     companion_identity_nmse,
     compute_inverse,
     derive_seed,
-    esp_unit_circle_experiment,
+    esp_dropped,
     generate_nodes,
     inverse_closed_form,
     inverse_elimination_baseline,
@@ -17,6 +17,8 @@ from vandinv import (
     noise_sweep,
     shifted_identity_block,
 )
+
+from conftest import unit_circle_deviation
 
 
 def roots(n):
@@ -63,26 +65,21 @@ def test_nmse_rejects_shape_mismatch():
 
 def test_companion_exact_two_nodes():
     ns = NodeSet([1, -1])
-    report = companion_identity_nmse(ns, inverse_elimination_baseline(ns))
-    np.testing.assert_allclose(report.reconstructed_block, [[0], [1]], atol=1e-15)
-    assert report.nmse <= 1e-15
+    assert companion_identity_nmse(ns, inverse_elimination_baseline(ns)) <= 1e-15
 
 
 def test_companion_metric_vanishes_for_good_inverse():
     for kind, n in (("chebyshev", 8), ("equidistant", 10)):
         ns = generate_nodes(NodeSpec(kind, n))
-        report = companion_identity_nmse(ns, inverse_elimination_baseline(ns))
-        assert report.nmse < 1e-10
+        assert companion_identity_nmse(ns, inverse_elimination_baseline(ns)) < 1e-10
 
 
 def test_companion_roots50_backend_split():
     ns = roots(50)
     prop = companion_identity_nmse(ns, inverse_closed_form(ns, "proposed"))
     traub = companion_identity_nmse(ns, inverse_closed_form(ns, "traub"))
-    assert prop.nmse < 1e-13
-    assert traub.nmse > 1e-7
-    assert prop.esp_backend == "proposed"
-    assert traub.inverse_backend == "closed_form"
+    assert prop < 1e-13
+    assert traub > 1e-7
 
 
 def test_companion_rejects_mismatched_inverse():
@@ -102,32 +99,30 @@ def test_shifted_identity_block_shape():
 # ------------------------------------------------------------ unit circle
 
 def test_unit_circle_orders_and_length():
-    res = esp_unit_circle_experiment(10, 1, "proposed")
-    np.testing.assert_array_equal(res.orders, np.arange(10))
-    assert res.values.shape == (10,)
+    # one value per order 0..N-1 of the N-1 remaining nodes
+    values = esp_dropped(roots(10), 1, "proposed")
+    assert values.shape == (10,)
 
 
 def test_unit_circle_proposed_stays_on_circle():
-    res = esp_unit_circle_experiment(50, 1, "proposed")
-    assert res.max_unit_deviation < 1e-6
+    assert unit_circle_deviation(esp_dropped(roots(50), 1, "proposed")) < 1e-6
 
 
 def test_unit_circle_traub_deviates_at_64():
-    res = esp_unit_circle_experiment(64, 1, "traub")
-    assert res.max_unit_deviation > 1e-3
+    assert unit_circle_deviation(esp_dropped(roots(64), 1, "traub")) > 1e-3
 
 
 def test_unit_circle_70_maps_to_few_points():
     # without v_1 the sweep is exactly (-v_1)**j, which cycles over 35 points
-    res = esp_unit_circle_experiment(70, 1, "proposed")
+    values = esp_dropped(roots(70), 1, "proposed")
     exact = (-roots(70).values[0]) ** np.arange(70)
-    assert np.abs(res.values - exact).max() < 1e-12
+    assert np.abs(values - exact).max() < 1e-12
 
 
 def test_unit_circle_stable_for_any_drop_at_70():
     for drop in (1, 35, 70):
-        res = esp_unit_circle_experiment(70, drop, "proposed")
-        assert res.max_unit_deviation < 1e-6, f"drop {drop}"
+        deviation = unit_circle_deviation(esp_dropped(roots(70), drop, "proposed"))
+        assert deviation < 1e-6, f"drop {drop}"
 
 
 # ------------------------------------------------------------- sweep
