@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: ``esp``, ``invert``, ``companion-table``, ``noise-sweep``,
-``interp``.  Every written file gets a ``<file>.manifest.json`` sidecar
-recording the command, resolved parameters, seed, library version, and
-timestamp, so any output can be regenerated.  Seeded commands are
-byte-reproducible on one platform.
+``interp``.  Each subcommand handler prints its stdout and returns a
+one-argument writer; `main` alone resolves ``--output``, calls the writer
+and writes the ``<file>.manifest.json`` sidecar recording the command,
+resolved parameters, seed, library version, and timestamp, so any output
+can be regenerated.  A command that fails writes neither.  Seeded commands
+are byte-reproducible on one platform.
 
 Exit codes: 0 success, 2 argument/usage error, 3 numerical failure.
 Relative ``--output`` paths resolve under ``$VANDINV_OUTDIR`` when set.
@@ -13,10 +15,10 @@ Relative ``--output`` paths resolve under ``$VANDINV_OUTDIR`` when set.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -43,6 +45,7 @@ from .serialize import (
     order_values_to_csv,
     sweep_to_csv,
     sweep_to_json,
+    write_json,
 )
 from .stability import companion_identity_nmse, noise_sweep
 from .vandermonde import compute_inverse, inverse_esp_backend, real_part
@@ -127,15 +130,10 @@ def _resolve_output(path_text: str) -> Path:
     return path
 
 
-def _write_manifest(args, out, seed=None) -> None:
-    params = {}
-    for key, value in sorted(vars(args).items()):
-        if key == "handler":
-            continue
-        if isinstance(value, (str, int, float, bool)) or value is None:
-            params[key] = value
-        else:
-            params[key] = str(value)
+def _write_manifest(args, out) -> None:
+    seed = getattr(args, "seed", None)
+    # every parsed option is a str, int, float, bool or None
+    params = {key: value for key, value in sorted(vars(args).items()) if key != "handler"}
     doc = {
         "command": args.command,
         "parameters": params,
@@ -145,57 +143,37 @@ def _write_manifest(args, out, seed=None) -> None:
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "outputs": [str(out)],
     }
-    text = json.dumps(doc, indent=2) + "\n"
-    Path(f"{out}.manifest.json").write_text(text, encoding="utf-8")
+    write_json(doc, f"{out}.manifest.json")
 
 
-def _print_value_line(order: int, value: complex) -> None:
-    re_s, im_s = format_float(value.real), format_float(value.imag)
-    print(f"order={order} re={re_s} im={im_s} abs={format_float(abs(value))}")
-
-
-def _cmd_esp(args) -> int:
+def _cmd_esp(args):
     nodes = _nodes_from_args(args)
-    n = len(nodes)
     if args.table:
         if args.drop is not None:
             raise ValueError("--table shows the full-set table; it cannot combine with --drop")
         table = esp_table(nodes, args.backend)
-        for row_n in range(1, n + 1):
+        for row_n in range(1, len(nodes) + 1):
             cells = " ".join(_fmt_complex(z) for z in table[row_n, : row_n + 1])
             print(f"n={row_n}: {cells}")
-        if args.output:
-            out = _resolve_output(args.output)
-            esp_table_to_csv(table, out)
-            _write_manifest(args, out)
-        return 0
-
-    if args.drop is None and args.backend == "mikkawy":
-        raise ValueError("the mikkawy backend computes dropped-node ESPs; pass --drop")
+        return partial(esp_table_to_csv, table)
 
     if args.all_orders:
+        first = 0
         if args.drop is None:
             values = esp_all_orders(nodes, args.backend)
         else:
             values = esp_dropped(nodes, args.drop, args.backend)
-        for order, value in enumerate(values):
-            _print_value_line(order, complex(value))
-        if args.output:
-            out = _resolve_output(args.output)
-            order_values_to_csv(range(len(values)), values, out)
-            _write_manifest(args, out)
-        return 0
-
-    value = esp_single(nodes, args.order, args.backend, drop_index=args.drop)
-    _print_value_line(args.order, value)
-    if args.output:
-        out = _resolve_output(args.output)
-        order_values_to_csv([args.order], [value], out)
-        _write_manifest(args, out)
-    return 0
+    else:  # a single order is a one-value sweep that starts at that order
+        first = args.order
+        values = [esp_single(nodes, args.order, args.backend, drop_index=args.drop)]
+    for order, value in enumerate(values, first):
+        value = complex(value)
+        re_s, im_s = format_float(value.real), format_float(value.imag)
+        print(f"order={order} re={re_s} im={im_s} abs={format_float(abs(value))}")
+    return partial(order_values_to_csv, values, first_order=first)
 
 
-def _cmd_invert(args) -> int:
+def _cmd_invert(args):
     nodes = _nodes_from_args(args)
     inverse_backend = CLI_INVERSES[args.inverse]
     matrix = compute_inverse(nodes, inverse_backend, args.esp)
@@ -203,8 +181,8 @@ def _cmd_invert(args) -> int:
         matrix = real_part(matrix)
     for row in matrix:
         print(",".join(_fmt_complex(z) for z in row))
-    if args.output:
-        out = _resolve_output(args.output)
+
+    def write(out):
         fmt = args.format
         if fmt == "auto":
             fmt = "json" if out.suffix.lower() == ".json" else "csv"
@@ -213,11 +191,11 @@ def _cmd_invert(args) -> int:
             inverse_to_json(matrix, out, esp_backend, inverse_backend)
         else:
             inverse_to_csv(matrix, out)
-        _write_manifest(args, out)
-    return 0
+
+    return write
 
 
-def _cmd_companion_table(args) -> int:
+def _cmd_companion_table(args):
     n_values = _parse_list(args.n_list, int)
     if any(n < 2 for n in n_values):
         raise ValueError("--n-list needs integers >= 2")
@@ -234,14 +212,10 @@ def _cmd_companion_table(args) -> int:
     print("n".rjust(4) + "".join(label.rjust(width) for label in labels))
     for n, cells in table:
         print(str(n).rjust(4) + "".join(f"{cells[label]:.3e}".rjust(width) for label in labels))
-    if args.output:
-        out = _resolve_output(args.output)
-        companion_table_to_csv(table, out)
-        _write_manifest(args, out)
-    return 0
+    return partial(companion_table_to_csv, table)
 
 
-def _cmd_noise_sweep(args) -> int:
+def _cmd_noise_sweep(args):
     shift_axis = _parse_list(args.sigma_shift_axis, float)
     mag_axis = _parse_list(args.sigma_mag_axis, float)
     grid = noise_sweep(
@@ -265,17 +239,10 @@ def _cmd_noise_sweep(args) -> int:
             for b in range(len(mag_axis))
         )
         print(f"{s:8.3g}" + cells)
-    if args.output:
-        out = _resolve_output(args.output)
-        if args.format == "json":
-            sweep_to_json(grid, out)
-        else:
-            sweep_to_csv(grid, out)
-        _write_manifest(args, out, seed=args.seed)
-    return 0
+    return partial(sweep_to_json if args.format == "json" else sweep_to_csv, grid)
 
 
-def _cmd_interp(args) -> int:
+def _cmd_interp(args):
     spec = InterpFunctionSpec(CLI_FUNCTIONS[args.fn], args.t)
     family = CLI_FAMILIES[args.family]
     inverse_backend = CLI_INVERSES[args.inverse]
@@ -287,14 +254,9 @@ def _cmd_interp(args) -> int:
         )
         reports.append(report)
         print(",".join(str(cell) for cell in interp_summary_row(report)))
-    if args.output:
-        out = _resolve_output(args.output)
-        if args.n is None:
-            interp_summaries_to_csv(reports, out)
-        else:
-            interp_report_to_csv(report, out)
-        _write_manifest(args, out)
-    return 0
+    if args.n is None:
+        return partial(interp_summaries_to_csv, reports)
+    return partial(interp_report_to_csv, report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,7 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        write = args.handler(args)
+        if args.output:
+            out = _resolve_output(args.output)
+            write(out)
+            _write_manifest(args, out)
+        return 0
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -266,8 +266,12 @@ def _dropped_sweeps(nodes: NodeSet, drop_index, method: str) -> np.ndarray:
 
 def _full_sweep(nodes: NodeSet, method: str) -> np.ndarray:
     if method not in FULL_SET_ESP_BACKENDS:
+        if method in ESP_BACKENDS:
+            why = "computes dropped-node ESPs only, so it needs a drop index"
+        else:
+            why = "is unknown"
         raise ValueError(
-            f"full-set ESPs need one of {FULL_SET_ESP_BACKENDS}, got {method!r}"
+            f"ESP backend {method!r} {why}; full-set ESPs need one of {FULL_SET_ESP_BACKENDS}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
         return _BACKENDS[method].full_set(nodes.values)

@@ -72,10 +72,37 @@ def test_esp_table_output(capsys, tmp_path):
     assert (tmp_path / "table.csv.manifest.json").exists()
 
 
+def test_esp_overflow_writes_no_file_and_no_manifest(capsys, tmp_path):
+    out_path = tmp_path / "x.csv"
+    code, out, _ = run(
+        capsys, "esp", "--nodes", OVERFLOWING_NODES, "--all-orders", "--output", str(out_path)
+    )
+    assert code == 3
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_esp_mikkawy_without_drop_is_usage_error(capsys):
     code, _, err = run(capsys, "esp", "--nodes", "1,2,3", "--order", "1", "--backend", "mikkawy")
     assert code == 2
     assert "drop" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("esp", "--nodes", "1,2,3", "--all-orders"),
+        ("invert", "--nodes", "1,2,3", "--inverse", "wa-product"),
+        ("interp", "--fn", "cos", "--family", "chebyshev", "--n", "10",
+         "--inverse", "wa-product"),
+    ],
+    ids=["esp-all-orders", "invert", "interp"],
+)
+def test_full_set_use_of_mikkawy_names_the_drop_index(capsys, argv):
+    backend = ("--backend" if argv[0] == "esp" else "--esp", "mikkawy")
+    code, _, err = run(capsys, *argv, *backend)
+    assert code == 2
+    assert "dropped-node ESPs only" in err and "drop index" in err
 
 
 def test_esp_table_rejects_a_backend_without_a_table(capsys):
@@ -436,6 +463,53 @@ def test_interp_ext_chebyshev_tanh_order_of_magnitude(capsys):
     header = lines[0].split(",")
     nmse_value = float(lines[1].split(",")[header.index("nmse")])
     assert 1e-6 < nmse_value < 1e-2
+
+
+# ---------------------------------------------------------------- output
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("esp", "--nodes", "1,2,3", "--order", "2"), "e.csv"),
+        (("esp", "--nodes", "1,2,3", "--order", "1", "--drop", "2"), "e.csv"),
+        (("esp", "--nodes", "1,2,3", "--all-orders"), "e.csv"),
+        (("esp", "--nodes", "1,2,3", "--drop", "1", "--all-orders"), "e.csv"),
+        (("esp", "--nodes", "1,2,3", "--table", "--backend", "traub"), "e.csv"),
+        (("invert", "--nodes", "1,2"), "inv.csv"),
+        (("invert", "--nodes", "1,2"), "inv.json"),
+        (("companion-table", "--n-list", "5"), "t.csv"),
+        (("noise-sweep", "--n", "6", "--trials", "1", "--sigma-shift-axis", "0",
+          "--sigma-mag-axis", "0.1"), "s.csv"),
+        (("noise-sweep", "--n", "6", "--trials", "1", "--sigma-shift-axis", "0",
+          "--sigma-mag-axis", "0.1", "--format", "json"), "s.json"),
+        (("interp", "--fn", "cos", "--family", "chebyshev", "--n", "10"), "i.csv"),
+        (("interp", "--fn", "exp", "--family", "chebyshev", "--esp", "traub"), "i.csv"),
+    ],
+    ids=[
+        "esp-order", "esp-order-drop", "esp-all-orders", "esp-drop-all-orders", "esp-table",
+        "invert-csv", "invert-json", "companion-table", "noise-sweep-csv",
+        "noise-sweep-json", "interp-single", "interp-sweep",
+    ],
+)
+def test_every_output_form_writes_its_file_and_manifest(capsys, tmp_path, argv, name):
+    out_path = tmp_path / name
+    code, _, _ = run(capsys, *argv, "--output", str(out_path))
+    assert code == 0
+    assert out_path.is_file()
+    manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+    assert manifest["outputs"] == [str(out_path)]
+    assert manifest["command"] == argv[0]
+    seeded = argv[0] == "noise-sweep"
+    assert (manifest["seed"] is not None) == seeded
+    assert (manifest["rng_algorithm"] is not None) == seeded
+    assert sorted(path.name for path in tmp_path.iterdir()) == [name, f"{name}.manifest.json"]
+
+
+def test_esp_single_order_csv_bytes(capsys, tmp_path):
+    out_path = tmp_path / "e.csv"
+    code, _, _ = run(capsys, "esp", "--nodes", "1,2,3", "--order", "2", "--output", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == b"order,re,im,abs\r\n2,11,0,11\r\n"
 
 
 # ---------------------------------------------------------------- misc

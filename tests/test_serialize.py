@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from vandinv import (
     inverse_closed_form,
     noise_sweep,
 )
+from vandinv import serialize
 from vandinv.serialize import (
     companion_table_to_csv,
     esp_table_to_csv,
@@ -35,9 +37,19 @@ def test_format_float_round_trips():
         assert float(format_float(x)) == x
 
 
+def test_every_writer_takes_path_second():
+    writers = [
+        fn for name, fn in vars(serialize).items()
+        if "_to_" in name and not name.startswith("_") and inspect.isfunction(fn)
+    ]
+    assert len(writers) == 9
+    for fn in writers:
+        assert list(inspect.signature(fn).parameters)[1] == "path", fn.__name__
+
+
 def test_csv_files_use_crlf(tmp_path):
     path = tmp_path / "orders.csv"
-    order_values_to_csv([0, 1], [1 + 0j, 2 - 1j], path)
+    order_values_to_csv([1 + 0j, 2 - 1j], path)
     lines = path.read_bytes().split(b"\r\n")
     assert len(lines) == 4 and lines[-1] == b""  # header, two rows, CRLF ending
     assert all(b"\n" not in line for line in lines)
@@ -58,7 +70,7 @@ def test_esp_table_csv_blank_above_diagonal(tmp_path):
 
 def test_order_values_csv(tmp_path):
     path = tmp_path / "orders.csv"
-    order_values_to_csv([0, 1], [1 + 0j, -1j], path)
+    order_values_to_csv([1 + 0j, -1j], path)
     rows = read_rows(path)
     assert rows[0] == ["order", "re", "im", "abs"]
     assert float(rows[2][2]) == -1.0
