@@ -26,9 +26,7 @@ from .esp import (
     esp_table,
 )
 from .interpolation import (
-    DEFAULT_T,
     FUNCTION_KINDS,
-    InterpFunctionSpec,
     InterpolationReport,
     evaluate_superresolved,
     fit_coefficients,
@@ -40,8 +38,6 @@ from .nodes import (
     NODE_FAMILIES,
     RNG_ALGORITHM,
     NodeSet,
-    NodeSpec,
-    PerturbationSpec,
     generate_nodes,
     perturb_roots_of_unity,
     validate_pairwise_distinct,
@@ -75,8 +71,6 @@ __all__ = [
     "NODE_FAMILIES",
     "RNG_ALGORITHM",
     "NodeSet",
-    "NodeSpec",
-    "PerturbationSpec",
     "generate_nodes",
     "perturb_roots_of_unity",
     "validate_pairwise_distinct",
@@ -103,8 +97,6 @@ __all__ = [
     "noise_sweep",
     "derive_seed",
     "FUNCTION_KINDS",
-    "DEFAULT_T",
-    "InterpFunctionSpec",
     "InterpolationReport",
     "sample_function",
     "fit_coefficients",

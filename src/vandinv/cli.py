@@ -30,8 +30,8 @@ from .esp import (
     esp_single,
     esp_table,
 )
-from .interpolation import InterpFunctionSpec, interp_experiment
-from .nodes import NODE_FAMILIES, RNG_ALGORITHM, NodeSet, NodeSpec, generate_nodes
+from .interpolation import interp_experiment
+from .nodes import NODE_FAMILIES, RNG_ALGORITHM, NodeSet, generate_nodes
 from .serialize import (
     INTERP_SUMMARY_HEADER,
     companion_table_to_csv,
@@ -111,13 +111,13 @@ def _add_nodes_arguments(parser):
 
 
 def _nodes_from_args(args) -> NodeSet:
+    if (args.family is None) != (args.count is None):
+        raise ValueError("--count goes with --family, and --family requires --count")
     if args.nodes is not None:
         return NodeSet(_parse_list(args.nodes, complex))
     if args.roots_of_unity is not None:
-        return generate_nodes(NodeSpec("roots_of_unity", args.roots_of_unity))
-    if args.count is None:
-        raise ValueError("--family requires --count")
-    return generate_nodes(NodeSpec(CLI_FAMILIES[args.family], args.count))
+        return generate_nodes("roots_of_unity", args.roots_of_unity)
+    return generate_nodes(CLI_FAMILIES[args.family], args.count)
 
 
 def _resolve_output(path_text: str) -> Path:
@@ -128,6 +128,19 @@ def _resolve_output(path_text: str) -> Path:
             path = Path(base) / path
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _by_format(args, to_csv, to_json):
+    """The writer that ``--format`` picks; ``auto`` picks JSON for a
+    ``.json`` output and CSV otherwise."""
+
+    def write(out):
+        fmt = args.format
+        if fmt == "auto":
+            fmt = "json" if out.suffix.lower() == ".json" else "csv"
+        (to_json if fmt == "json" else to_csv)(out)
+
+    return write
 
 
 def _write_manifest(args, out) -> None:
@@ -181,18 +194,11 @@ def _cmd_invert(args):
         matrix = real_part(matrix)
     for row in matrix:
         print(",".join(_fmt_complex(z) for z in row))
-
-    def write(out):
-        fmt = args.format
-        if fmt == "auto":
-            fmt = "json" if out.suffix.lower() == ".json" else "csv"
-        if fmt == "json":
-            esp_backend = inverse_esp_backend(inverse_backend, args.esp)
-            inverse_to_json(matrix, out, esp_backend, inverse_backend)
-        else:
-            inverse_to_csv(matrix, out)
-
-    return write
+    esp_backend = inverse_esp_backend(inverse_backend, args.esp)
+    to_json = partial(
+        inverse_to_json, matrix, esp_backend=esp_backend, inverse_backend=inverse_backend
+    )
+    return _by_format(args, partial(inverse_to_csv, matrix), to_json)
 
 
 def _cmd_companion_table(args):
@@ -202,7 +208,7 @@ def _cmd_companion_table(args):
     labels = [_combo_label(inv, esp) for inv, esp in COMPANION_COMBOS]
     table = []
     for n in n_values:
-        nodes = generate_nodes(NodeSpec("roots_of_unity", n))
+        nodes = generate_nodes("roots_of_unity", n)
         cells = {}
         for label, (inverse_backend, esp_backend) in zip(labels, COMPANION_COMBOS):
             inv = compute_inverse(nodes, inverse_backend, esp_backend)
@@ -239,24 +245,24 @@ def _cmd_noise_sweep(args):
             for b in range(len(mag_axis))
         )
         print(f"{s:8.3g}" + cells)
-    return partial(sweep_to_json if args.format == "json" else sweep_to_csv, grid)
+    return _by_format(args, partial(sweep_to_csv, grid), partial(sweep_to_json, grid))
 
 
 def _cmd_interp(args):
-    spec = InterpFunctionSpec(CLI_FUNCTIONS[args.fn], args.t)
-    family = CLI_FAMILIES[args.family]
-    inverse_backend = CLI_INVERSES[args.inverse]
-    print(",".join(INTERP_SUMMARY_HEADER))
-    reports = []
-    for n in DEFAULT_INTERP_NS if args.n is None else (args.n,):
-        report = interp_experiment(
-            spec, family, n, inverse_backend, args.esp, exclude_per_side=args.exclude
+    # run every fit before printing, so that a failing one leaves stdout empty
+    reports = [
+        interp_experiment(
+            CLI_FUNCTIONS[args.fn], CLI_FAMILIES[args.family], n, args.t,
+            CLI_INVERSES[args.inverse], args.esp, exclude_per_side=args.exclude,
         )
-        reports.append(report)
+        for n in (DEFAULT_INTERP_NS if args.n is None else (args.n,))
+    ]
+    print(",".join(INTERP_SUMMARY_HEADER))
+    for report in reports:
         print(",".join(str(cell) for cell in interp_summary_row(report)))
     if args.n is None:
         return partial(interp_summaries_to_csv, reports)
-    return partial(interp_report_to_csv, report)
+    return partial(interp_report_to_csv, reports[0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--sigma-mag-axis", default=DEFAULT_SWEEP_AXIS,
                          help="comma-separated magnitude-noise standard deviations")
     p_sweep.add_argument("--output", help="write the grid (long format)")
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_sweep.add_argument("--format", choices=("auto", "csv", "json"), default="auto")
     p_sweep.set_defaults(handler=_cmd_noise_sweep)
 
     p_interp = sub.add_parser("interp", help="interpolation / super-resolution experiment")

@@ -9,8 +9,11 @@ families to keep endpoint blow-up (Runge oscillation, conditioning spikes)
 out of the score; on roots of unity there is no boundary, so the whole
 domain counts.
 
-Functions are evaluated as complex analytic maps so the pipeline is
-well defined on circle nodes as well as interval ones.
+The test functions sit in one table by name (``FUNCTION_KINDS``), each with
+a default parameter t.  They are evaluated as complex analytic maps so the
+pipeline is well defined on circle nodes as well as interval ones.
+`interp_experiment(fn, node_kind, n, t=None, ...)` checks the name and t
+once; `sample_function(kind, t, nodes)` evaluates one of them.
 """
 
 from __future__ import annotations
@@ -19,45 +22,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nodes import NodeSet, NodeSpec, generate_nodes
+from .nodes import NodeSet, generate_nodes
 from .stability import nmse
 from .vandermonde import build_vandermonde, compute_inverse, inverse_esp_backend
 
-FUNCTION_KINDS = ("cosine", "tanh", "exponential")
+# Each function maps to its default t and f(t, z): cos(2 pi t z), tanh(t z)
+# or exp(t z).  The defaults keep each fit nontrivial on [-1, 1]: several
+# cosine periods, a sharp tanh edge, a plain exponential.
+_FUNCTIONS = {
+    "cosine": (2.0, lambda t, z: np.cos(2.0 * np.pi * t * z)),
+    "tanh": (8.0, lambda t, z: np.tanh(t * z)),
+    "exponential": (1.0, lambda t, z: np.exp(t * z)),
+}
 
-# Steepness/frequency defaults keep each fit nontrivial on [-1, 1]:
-# several cosine periods, a sharp tanh edge, a plain exponential.
-DEFAULT_T = {"cosine": 2.0, "tanh": 8.0, "exponential": 1.0}
+FUNCTION_KINDS = tuple(_FUNCTIONS)
 
 DEFAULT_EXCLUDE_PER_SIDE = 7
 
 
-@dataclass(frozen=True)
-class InterpFunctionSpec:
-    """Analytic test function: cos(2 pi t x), tanh(t x), or exp(t x)."""
-
-    kind: str
-    t: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in FUNCTION_KINDS:
-            raise ValueError(
-                f"unknown function kind {self.kind!r}; expected one of {FUNCTION_KINDS}"
-            )
-        t = DEFAULT_T[self.kind] if self.t is None else float(self.t)
-        if not np.isfinite(t):
-            raise ValueError("parameter t must be finite")
-        object.__setattr__(self, "t", t)
-
-
-def sample_function(spec: InterpFunctionSpec, nodes: NodeSet) -> np.ndarray:
-    """Evaluate the chosen function at the nodes (complex-capable)."""
-    z = nodes.values
-    if spec.kind == "cosine":
-        return np.cos(2.0 * np.pi * spec.t * z)
-    if spec.kind == "tanh":
-        return np.tanh(spec.t * z)
-    return np.exp(spec.t * z)
+def sample_function(kind: str, t: float, nodes: NodeSet) -> np.ndarray:
+    """Evaluate the named function with parameter t at the nodes
+    (complex-capable); `interp_experiment` checks the name and t."""
+    return _FUNCTIONS[kind][1](t, nodes.values)
 
 
 def fit_coefficients(
@@ -86,7 +72,8 @@ def evaluate_superresolved(coefficients, dense_nodes: NodeSet) -> np.ndarray:
 
 @dataclass
 class InterpolationReport:
-    function: InterpFunctionSpec
+    fn: str
+    t: float
     family: str
     n: int
     esp_backend: str | None
@@ -99,22 +86,29 @@ class InterpolationReport:
 
 
 def interp_experiment(
-    function_spec: InterpFunctionSpec,
+    fn: str,
     node_kind: str,
     n: int,
+    t: float | None = None,
     inverse_backend: str = "closed_form",
     esp_backend: str = "proposed",
     exclude_per_side: int = DEFAULT_EXCLUDE_PER_SIDE,
 ) -> InterpolationReport:
-    """Full fit / super-resolve / score pipeline on one node family."""
+    """Full fit / super-resolve / score pipeline on one node family; ``t``
+    defaults to the function's own."""
+    if fn not in _FUNCTIONS:
+        raise ValueError(f"unknown function kind {fn!r}; expected one of {FUNCTION_KINDS}")
+    t = _FUNCTIONS[fn][0] if t is None else float(t)
+    if not np.isfinite(t):
+        raise ValueError("parameter t must be finite")
     if exclude_per_side < 0:
         raise ValueError("exclude_per_side must be non-negative")
-    fit_nodes = generate_nodes(NodeSpec(node_kind, n))
-    dense_nodes = generate_nodes(NodeSpec(node_kind, 2 * n))
-    samples = sample_function(function_spec, fit_nodes)
+    fit_nodes = generate_nodes(node_kind, n)
+    dense_nodes = generate_nodes(node_kind, 2 * n)
+    samples = sample_function(fn, t, fit_nodes)
     coeffs = fit_coefficients(fit_nodes, samples, inverse_backend, esp_backend)
     predictions = evaluate_superresolved(coeffs, dense_nodes)
-    reference = sample_function(function_spec, dense_nodes)
+    reference = sample_function(fn, t, dense_nodes)
     if node_kind == "roots_of_unity":
         applied = 0  # closed curve: no boundary to trim
         included = slice(None)
@@ -126,7 +120,8 @@ def interp_experiment(
             )
         included = slice(applied, 2 * n - applied)
     return InterpolationReport(
-        function=function_spec,
+        fn=fn,
+        t=t,
         family=node_kind,
         n=n,
         esp_backend=inverse_esp_backend(inverse_backend, esp_backend),

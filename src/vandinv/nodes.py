@@ -9,7 +9,9 @@ Five node families are supported on their usual domains:
 * ``gauss_lobatto``      x_k = cos((k-1) pi / (N-1))          (Chebyshev extrema)
 * ``roots_of_unity``     v_k = exp(2 pi i k / N), k = 1..N
 
-All generators are deterministic.  `perturb_roots_of_unity` is the only
+`generate_nodes(kind, n)` looks the formula up by name in one table, and
+``NODE_FAMILIES`` lists its names.  All generators are deterministic.
+`perturb_roots_of_unity(n, sigma_shift, sigma_mag, seed)` is the only
 randomized operation: phase and magnitude noise on the roots of unity,
 fully determined by its 64-bit seed (numpy PCG64 streams derived through
 SeedSequence), with each draw validated once as it becomes a `NodeSet`.
@@ -28,13 +30,19 @@ from .errors import NodeCollisionError
 # Relative pairwise-distinctness floor: min gap must exceed this times max |v|.
 DISTINCTNESS_RTOL = 1e-12
 
-NODE_FAMILIES = (
-    "equidistant",
-    "chebyshev",
-    "extended_chebyshev",
-    "gauss_lobatto",
-    "roots_of_unity",
-)
+# Each family maps (k = 1..N, N) to its nodes x_k.
+_FAMILIES = {
+    "equidistant": lambda k, n: -1.0 + 2.0 * (k - 1) / (n - 1),
+    "chebyshev": lambda k, n: np.cos((2 * k - 1) * np.pi / (2 * n)),
+    # the rescale puts the extreme nodes at +-1 exactly; clip the odd ulp
+    "extended_chebyshev": lambda k, n: np.clip(
+        np.cos((2 * k - 1) * np.pi / (2 * n)) / np.cos(np.pi / (2 * n)), -1.0, 1.0
+    ),
+    "gauss_lobatto": lambda k, n: np.cos((k - 1) * np.pi / (n - 1)),
+    "roots_of_unity": lambda k, n: np.exp(2j * np.pi * k / n),
+}
+
+NODE_FAMILIES = tuple(_FAMILIES)
 
 # Families whose formulas place nodes on both interval endpoints (need N >= 2).
 _ENDPOINT_FAMILIES = ("equidistant", "gauss_lobatto")
@@ -92,84 +100,44 @@ class NodeSet:
         return int(self.values.size)
 
 
-@dataclass(frozen=True)
-class NodeSpec:
-    """Which family to generate and how many nodes."""
-
-    kind: str
-    count: int
-
-
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """Noise model for roots-of-unity sampling irregularities.
-
-    sigma_shift is the standard deviation (radians) of the per-node phase
-    shift; sigma_mag the total standard deviation of an isotropic complex
-    offset (independent real/imaginary parts of variance sigma_mag**2 / 2).
-    """
-
-    sigma_shift: float
-    sigma_mag: float
-    seed: int
-
-    def __post_init__(self):
-        for name in ("sigma_shift", "sigma_mag"):
-            s = getattr(self, name)
-            if not np.isfinite(s) or s < 0:
-                raise ValueError(f"{name} must be finite and non-negative, got {s}")
-
-
-def _unit_circle_points(n: int) -> np.ndarray:
-    k = np.arange(1, n + 1)
-    return np.exp(2j * np.pi * k / n)
-
-
-def generate_nodes(spec: NodeSpec) -> NodeSet:
-    """Generate one of the standard node families."""
-    kind, n = spec.kind, spec.count
-    if kind not in NODE_FAMILIES:
+def generate_nodes(kind: str, n: int) -> NodeSet:
+    """The n nodes of the named family, in the order of ``k = 1..n``."""
+    formula = _FAMILIES.get(kind)
+    if formula is None:
         raise ValueError(f"unknown node family {kind!r}; expected one of {NODE_FAMILIES}")
     if n < 1:
         raise ValueError("node count must be at least 1")
     if kind in _ENDPOINT_FAMILIES and n < 2:
         raise ValueError(f"{kind} nodes need N >= 2")
-    k = np.arange(1, n + 1)
-    if kind == "equidistant":
-        x = -1.0 + 2.0 * (k - 1) / (n - 1)
-    elif kind == "chebyshev":
-        x = np.cos((2 * k - 1) * np.pi / (2 * n))
-    elif kind == "extended_chebyshev":
-        x = np.cos((2 * k - 1) * np.pi / (2 * n)) / np.cos(np.pi / (2 * n))
-        # the rescale puts the extreme nodes at +-1 exactly; clip the odd ulp
-        x = np.clip(x, -1.0, 1.0)
-    elif kind == "gauss_lobatto":
-        x = np.cos((k - 1) * np.pi / (n - 1))
-    else:
-        return NodeSet(_unit_circle_points(n))
-    return NodeSet(x.astype(np.complex128))
+    return NodeSet(formula(np.arange(1, n + 1), n))
 
 
-def perturb_roots_of_unity(n: int, spec: PerturbationSpec) -> NodeSet:
+def perturb_roots_of_unity(
+    n: int, sigma_shift: float, sigma_mag: float, seed: int
+) -> NodeSet:
     """Nth roots of unity contaminated by phase and magnitude noise.
 
     Each node is ``exp(i(2 pi k / N + eta_S)) + eta_M`` with
     ``eta_S ~ Normal(0, sigma_shift**2)`` shifting the node along the circle
-    and ``eta_M`` an isotropic complex Gaussian of total variance
-    ``sigma_mag**2``.
+    (radians) and ``eta_M`` an isotropic complex Gaussian of total variance
+    ``sigma_mag**2`` (independent real and imaginary parts of variance
+    ``sigma_mag**2 / 2``).
 
     Deterministic per seed.  Each draw is validated once, by building its
     `NodeSet`; if the noise collapses two nodes within the distinctness
     tolerance, the draw is retried up to 8 times on sub-seeds derived from
-    ``spec.seed`` before NodeCollisionError is raised.
+    ``seed`` before NodeCollisionError is raised.
     """
+    for name, sigma in (("sigma_shift", sigma_shift), ("sigma_mag", sigma_mag)):
+        if not np.isfinite(sigma) or sigma < 0:
+            raise ValueError(f"{name} must be finite and non-negative, got {sigma}")
     if n < 2:
         raise ValueError("perturbed roots of unity need N >= 2")
-    base = _unit_circle_points(n)
-    part_std = spec.sigma_mag / np.sqrt(2.0)
+    base = _FAMILIES["roots_of_unity"](np.arange(1, n + 1), n)
+    part_std = sigma_mag / np.sqrt(2.0)
     for attempt in range(_PERTURB_RETRIES + 1):
-        rng = np.random.default_rng(np.random.SeedSequence([int(spec.seed), attempt]))
-        eta_s = rng.normal(0.0, spec.sigma_shift, n)
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), attempt]))
+        eta_s = rng.normal(0.0, sigma_shift, n)
         eta_m = rng.normal(0.0, part_std, n) + 1j * rng.normal(0.0, part_std, n)
         # factored exponential keeps the zero-noise case bit-identical to
         # the clean generator
@@ -178,5 +146,5 @@ def perturb_roots_of_unity(n: int, spec: PerturbationSpec) -> NodeSet:
         except ValueError as exc:
             last = exc
     raise NodeCollisionError(
-        f"{last} on {_PERTURB_RETRIES + 1} consecutive draws (seed {spec.seed})"
+        f"{last} on {_PERTURB_RETRIES + 1} consecutive draws (seed {seed})"
     )

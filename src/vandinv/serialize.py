@@ -164,10 +164,10 @@ INTERP_SUMMARY_HEADER = [
 def interp_summary_row(report: InterpolationReport) -> list:
     val = report.nmse_after_exclusion
     return [
-        report.function.kind,
+        report.fn,
         report.family,
         report.n,
-        format_float(report.function.t),
+        format_float(report.t),
         report.esp_backend or "none",
         report.inverse_backend,
         report.excluded_count_per_side,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .nodes import NodeSet, PerturbationSpec, perturb_roots_of_unity
+from .nodes import NodeSet, perturb_roots_of_unity
 from .vandermonde import build_vandermonde, compute_inverse
 
 
@@ -116,9 +116,7 @@ def noise_sweep(
             for trial in range(trials):
                 sub = derive_seed(seed, a, b, trial)
                 try:
-                    nodes = perturb_roots_of_unity(
-                        n, PerturbationSpec(float(s_shift), float(s_mag), sub)
-                    )
+                    nodes = perturb_roots_of_unity(n, float(s_shift), float(s_mag), sub)
                     inv = compute_inverse(nodes, inverse_backend, esp_backend)
                     survived.append(companion_identity_nmse(nodes, inv))
                 except NumericalError:

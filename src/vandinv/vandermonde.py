@@ -3,7 +3,7 @@
 The matrix convention keeps nodes along columns and powers along rows:
 entry (r, c) = v_c ** (r - 1); row 1 is all ones.
 
-Three inverse routes are provided:
+Three inverse routes, which `compute_inverse` looks up by name:
 
 * ``closed_form``           entry (i, j) = (-1)**(N-j) / lambda_i *
   sigma_dropped(i, N-j), with sigma_dropped(i, 0) = 1 covering j = N.
@@ -41,8 +41,6 @@ import scipy.linalg
 from .errors import NumericalError, SingularityError
 from .esp import ESP_BACKENDS, esp_all_orders, esp_dropped
 from .nodes import NodeSet
-
-INVERSE_BACKENDS = ("closed_form", "wa_product", "elimination_baseline")
 
 LAMBDA_FLOOR = 1e-300
 PIVOT_RTOL = 1e-14
@@ -168,24 +166,31 @@ def inverse_elimination_baseline(nodes: NodeSet) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=np.complex128), check_finite=False)
 
 
+# Each route looks its function up when called, so that a rebinding of the
+# module name (as the benchmark's call tracer makes) is seen.
+_ROUTES = {
+    "closed_form": lambda nodes, esp_backend: inverse_closed_form(nodes, esp_backend),
+    "wa_product": lambda nodes, esp_backend: inverse_wa_product(nodes, esp_backend),
+    "elimination_baseline": lambda nodes, esp_backend: inverse_elimination_baseline(nodes),
+}
+
+INVERSE_BACKENDS = tuple(_ROUTES)
+
+
 def compute_inverse(
     nodes: NodeSet,
     inverse_backend: str = "closed_form",
     esp_backend: str = "proposed",
 ) -> np.ndarray:
-    """Dispatch over the three inverse routes; the result is finite or raises
+    """Look up the inverse route by name; the result is finite or raises
     a NumericalError whose message starts with the route."""
-    if inverse_backend not in INVERSE_BACKENDS:
+    route = _ROUTES.get(inverse_backend)
+    if route is None:
         raise ValueError(
             f"unknown inverse backend {inverse_backend!r}; expected one of {INVERSE_BACKENDS}"
         )
     try:
-        if inverse_backend == "closed_form":
-            matrix = inverse_closed_form(nodes, esp_backend)
-        elif inverse_backend == "wa_product":
-            matrix = inverse_wa_product(nodes, esp_backend)
-        else:
-            matrix = inverse_elimination_baseline(nodes)
+        matrix = route(nodes, esp_backend)
     except NumericalError as exc:
         raise type(exc)(f"{inverse_backend} inverse: {exc}") from None
     bad = np.count_nonzero(~np.isfinite(matrix))

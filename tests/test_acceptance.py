@@ -10,9 +10,7 @@ import time
 import numpy as np
 
 from vandinv import (
-    InterpFunctionSpec,
     NodeSet,
-    NodeSpec,
     companion_identity_nmse,
     esp_bruteforce_oracle,
     esp_dropped,
@@ -84,7 +82,7 @@ def test_criterion_2_unit_circle_esp():
     crit = Criterion(2, "dropped-ESP magnitudes on roots of unity", 10)
 
     def roots(n):
-        return generate_nodes(NodeSpec("roots_of_unity", n))
+        return generate_nodes("roots_of_unity", n)
 
     prop_devs = {
         n: unit_circle_deviation(esp_dropped(roots(n), 1, "proposed"))
@@ -107,7 +105,7 @@ def test_criterion_3_companion_table():
     proposed_col = []
     traub_col = []
     for n in ns_values:
-        nodes = generate_nodes(NodeSpec("roots_of_unity", n))
+        nodes = generate_nodes("roots_of_unity", n)
         proposed_col.append(
             companion_identity_nmse(nodes, inverse_closed_form(nodes, "proposed"))
         )
@@ -147,13 +145,13 @@ def test_criterion_4_noise_sweep_gap():
 def test_criterion_5_interpolation_anchors():
     crit = Criterion(5, "interpolation anchors", 60)
     cos_roots = interp_experiment(
-        InterpFunctionSpec("cosine"), "roots_of_unity", 100
+        "cosine", "roots_of_unity", 100
     ).nmse_after_exclusion
     exp_roots = interp_experiment(
-        InterpFunctionSpec("exponential"), "roots_of_unity", 85
+        "exponential", "roots_of_unity", 85
     ).nmse_after_exclusion
     tanh_equid = interp_experiment(
-        InterpFunctionSpec("tanh"), "equidistant", 37
+        "tanh", "equidistant", 37
     ).nmse_after_exclusion
     anchor = 5.24e-1
     ok = (

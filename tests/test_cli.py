@@ -6,8 +6,16 @@ import warnings
 import numpy as np
 import pytest
 
-from vandinv import NodeSpec, companion_identity_nmse, compute_inverse, generate_nodes
-from vandinv.cli import CLI_INVERSES, COMPANION_COMBOS, main
+from vandinv import (
+    ESP_BACKENDS,
+    FUNCTION_KINDS,
+    INVERSE_BACKENDS,
+    NODE_FAMILIES,
+    companion_identity_nmse,
+    compute_inverse,
+    generate_nodes,
+)
+from vandinv.cli import CLI_FAMILIES, CLI_FUNCTIONS, CLI_INVERSES, COMPANION_COMBOS, main
 from vandinv.serialize import format_float
 
 # sigma(59, j) over 1e6, 2e6, ..., 59e6 passes the double range near j = 40
@@ -100,8 +108,9 @@ def test_esp_mikkawy_without_drop_is_usage_error(capsys):
 )
 def test_full_set_use_of_mikkawy_names_the_drop_index(capsys, argv):
     backend = ("--backend" if argv[0] == "esp" else "--esp", "mikkawy")
-    code, _, err = run(capsys, *argv, *backend)
+    code, out, err = run(capsys, *argv, *backend)
     assert code == 2
+    assert out == ""
     assert "dropped-node ESPs only" in err and "drop index" in err
 
 
@@ -175,6 +184,22 @@ def test_esp_single_order_checks_only_its_entry(capsys, backend, drop):
     assert code == 3
     assert out == ""
     assert "overflowed" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invert", "--nodes", "1,2", "--count", "7"),
+        ("invert", "--roots-of-unity", "3", "--count", "7"),
+        ("invert", "--family", "chebyshev"),
+    ],
+    ids=["nodes", "roots-of-unity", "family-without-count"],
+)
+def test_count_goes_with_family_only(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --count goes with --family, and --family requires --count\n"
 
 
 def test_esp_bad_nodes_exit_2(capsys):
@@ -339,7 +364,7 @@ def test_companion_table_csv_bytes(capsys, tmp_path):
         "closed_form+mikkawy,elimination_baseline\r\n"
     )
     for n in (5, 10):
-        nodes = generate_nodes(NodeSpec("roots_of_unity", n))
+        nodes = generate_nodes("roots_of_unity", n)
         cells = [
             format_float(companion_identity_nmse(nodes, compute_inverse(nodes, inv, esp)))
             for inv, esp in COMPANION_COMBOS
@@ -397,6 +422,23 @@ def test_noise_sweep_json_format(capsys, tmp_path):
     assert doc["trials_per_cell"] == 2
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_noise_sweep_auto_format_follows_the_suffix(capsys, tmp_path, fmt):
+    args = [
+        "noise-sweep", "--n", "8", "--trials", "2", "--seed", "4",
+        "--sigma-shift-axis", "0,0.1", "--sigma-mag-axis", "0.1",
+    ]
+    auto = tmp_path / f"auto.{fmt}"
+    explicit = tmp_path / f"explicit.{fmt}"
+    assert run(capsys, *args, "--output", str(auto))[0] == 0
+    assert run(capsys, *args, "--format", fmt, "--output", str(explicit))[0] == 0
+    assert auto.read_bytes() == explicit.read_bytes()
+    if fmt == "json":
+        assert json.loads(auto.read_text())["trials_per_cell"] == 2
+    else:
+        assert read_rows(auto)[0][0] == "sigma_shift"
+
+
 # ---------------------------------------------------------------- interp
 
 def test_interp_single_run_summary(capsys, tmp_path):
@@ -424,6 +466,15 @@ def test_interp_baseline_summary_names_no_esp_backend(capsys):
     header, summary = (line.split(",") for line in out.strip().splitlines())
     assert summary[header.index("esp_backend")] == "none"
     assert summary[header.index("inverse_backend")] == "elimination_baseline"
+
+
+def test_interp_non_finite_t_exits_2_with_empty_stdout(capsys):
+    code, out, err = run(
+        capsys, "interp", "--fn", "cos", "--family", "chebyshev", "--n", "10", "--t", "nan",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: parameter t must be finite\n"
 
 
 def test_interp_unknown_family_exits_2(capsys):
@@ -520,6 +571,18 @@ def test_output_dir_env_var(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert (tmp_path / "sub" / "inv.csv").exists()
     assert (tmp_path / "sub" / "inv.csv.manifest.json").exists()
+
+
+def test_cli_spellings_cover_each_registry_exactly():
+    for spellings, names in (
+        (CLI_FAMILIES, NODE_FAMILIES),
+        (CLI_FUNCTIONS, FUNCTION_KINDS),
+        (CLI_INVERSES, INVERSE_BACKENDS),
+    ):
+        assert set(spellings.values()) == set(names)
+        assert len(spellings) == len(names)  # one spelling per entry
+    for route, esp in COMPANION_COMBOS:
+        assert route in INVERSE_BACKENDS and esp in ESP_BACKENDS
 
 
 def test_version_flag(capsys):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from vandinv import (
     NodeSet,
-    NodeSpec,
     OrderOverflowError,
     barycentric_weights,
     esp_all_orders,
@@ -24,7 +23,7 @@ from conftest import assert_close, random_node_set
 
 
 def roots(n):
-    return generate_nodes(NodeSpec("roots_of_unity", n))
+    return generate_nodes("roots_of_unity", n)
 
 
 # ---------------------------------------------------------------- oracle
@@ -83,7 +82,7 @@ def scaled_proposed(ns, orders):
 
 def test_proposed_scaled_mode_agrees_on_unit_circle():
     # well-conditioned at every order, so the modes must track each other
-    ns = NodeSet(np.delete(generate_nodes(NodeSpec("roots_of_unity", 51)).values, 0))
+    ns = NodeSet(np.delete(generate_nodes("roots_of_unity", 51).values, 0))
     plain = esp_all_orders(ns)[1:]
     scaled = scaled_proposed(ns, range(1, 51))
     assert (np.abs(plain - scaled) <= 1e-12 * np.abs(plain)).all()

@@ -2,10 +2,7 @@ import numpy as np
 import pytest
 
 from vandinv import (
-    DEFAULT_T,
-    InterpFunctionSpec,
     NodeSet,
-    NodeSpec,
     evaluate_superresolved,
     fit_coefficients,
     generate_nodes,
@@ -16,38 +13,35 @@ from vandinv import (
 
 
 def roots(n):
-    return generate_nodes(NodeSpec("roots_of_unity", n))
+    return generate_nodes("roots_of_unity", n)
 
 
 # ---------------------------------------------------------------- sampling
 
 def test_cosine_at_zero():
-    spec = InterpFunctionSpec("cosine", t=1.0)
-    val = sample_function(spec, NodeSet([0.0, 0.5]))
+    val = sample_function("cosine", 1.0, NodeSet([0.0, 0.5]))
     assert abs(val[0] - 1.0) < 1e-15
 
 
 def test_exponential_with_zero_parameter():
-    spec = InterpFunctionSpec("exponential", t=0.0)
-    val = sample_function(spec, NodeSet([0.3, -0.7, 2.0]))
+    val = sample_function("exponential", 0.0, NodeSet([0.3, -0.7, 2.0]))
     np.testing.assert_allclose(val, 1.0, atol=0)
 
 
 def test_tanh_is_odd_at_zero():
-    spec = InterpFunctionSpec("tanh", t=1.0)
-    val = sample_function(spec, NodeSet([0.0, 1.0]))
+    val = sample_function("tanh", 1.0, NodeSet([0.0, 1.0]))
     assert val[0] == 0.0
 
 
 def test_function_defaults():
-    assert InterpFunctionSpec("cosine").t == DEFAULT_T["cosine"]
-    assert InterpFunctionSpec("tanh").t == DEFAULT_T["tanh"]
-    assert InterpFunctionSpec("exponential").t == DEFAULT_T["exponential"]
+    assert interp_experiment("cosine", "chebyshev", 16).t == 2.0
+    assert interp_experiment("tanh", "chebyshev", 16).t == 8.0
+    assert interp_experiment("exponential", "chebyshev", 16).t == 1.0
 
 
 def test_unknown_function_kind():
-    with pytest.raises(ValueError):
-        InterpFunctionSpec("sinc")
+    with pytest.raises(ValueError, match="unknown function kind 'sinc'"):
+        interp_experiment("sinc", "chebyshev", 16)
 
 
 # ---------------------------------------------------------------- fitting
@@ -133,17 +127,17 @@ BACKEND_COMBOS = [
 @pytest.mark.parametrize("inverse_backend,esp_backend", BACKEND_COMBOS)
 def test_polynomial_exactness_all_backends(inverse_backend, esp_backend):
     n = 12
-    fit_nodes = generate_nodes(NodeSpec("chebyshev", n))
+    fit_nodes = generate_nodes("chebyshev", n)
     poly = lambda z: 0.5 - z + 2 * z**3  # degree < N
     c = fit_coefficients(fit_nodes, poly(fit_nodes.values), inverse_backend, esp_backend)
-    dense = generate_nodes(NodeSpec("chebyshev", 2 * n))
+    dense = generate_nodes("chebyshev", 2 * n)
     out = evaluate_superresolved(c, dense)
     ref = poly(dense.values)
     assert nmse(out, ref) < 1e-10
 
 
 def test_wa_product_rejects_dropped_only_backend():
-    ns = generate_nodes(NodeSpec("chebyshev", 6))
+    ns = generate_nodes("chebyshev", 6)
     with pytest.raises(ValueError):
         fit_coefficients(ns, ns.values, "wa_product", "mikkawy")
 
@@ -151,14 +145,14 @@ def test_wa_product_rejects_dropped_only_backend():
 def test_backend_consistency_on_roots():
     n = 30
     ns = roots(n)
-    samples = sample_function(InterpFunctionSpec("exponential"), ns)
+    samples = sample_function("exponential", 1.0, ns)
     c_closed = fit_coefficients(ns, samples, "closed_form", "proposed")
     c_base = fit_coefficients(ns, samples, "elimination_baseline")
     assert np.abs(c_closed - c_base).max() < 1e-8
 
 
 def test_experiment_report_shapes():
-    report = interp_experiment(InterpFunctionSpec("cosine"), "chebyshev", 16)
+    report = interp_experiment("cosine", "chebyshev", 16)
     assert report.coefficients.size == 16
     assert report.evaluations.size == 32
     assert report.reference.size == 32
@@ -168,21 +162,21 @@ def test_experiment_report_shapes():
 
 
 def test_experiment_roots_uses_whole_domain():
-    report = interp_experiment(InterpFunctionSpec("cosine"), "roots_of_unity", 24)
+    report = interp_experiment("cosine", "roots_of_unity", 24)
     assert report.excluded_count_per_side == 0
 
 
 def test_experiment_exclusion_leaves_enough_points():
     with pytest.raises(ValueError):
-        interp_experiment(InterpFunctionSpec("cosine"), "chebyshev", 7)
+        interp_experiment("cosine", "chebyshev", 7)
     # 2*8 - 14 = 2 points is the smallest legal interior
-    report = interp_experiment(InterpFunctionSpec("cosine"), "chebyshev", 8)
+    report = interp_experiment("cosine", "chebyshev", 8)
     assert report.nmse_after_exclusion >= 0
 
 
 def test_experiment_baseline_reports_no_esp():
     report = interp_experiment(
-        InterpFunctionSpec("cosine"), "chebyshev", 12, inverse_backend="elimination_baseline"
+        "cosine", "chebyshev", 12, inverse_backend="elimination_baseline"
     )
     assert report.esp_backend is None
 
@@ -190,12 +184,12 @@ def test_experiment_baseline_reports_no_esp():
 def test_cosine_on_roots_is_machine_accurate():
     # the default cosine needs N comfortably past its frequency before the
     # truncated tail drops below rounding; 60 nodes is deep in that regime
-    report = interp_experiment(InterpFunctionSpec("cosine"), "roots_of_unity", 60)
+    report = interp_experiment("cosine", "roots_of_unity", 60)
     assert report.nmse_after_exclusion < 1e-10
 
 
 def test_exclusion_monotone_when_boundary_residuals_dominate():
-    report = interp_experiment(InterpFunctionSpec("tanh"), "equidistant", 37)
+    report = interp_experiment("tanh", "equidistant", 37)
     resid = np.abs(report.evaluations - report.reference)
     e = report.excluded_count_per_side
     boundary = np.concatenate([resid[:e], resid[-e:]])

@@ -5,8 +5,6 @@ import vandinv.nodes as nodes_mod
 from vandinv import (
     NodeCollisionError,
     NodeSet,
-    NodeSpec,
-    PerturbationSpec,
     generate_nodes,
     perturb_roots_of_unity,
     validate_pairwise_distinct,
@@ -16,7 +14,7 @@ EPS = np.finfo(float).eps
 
 
 def family(kind, n):
-    return generate_nodes(NodeSpec(kind, n)).values
+    return generate_nodes(kind, n).values
 
 
 def test_equidistant_three_points():
@@ -72,12 +70,12 @@ def test_generation_is_deterministic():
 def test_endpoint_families_need_two_nodes():
     for kind in ("equidistant", "gauss_lobatto"):
         with pytest.raises(ValueError):
-            generate_nodes(NodeSpec(kind, 1))
+            generate_nodes(kind, 1)
 
 
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
-        generate_nodes(NodeSpec("fekete", 5))
+        generate_nodes("fekete", 5)
 
 
 def test_validate_pairwise_distinct_examples():
@@ -112,31 +110,33 @@ def test_nodeset_values_are_read_only():
 
 
 def test_perturbation_zero_noise_is_exact():
-    v = perturb_roots_of_unity(12, PerturbationSpec(0.0, 0.0, 42)).values
+    v = perturb_roots_of_unity(12, 0.0, 0.0, 42).values
     np.testing.assert_array_equal(v, family("roots_of_unity", 12))
 
 
 def test_perturbation_same_seed_identical():
-    spec = PerturbationSpec(0.2, 0.1, 987654321)
-    a = perturb_roots_of_unity(37, spec).values
-    b = perturb_roots_of_unity(37, spec).values
+    a = perturb_roots_of_unity(37, 0.2, 0.1, 987654321).values
+    b = perturb_roots_of_unity(37, 0.2, 0.1, 987654321).values
     np.testing.assert_array_equal(a, b)
 
 
 def test_perturbation_different_seeds_differ():
-    a = perturb_roots_of_unity(37, PerturbationSpec(0.2, 0.1, 1)).values
-    b = perturb_roots_of_unity(37, PerturbationSpec(0.2, 0.1, 2)).values
+    a = perturb_roots_of_unity(37, 0.2, 0.1, 1).values
+    b = perturb_roots_of_unity(37, 0.2, 0.1, 2).values
     assert not np.array_equal(a, b)
 
 
 def test_perturbation_phase_mode_keeps_unit_magnitude():
-    v = perturb_roots_of_unity(16, PerturbationSpec(0.3, 0.0, 5)).values
+    v = perturb_roots_of_unity(16, 0.3, 0.0, 5).values
     np.testing.assert_allclose(np.abs(v), 1.0, atol=1e-14)
 
 
 def test_perturbation_negative_sigma_rejected():
-    with pytest.raises(ValueError):
-        PerturbationSpec(-0.1, 0.0, 1)
+    with pytest.raises(ValueError, match="sigma_shift must be finite and non-negative"):
+        perturb_roots_of_unity(8, -0.1, 0.0, 1)
+    # the sigmas are checked before N
+    with pytest.raises(ValueError, match="sigma_mag must be finite and non-negative"):
+        perturb_roots_of_unity(1, 0.0, np.nan, 1)
 
 
 def test_perturbation_gives_up_after_retries(monkeypatch):
@@ -148,5 +148,5 @@ def test_perturbation_gives_up_after_retries(monkeypatch):
 
     monkeypatch.setattr(nodes_mod, "validate_pairwise_distinct", always_collides)
     with pytest.raises(NodeCollisionError):
-        perturb_roots_of_unity(8, PerturbationSpec(0.1, 0.1, 3))
+        perturb_roots_of_unity(8, 0.1, 0.1, 3)
     assert calls["n"] == 9  # first draw plus 8 retries

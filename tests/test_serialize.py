@@ -5,7 +5,6 @@ import json
 import numpy as np
 
 from vandinv import (
-    InterpFunctionSpec,
     NodeSet,
     esp_table,
     interp_experiment,
@@ -128,7 +127,7 @@ def test_sweep_serialization(tmp_path):
 
 
 def test_interp_report_csv(tmp_path):
-    report = interp_experiment(InterpFunctionSpec("cosine"), "chebyshev", 10)
+    report = interp_experiment("cosine", "chebyshev", 10)
     path = tmp_path / "interp.csv"
     interp_report_to_csv(report, path)
     rows = read_rows(path)
@@ -140,7 +139,7 @@ def test_interp_report_csv(tmp_path):
 
 def test_interp_summary_csv(tmp_path):
     reports = [
-        interp_experiment(InterpFunctionSpec("cosine"), "roots_of_unity", n)
+        interp_experiment("cosine", "roots_of_unity", n)
         for n in (10, 12)
     ]
     path = tmp_path / "summary.csv"

@@ -5,7 +5,6 @@ import vandinv.stability as stability_mod
 from vandinv import (
     NodeCollisionError,
     NodeSet,
-    NodeSpec,
     companion_identity_nmse,
     compute_inverse,
     derive_seed,
@@ -22,7 +21,7 @@ from conftest import unit_circle_deviation
 
 
 def roots(n):
-    return generate_nodes(NodeSpec("roots_of_unity", n))
+    return generate_nodes("roots_of_unity", n)
 
 
 # ---------------------------------------------------------------- nmse
@@ -70,7 +69,7 @@ def test_companion_exact_two_nodes():
 
 def test_companion_metric_vanishes_for_good_inverse():
     for kind, n in (("chebyshev", 8), ("equidistant", 10)):
-        ns = generate_nodes(NodeSpec(kind, n))
+        ns = generate_nodes(kind, n)
         assert companion_identity_nmse(ns, inverse_elimination_baseline(ns)) < 1e-10
 
 
@@ -150,7 +149,7 @@ def test_sweep_validates_arguments():
 
 
 def test_sweep_marks_cells_failed_when_all_trials_collapse(monkeypatch):
-    def always_collides(n, spec):
+    def always_collides(n, sigma_shift, sigma_mag, seed):
         raise NodeCollisionError("forced")
 
     monkeypatch.setattr(stability_mod, "perturb_roots_of_unity", always_collides)
@@ -163,11 +162,11 @@ def test_sweep_averages_surviving_trials(monkeypatch):
     real = stability_mod.perturb_roots_of_unity
     calls = {"n": 0}
 
-    def flaky(n, spec):
+    def flaky(n, sigma_shift, sigma_mag, seed):
         calls["n"] += 1
         if calls["n"] == 1:
             raise NodeCollisionError("forced first-trial failure")
-        return real(n, spec)
+        return real(n, sigma_shift, sigma_mag, seed)
 
     monkeypatch.setattr(stability_mod, "perturb_roots_of_unity", flaky)
     grid = noise_sweep(8, [0.05], [0.05], trials=3, seed=2)

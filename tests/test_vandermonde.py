@@ -3,7 +3,6 @@ import pytest
 
 from vandinv import (
     NodeSet,
-    NodeSpec,
     NumericalError,
     SingularityError,
     barycentric_weights,
@@ -21,7 +20,7 @@ from conftest import matrix_rel_gap, random_node_set
 
 
 def roots(n):
-    return generate_nodes(NodeSpec("roots_of_unity", n))
+    return generate_nodes("roots_of_unity", n)
 
 
 def rel_entrywise(a, b):
@@ -157,7 +156,7 @@ def test_baseline_roots4_conjugate_transpose():
 def test_baseline_identity_on_chebyshev():
     # the LU route is limited by kappa(V) * eps, a few orders looser than
     # the closed form on the same nodes
-    ns = generate_nodes(NodeSpec("chebyshev", 20))
+    ns = generate_nodes("chebyshev", 20)
     inv = inverse_elimination_baseline(ns)
     v = build_vandermonde(ns)
     residual = np.linalg.norm(inv @ v - np.eye(20)) / np.linalg.norm(np.eye(20))
@@ -172,7 +171,7 @@ def test_baseline_singular_pivot_raises():
 @pytest.mark.parametrize("kind", ["equidistant", "chebyshev", "extended_chebyshev", "gauss_lobatto", "roots_of_unity"])
 def test_identity_residual_all_families(kind):
     for n in (5, 12, 20):
-        ns = generate_nodes(NodeSpec(kind, n))
+        ns = generate_nodes(kind, n)
         inv = inverse_closed_form(ns, "proposed")
         v = build_vandermonde(ns)
         residual = np.linalg.norm(inv @ v - np.eye(n)) / np.linalg.norm(np.eye(n))
