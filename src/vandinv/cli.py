@@ -30,7 +30,7 @@ from .esp import (
     esp_single,
     esp_table,
 )
-from .interpolation import interp_experiment
+from .interpolation import DEFAULT_EXCLUDE_PER_SIDE, interp_experiment
 from .nodes import NODE_FAMILIES, RNG_ALGORITHM, NodeSet, generate_nodes
 from .serialize import (
     INTERP_SUMMARY_HEADER,
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_interp.add_argument("--t", type=float, help="function parameter (family default otherwise)")
     p_interp.add_argument("--esp", choices=ESP_BACKENDS, default="proposed")
     p_interp.add_argument("--inverse", choices=sorted(CLI_INVERSES), default="closed-form")
-    p_interp.add_argument("--exclude", type=int, default=7,
+    p_interp.add_argument("--exclude", type=int, default=DEFAULT_EXCLUDE_PER_SIDE,
                           help="dense nodes excluded per boundary (interval families)")
     p_interp.add_argument("--output", help="write the per-node report (or sweep summary) as CSV")
     p_interp.set_defaults(handler=_cmd_interp)

@@ -4,16 +4,16 @@ The j'th ESP over nodes v_1..v_N is the sum over all size-j index subsets
 of the product of the selected nodes, written sigma(N, j) below.  All
 public outputs use this unordered convention (sigma(N, 0) = 1).
 
-Four algorithms sit in one registry of functions on raw complex arrays,
-each giving full-set ESPs (except mikkawy) and the dropped-node sweeps of
-a list of drop rows.  Nodes are validated once, as a `NodeSet`; a reduced
-set only deletes an entry, which keeps its gaps and lowers its tolerance.
-Each result has one public function, the backend picked by name:
-`esp_single` (one order), `esp_all_orders`, `esp_dropped` and `esp_table`
-(traub or yang; (N+1) x (N+1), lower triangular).  Results are plain
-complex arrays, and every public result is finite: an entry that
-overflows to inf or NaN raises `OrderOverflowError`.  All functions are
-pure.
+Every ESP result is one request to one kernel table, `_KERNELS`: node
+rows (R x m) and ascending orders in 0..m in, an R x len(orders) array
+out.  `_esp` checks a request once (backend name, full-set use, drop
+range); `_node_rows` builds its rows, the whole set or one row per drop
+index without that node.  Nodes are validated once, as a `NodeSet`.  The
+public functions are `esp_single` (one order, run alone by ``proposed``),
+`esp_all_orders`, `esp_dropped` and `esp_table` (traub or yang; (N+1) x
+(N+1), lower triangular).  Results are plain complex arrays, and every
+public result is finite: an entry that overflows to inf or NaN raises
+`OrderOverflowError`.  All functions are pure.
 
 * ``proposed`` - a per-order balanced recursion.  For a target order n it
   iterates f_i(v_d) = v_d * (C_{i-1} - (n - i) * f_{i-1}(v_d)) with
@@ -29,8 +29,9 @@ pure.
   the Python dispatch and the memory passes are shared.  A zero node
   drops out of the recursion, so the full product of a set holding one is
   returned as exactly 0 rather than as the recursion's rounding residue.
-  Sweeps whose top order passes 170, where n! leaves double range, run
-  scaled: each step divides by i + 1 instead of dividing by n! at the end.
+  Rows of more than 170 nodes, whose top orders pass double range in n!,
+  run scaled: each step divides by i + 1 instead of dividing by n! at the
+  end.  The choice follows the row length, so one order matches a sweep.
 * ``traub``    - the classic triangular table sigma(n, j) =
   sigma(n-1, j) + v_n * sigma(n-1, j-1) over node prefixes; O(N^2).
 * ``yang``     - a prefix-block expansion of the same table: group each
@@ -39,7 +40,7 @@ pure.
   k = j = n term contributes the bare product of all n nodes; O(N^3),
   with the tables of all dropped rows built as one batch.
 * ``mikkawy``  - a dropped-node recursion: the node to remove is swapped
-  into the leading slot and the table recursion is run over slots 2..N,
+  into the leading slot and the traub recursion is run over slots 2..N,
   so the output row holds ESPs of the remaining N-1 nodes; O(N^2).
 """
 
@@ -47,15 +48,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import OrderOverflowError
 from .nodes import NodeSet
 
-# Largest order whose factorial still fits a double; proposed sweeps past
-# it run the scaled recursion.
+# Largest order whose factorial still fits a double; proposed rows longer
+# than it run the scaled recursion.
 MAX_UNSCALED_ORDER = 170
 
 # Bytes of the (nodes x pairs) complex array one proposed chunk holds.
@@ -114,23 +114,27 @@ def _proposed_kernel(vp, orders, scaled):
     return out
 
 
-def _proposed(v, orders, scaled=False):
-    """sigma(m, n) for every row of v (rows x m) and ascending order n >= 1.
+def _proposed(v, orders):
+    """sigma(m, n) for every row of v (rows x m) and ascending order n in 0..m.
 
-    ``scaled`` divides each step by i + 1 instead of dividing by n! at the
-    end, which keeps orders past 170 in range.  Every (row, order) pair is
-    its own recursion.  The pairs run sorted by order, then row, in chunks
-    of at most _BLOCK_BYTES of node values."""
+    Rows of more than MAX_UNSCALED_ORDER nodes run scaled: each step divides
+    by i + 1 instead of dividing by n! at the end, which keeps orders past
+    170 in range.  The choice follows m, never the orders, so an order has
+    the same bits alone as in a sweep.  Every (row, order >= 1) pair is its
+    own recursion.  The pairs run sorted by order, then row, in chunks of at
+    most _BLOCK_BYTES of node values."""
     rows, m = v.shape
+    scaled = m > MAX_UNSCALED_ORDER
     pair_orders = np.repeat(orders, rows)
     pair_rows = np.tile(np.arange(rows), orders.size)
-    out = np.empty(pair_orders.size, dtype=np.complex128)
+    out = np.ones(pair_orders.size, dtype=np.complex128)  # sigma(m, 0) = 1
     step = max(1, _BLOCK_BYTES // (16 * m))
-    for s in range(0, out.size, step):
+    # the ascending orders put the order-0 pairs first; the kernel skips them
+    for s in range(np.count_nonzero(orders == 0) * rows, out.size, step):
         chunk = slice(s, s + step)
         vp = v.T.take(pair_rows[chunk], axis=1)  # a C-ordered (nodes x pairs) copy
         out[chunk] = _proposed_kernel(vp, pair_orders[chunk], scaled)
-    out = out.reshape(orders.size, rows).T
+    out = out.reshape(orders.size, rows).T.copy()  # C order, as _KERNELS says
     if not scaled:
         # separate real and imaginary float divisions: numpy's complex / float
         # takes the complex-division path and can differ by an ulp
@@ -140,14 +144,6 @@ def _proposed(v, orders, scaled=False):
     # a zero node's f_i stays 0, so an order above a row's count of nonzero
     # nodes is exactly 0; the recursion reaches it only up to rounding
     out[orders > np.count_nonzero(v, axis=1)[:, None]] = 0
-    return out
-
-
-def _proposed_sweeps(v):
-    """sigma(m, 0..m) for every row of v (rows x m); scaled past order 170."""
-    m = v.shape[1]
-    out = np.ones((v.shape[0], m + 1), dtype=np.complex128)
-    out[:, 1:] = _proposed(v, np.arange(1, m + 1), scaled=m > MAX_UNSCALED_ORDER)
     return out
 
 
@@ -162,8 +158,8 @@ def _traub_steps(w):
         yield row
 
 
-def _traub_sweeps(w):
-    return list(_traub_steps(w))[-1]  # every step yields the same running row
+def _traub(w, orders):
+    return list(_traub_steps(w))[-1].take(orders, axis=1)  # each step yields the same row
 
 
 def _traub_tables(w):
@@ -193,44 +189,20 @@ def _yang_tables(w):
     return t
 
 
-def _mikkawy_dropped(v, rows):
-    """Each dropped node is swapped into the leading slot, which the table
-    recursion never reads: the original first node visits the dropped slot."""
-    w = np.repeat(v[None, :], len(rows), axis=0)
-    at = np.arange(len(rows))
-    w[at, 0], w[at, rows] = w[at, rows], w[at, 0]
-    return _traub_sweeps(w[:, 1:])
-
-
-class _Backend(NamedTuple):
-    name: str
-    full_set: Callable | None  # nodes (N,) -> sigma(N, 0..N); None: drops only
-    dropped: Callable  # nodes (N,), 0-based rows (R,) -> (R, N) sweeps
-
-
-def _backend(name, sweeps):
-    """An entry whose sweeps (rows x m -> rows x m+1) serve both paths."""
-    def dropped(v, rows):
-        keep = np.arange(v.size - 1)
-        return sweeps(v[keep + (keep >= rows[:, None])])  # row r lacks node r
-
-    return _Backend(name, lambda v: sweeps(v[None, :])[0], dropped)
-
-
-_BACKENDS = {
-    b.name: b
-    for b in (
-        _backend("proposed", _proposed_sweeps),
-        _backend("traub", _traub_sweeps),
-        _backend("yang", lambda w: _yang_tables(w)[:, -1]),
-        _Backend("mikkawy", None, _mikkawy_dropped),
-    )
+# Each kernel maps node rows (R x m) and ascending orders in 0..m to sigma,
+# shape (R, len(orders)), in C order: BLAS products of the closed-form
+# inverse built on it round by layout.  mikkawy is traub on its own rows.
+_KERNELS = {
+    "proposed": _proposed,
+    "traub": _traub,
+    "yang": lambda w, orders: _yang_tables(w)[:, -1].take(orders, axis=1),
+    "mikkawy": _traub,
 }
 
-ESP_BACKENDS = tuple(_BACKENDS)
+ESP_BACKENDS = tuple(_KERNELS)
 
 # Backends that can produce full-set ESPs (mikkawy only drops).
-FULL_SET_ESP_BACKENDS = tuple(b.name for b in _BACKENDS.values() if b.full_set)
+FULL_SET_ESP_BACKENDS = tuple(name for name in _KERNELS if name != "mikkawy")
 
 _TABLES = {"traub": _traub_tables, "yang": _yang_tables}
 
@@ -249,32 +221,48 @@ def esp_table(nodes: NodeSet, method: str) -> np.ndarray:
     return _finite(table, f"{method} table")
 
 
-def _dropped_sweeps(nodes: NodeSet, drop_index, method: str) -> np.ndarray:
-    if method not in ESP_BACKENDS:
-        raise ValueError(f"unknown ESP backend {method!r}; expected one of {ESP_BACKENDS}")
-    n_total = len(nodes)
-    if n_total < 2:
-        raise ValueError("dropping a node needs at least 2 nodes")
-    rows = np.atleast_1d(drop_index)
-    bad = (rows < 1) | (rows > n_total)
-    if bad.any():
-        raise ValueError(f"drop index {rows[bad][0]} outside 1..{n_total}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        sweeps = _BACKENDS[method].dropped(nodes.values, rows - 1)
-    return sweeps if np.ndim(drop_index) else sweeps[0]
+def _node_rows(v, drop, method):
+    """The rows a kernel runs on: all of v as one row when ``drop`` is None,
+    else one row per 0-based index in ``drop`` that lacks that node.  A
+    mikkawy row swaps the dropped node into the leading slot, which it then
+    leaves out: the original first node visits the dropped slot."""
+    if drop is None:
+        return v[None, :]
+    if method == "mikkawy":
+        w = np.repeat(v[None, :], drop.size, axis=0)
+        at = np.arange(drop.size)
+        w[at, 0], w[at, drop] = w[at, drop], w[at, 0]
+        return w[:, 1:]
+    keep = np.arange(v.size - 1)
+    return v[keep + (keep >= drop[:, None])]  # row r lacks node r
 
 
-def _full_sweep(nodes: NodeSet, method: str) -> np.ndarray:
-    if method not in FULL_SET_ESP_BACKENDS:
-        if method in ESP_BACKENDS:
-            why = "computes dropped-node ESPs only, so it needs a drop index"
-        else:
-            why = "is unknown"
-        raise ValueError(
-            f"ESP backend {method!r} {why}; full-set ESPs need one of {FULL_SET_ESP_BACKENDS}"
-        )
+def _esp(nodes: NodeSet, method: str, drop, orders) -> np.ndarray:
+    """sigma at the ascending ``orders`` over the full set (``drop`` None) or
+    without each 1-based index in ``drop``: one row for None or one index,
+    shape (len(drop), len(orders)) for a sequence."""
+    if drop is None:
+        rows = None
+        if method not in FULL_SET_ESP_BACKENDS:
+            if method in ESP_BACKENDS:
+                why = "computes dropped-node ESPs only, so it needs a drop index"
+            else:
+                why = "is unknown"
+            raise ValueError(
+                f"ESP backend {method!r} {why}; full-set ESPs need one of {FULL_SET_ESP_BACKENDS}"
+            )
+    else:
+        if method not in ESP_BACKENDS:
+            raise ValueError(f"unknown ESP backend {method!r}; expected one of {ESP_BACKENDS}")
+        if len(nodes) < 2:
+            raise ValueError("dropping a node needs at least 2 nodes")
+        rows = np.atleast_1d(drop) - 1
+        bad = (rows < 0) | (rows >= len(nodes))
+        if bad.any():
+            raise ValueError(f"drop index {rows[bad][0] + 1} outside 1..{len(nodes)}")
     with np.errstate(over="ignore", invalid="ignore"):
-        return _BACKENDS[method].full_set(nodes.values)
+        out = _KERNELS[method](_node_rows(nodes.values, rows, method), np.asarray(orders))
+    return out if np.ndim(drop) else out[0]
 
 
 def esp_dropped(nodes: NodeSet, drop_index, method: str = "proposed") -> np.ndarray:
@@ -283,7 +271,8 @@ def esp_dropped(nodes: NodeSet, drop_index, method: str = "proposed") -> np.ndar
     ``drop_index`` is 1-based.  A sequence of indices returns one sweep per
     index, shape (len, N), from one batched backend call.
     """
-    return _finite(_dropped_sweeps(nodes, drop_index, method), f"{method} dropped sweep")
+    sweeps = _esp(nodes, method, drop_index, np.arange(len(nodes)))
+    return _finite(sweeps, f"{method} dropped sweep")
 
 
 def esp_single(
@@ -291,24 +280,22 @@ def esp_single(
 ) -> complex:
     """Full-set sigma(N, order) via a full-set backend; with a 1-based
     ``drop_index``, sigma of order ``order`` over the other N - 1 nodes via
-    any backend.  Order 0 returns 1.
+    any backend.  Order 0 returns 1.  ``proposed`` runs this order alone.
 
-    Only the returned entry must be finite: the other orders of the sweep it
-    is read from may overflow.
+    Only the returned entry must be finite: the other orders of a traub or
+    yang sweep it is read from may overflow.
     """
     top = len(nodes) - (drop_index is not None)
     if not 0 <= order <= top:
         raise ValueError(f"order {order} outside 0..{top}")
-    if drop_index is None:
-        sweep = _full_sweep(nodes, method)
-    else:
-        sweep = _dropped_sweeps(nodes, int(drop_index), method)
-    return complex(_finite(sweep[order], f"{method} sigma({top}, {order})"))
+    drop = None if drop_index is None else int(drop_index)
+    value = _esp(nodes, method, drop, [order])[0]
+    return complex(_finite(value, f"{method} sigma({top}, {order})"))
 
 
 def esp_all_orders(nodes: NodeSet, method: str = "proposed") -> np.ndarray:
     """Full-set ESPs for every order 0..N as one array."""
-    return _finite(_full_sweep(nodes, method), f"{method} sweep")
+    return _finite(_esp(nodes, method, None, np.arange(len(nodes) + 1)), f"{method} sweep")
 
 
 def esp_bruteforce_oracle(nodes: NodeSet, order: int) -> complex:

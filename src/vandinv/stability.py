@@ -70,9 +70,9 @@ def companion_identity_nmse(nodes: NodeSet, inverse: np.ndarray) -> float:
 class SweepGrid:
     """log10 companion NMSE over a (sigma_shift x sigma_mag) noise grid.
 
-    ``log10_nmse`` holds log10 of the per-cell mean over surviving trials;
-    cells where every trial failed numerically carry NaN and are flagged
-    in ``failed``.
+    ``log10_nmse`` holds log10 of the per-cell mean over surviving trials,
+    -inf for a zero mean; cells where every trial failed numerically carry
+    NaN and are flagged in ``failed``.
     """
 
     n: int
@@ -122,7 +122,8 @@ def noise_sweep(
                 except NumericalError:
                     continue
             if survived:
-                cells[a, b] = math.log10(sum(survived) / len(survived))
+                mean = sum(survived) / len(survived)
+                cells[a, b] = math.log10(mean) if mean > 0 else -math.inf
             else:
                 failed[a, b] = True
     return SweepGrid(

@@ -15,7 +15,15 @@ from vandinv import (
     compute_inverse,
     generate_nodes,
 )
-from vandinv.cli import CLI_FAMILIES, CLI_FUNCTIONS, CLI_INVERSES, COMPANION_COMBOS, main
+from vandinv.cli import (
+    CLI_FAMILIES,
+    CLI_FUNCTIONS,
+    CLI_INVERSES,
+    COMPANION_COMBOS,
+    build_parser,
+    main,
+)
+from vandinv.interpolation import DEFAULT_EXCLUDE_PER_SIDE
 from vandinv.serialize import format_float
 
 # sigma(59, j) over 1e6, 2e6, ..., 59e6 passes the double range near j = 40
@@ -439,7 +447,26 @@ def test_noise_sweep_auto_format_follows_the_suffix(capsys, tmp_path, fmt):
         assert read_rows(auto)[0][0] == "sigma_shift"
 
 
+def test_noise_sweep_exact_inverse_writes_minus_inf(capsys, tmp_path):
+    # LU inverts two unperturbed roots of unity exactly: the mean NMSE is 0
+    args = [
+        "noise-sweep", "--n", "2", "--trials", "1", "--sigma-shift-axis", "0",
+        "--sigma-mag-axis", "0", "--inverse", "baseline",
+    ]
+    code, out, err = run(capsys, *args, "--output", str(tmp_path / "s.csv"))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "       0    -inf"
+    assert read_rows(tmp_path / "s.csv")[1] == ["0", "0", "-inf", "0"]
+    assert run(capsys, *args, "--output", str(tmp_path / "s.json"))[0] == 0
+    assert '"log10_nmse": [\n    [\n      -Infinity\n' in (tmp_path / "s.json").read_text()
+
+
 # ---------------------------------------------------------------- interp
+
+def test_interp_exclude_default_is_the_library_default():
+    args = build_parser().parse_args(["interp", "--fn", "cos", "--family", "chebyshev"])
+    assert args.exclude == DEFAULT_EXCLUDE_PER_SIDE
+
 
 def test_interp_single_run_summary(capsys, tmp_path):
     out_path = tmp_path / "interp.csv"

@@ -76,24 +76,31 @@ def test_proposed_overflow_guard_and_scaled_escape():
     assert np.isfinite(esp_single(ns, 175))
 
 
-def scaled_proposed(ns, orders):
-    return esp_module._proposed(ns.values[None, :], np.asarray(orders), scaled=True)[0]
+def run_scaled(monkeypatch):
+    """Make every proposed row run scaled: the choice reads this at call time."""
+    monkeypatch.setattr(esp_module, "MAX_UNSCALED_ORDER", 0)
 
 
-def test_proposed_scaled_mode_agrees_on_unit_circle():
+def scaled_proposed(monkeypatch, ns, orders):
+    with monkeypatch.context() as patch:
+        run_scaled(patch)
+        return esp_module._proposed(ns.values[None, :], np.asarray(orders))[0]
+
+
+def test_proposed_scaled_mode_agrees_on_unit_circle(monkeypatch):
     # well-conditioned at every order, so the modes must track each other
     ns = NodeSet(np.delete(generate_nodes("roots_of_unity", 51).values, 0))
     plain = esp_all_orders(ns)[1:]
-    scaled = scaled_proposed(ns, range(1, 51))
+    scaled = scaled_proposed(monkeypatch, ns, range(1, 51))
     assert (np.abs(plain - scaled) <= 1e-12 * np.abs(plain)).all()
 
 
-def test_proposed_scaled_mode_agrees_on_small_random_sets(rng):
+def test_proposed_scaled_mode_agrees_on_small_random_sets(monkeypatch, rng):
     for _ in range(20):
         n = int(rng.integers(2, 13))
         ns = random_node_set(rng, n)
         plain = esp_all_orders(ns)[1:]
-        scaled = scaled_proposed(ns, range(1, n + 1))
+        scaled = scaled_proposed(monkeypatch, ns, range(1, n + 1))
         assert (np.abs(plain - scaled) <= 1e-12 * np.maximum(1.0, np.abs(plain))).all()
 
 
@@ -175,15 +182,17 @@ def test_proposed_chunks_are_bit_identical_to_the_scalar_recursion(monkeypatch, 
 
 @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
 def test_proposed_modes_are_bit_identical_to_the_scalar_recursion(monkeypatch, scaled):
+    if scaled:
+        run_scaled(monkeypatch)
     rng = np.random.default_rng(11)
     v = rng.standard_normal(10) + 1j * rng.standard_normal(10)
     for k in range(1, 11):
-        single = esp_module._proposed(v[None, :], np.array([k]), scaled)
+        single = esp_module._proposed(v[None, :], np.array([k]))
         assert same_bits(single, [[reference_proposed(v, k, scaled)]])
     # the batched kernel over every dropped row, in chunks that split orders
     chunk_pairs(monkeypatch, 7, 9)
     rows = np.array([np.delete(v, i) for i in range(10)])
-    batch = esp_module._proposed(rows, np.arange(1, 10), scaled)
+    batch = esp_module._proposed(rows, np.arange(1, 10))
     for row, w in zip(batch, rows):
         assert same_bits(row, [reference_proposed(w, k, scaled) for k in range(1, 10)])
 
@@ -191,11 +200,32 @@ def test_proposed_modes_are_bit_identical_to_the_scalar_recursion(monkeypatch, s
 def test_proposed_full_set_and_single_orders_are_bit_identical(monkeypatch):
     chunk_pairs(monkeypatch, 7, 20)  # the one row's 20 orders in three chunks
     rng = np.random.default_rng(20)
-    ns = NodeSet(rng.standard_normal(20) + 1j * rng.standard_normal(20))
-    expected = [reference_proposed(ns.values, k) for k in range(1, 21)]
-    assert same_bits(esp_all_orders(ns, "proposed"), [1.0] + expected)
-    assert same_bits([esp_single(ns, k) for k in range(1, 21)], expected)
+    plain = NodeSet(rng.standard_normal(20) + 1j * rng.standard_normal(20))
+    # 173 nodes run scaled, each single order as in the sweep
+    scaled = NodeSet(np.exp(2j * np.pi * np.random.default_rng(173).random(173)))
+    for ns in (plain, scaled):
+        n = len(ns)
+        is_scaled = n > esp_module.MAX_UNSCALED_ORDER
+        expected = [reference_proposed(ns.values, k, is_scaled) for k in range(1, n + 1)]
+        assert same_bits(esp_all_orders(ns, "proposed"), [1.0] + expected)
+        assert same_bits([esp_single(ns, k) for k in range(1, n + 1)], expected)
     assert same_bits(esp_all_orders(NodeSet([2 - 3j]), "proposed"), [1, 2 - 3j])
+
+
+def test_esp_single_runs_only_its_order(monkeypatch):
+    seen = []
+    kernel = esp_module._proposed_kernel
+
+    def spy(vp, orders, scaled):
+        seen.append(orders.copy())
+        return kernel(vp, orders, scaled)
+
+    monkeypatch.setattr(esp_module, "_proposed_kernel", spy)
+    ns = random_node_set(np.random.default_rng(3), 9)
+    for drop in (None, 4):
+        seen.clear()
+        esp_single(ns, 3, drop_index=drop)
+        assert seen and all((orders == 3).all() for orders in seen)
 
 
 def test_proposed_keeps_negative_zero_sums():
@@ -217,6 +247,14 @@ def test_dropped_sequence_matches_single_drops(rng):
         assert batch.shape == (3, 9)
         for row, drop in zip(batch, (3, 1, 9)):
             assert np.array_equal(row, esp_dropped(ns, drop, method))
+
+
+def test_dropped_sweeps_are_c_ordered(rng):
+    # the closed-form inverse builds on these rows, and BLAS products of it
+    # round differently in Fortran order
+    ns = random_node_set(rng, 9)
+    for method in ("proposed", "traub", "yang", "mikkawy"):
+        assert esp_dropped(ns, range(1, 10), method).flags.c_contiguous
 
 
 def test_dropped_past_the_factorial_limit_runs_scaled():
