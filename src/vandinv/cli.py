@@ -234,7 +234,7 @@ def _cmd_noise_sweep(args):
         inverse_backend=CLI_INVERSES[args.inverse],
     )
     print(
-        f"log10 companion NMSE, n={args.n}, esp={args.esp}, "
+        f"log10 companion NMSE, n={args.n}, esp={grid.esp_backend or 'none'}, "
         f"inverse={CLI_INVERSES[args.inverse]}, trials={args.trials}, seed={args.seed}"
     )
     header = "sS\\sM".rjust(8) + "".join(f"{m:8.3g}" for m in mag_axis)

@@ -1,9 +1,31 @@
-"""Typed runtime failures.
+"""Typed runtime failures and the argument checks.
 
-Argument misuse raises plain ValueError everywhere in this package;
-NumericalError and its subclasses signal failures of the computation
-itself.  The CLI maps ValueError to exit code 2 and NumericalError to 3.
+Argument misuse raises plain ValueError everywhere in this package, through
+two checks that every public entry calls: `check_name` for a name looked up
+in a registry, and `check_ints` for counts, orders, indices and seeds, where
+a float is refused, never truncated.  NumericalError and its subclasses
+signal failures of the computation itself.  The CLI maps ValueError to exit
+code 2 and NumericalError to 3.
 """
+
+import numpy as np
+
+
+def check_name(what: str, name, names) -> None:
+    """ValueError listing ``names`` unless ``name`` is one of them."""
+    if name not in tuple(names):
+        raise ValueError(f"unknown {what} {name!r}; expected one of {tuple(names)}")
+
+
+def check_ints(what: str, value, lo: int, hi: int | None = None):
+    """``value``, if it is an integer, or a sequence of integers, in lo..hi
+    (no upper bound when hi is None); else ValueError naming ``what`` and the
+    first bad value.  Python ints, numpy ints and ranges pass."""
+    for x in value if np.ndim(value) else (value,):
+        if not isinstance(x, (int, np.integer)) or x < lo or (hi is not None and x > hi):
+            bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+            raise ValueError(f"{what} must be an integer {bounds}, got {x!r}")
+    return value
 
 
 class NumericalError(Exception):

@@ -51,7 +51,7 @@ import math
 
 import numpy as np
 
-from .errors import OrderOverflowError
+from .errors import OrderOverflowError, check_ints, check_name
 from .nodes import NodeSet
 
 # Largest order whose factorial still fits a double; proposed rows longer
@@ -212,10 +212,7 @@ def esp_table(nodes: NodeSet, method: str) -> np.ndarray:
     above the diagonal.  ``traub`` adds one node at a time, ``yang``
     assembles each row from earlier rows, block contributions in ascending k.
     """
-    if method not in _TABLES:
-        raise ValueError(
-            f"no ESP table for backend {method!r}; expected one of {tuple(_TABLES)}"
-        )
+    check_name("ESP table backend", method, _TABLES)
     with np.errstate(over="ignore", invalid="ignore"):
         table = _TABLES[method](nodes.values[None, :])[0]
     return _finite(table, f"{method} table")
@@ -241,25 +238,18 @@ def _esp(nodes: NodeSet, method: str, drop, orders) -> np.ndarray:
     """sigma at the ascending ``orders`` over the full set (``drop`` None) or
     without each 1-based index in ``drop``: one row for None or one index,
     shape (len(drop), len(orders)) for a sequence."""
+    check_name("ESP backend", method, ESP_BACKENDS)
     if drop is None:
         rows = None
         if method not in FULL_SET_ESP_BACKENDS:
-            if method in ESP_BACKENDS:
-                why = "computes dropped-node ESPs only, so it needs a drop index"
-            else:
-                why = "is unknown"
             raise ValueError(
-                f"ESP backend {method!r} {why}; full-set ESPs need one of {FULL_SET_ESP_BACKENDS}"
+                f"ESP backend {method!r} computes dropped-node ESPs only, so it needs a "
+                f"drop index; full-set ESPs need one of {FULL_SET_ESP_BACKENDS}"
             )
     else:
-        if method not in ESP_BACKENDS:
-            raise ValueError(f"unknown ESP backend {method!r}; expected one of {ESP_BACKENDS}")
         if len(nodes) < 2:
             raise ValueError("dropping a node needs at least 2 nodes")
-        rows = np.atleast_1d(drop) - 1
-        bad = (rows < 0) | (rows >= len(nodes))
-        if bad.any():
-            raise ValueError(f"drop index {rows[bad][0] + 1} outside 1..{len(nodes)}")
+        rows = np.atleast_1d(check_ints("drop index", drop, 1, len(nodes))) - 1
     with np.errstate(over="ignore", invalid="ignore"):
         out = _KERNELS[method](_node_rows(nodes.values, rows, method), np.asarray(orders))
     return out if np.ndim(drop) else out[0]
@@ -286,10 +276,8 @@ def esp_single(
     yang sweep it is read from may overflow.
     """
     top = len(nodes) - (drop_index is not None)
-    if not 0 <= order <= top:
-        raise ValueError(f"order {order} outside 0..{top}")
-    drop = None if drop_index is None else int(drop_index)
-    value = _esp(nodes, method, drop, [order])[0]
+    check_ints("order", order, 0, top)
+    value = _esp(nodes, method, drop_index, [order])[0]
     return complex(_finite(value, f"{method} sigma({top}, {order})"))
 
 
@@ -308,13 +296,11 @@ def esp_bruteforce_oracle(nodes: NodeSet, order: int) -> complex:
         raise ValueError(
             f"oracle refuses N = {v.size} > {_ORACLE_MAX_NODES} (combinatorial blowup)"
         )
-    n = int(order)
-    if not 0 <= n <= v.size:
-        raise ValueError(f"order {order} outside 0..{v.size}")
-    if n == 0:
+    check_ints("order", order, 0, v.size)
+    if order == 0:
         return 1.0 + 0j
     total = 0j
-    for combo in itertools.combinations(v.tolist(), n):
+    for combo in itertools.combinations(v.tolist(), order):
         total += math.prod(combo)
     return total
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_ints, check_name
 from .nodes import NodeSet, generate_nodes
 from .stability import nmse
 from .vandermonde import build_vandermonde, compute_inverse, inverse_esp_backend
@@ -96,13 +97,11 @@ def interp_experiment(
 ) -> InterpolationReport:
     """Full fit / super-resolve / score pipeline on one node family; ``t``
     defaults to the function's own."""
-    if fn not in _FUNCTIONS:
-        raise ValueError(f"unknown function kind {fn!r}; expected one of {FUNCTION_KINDS}")
+    check_name("function kind", fn, FUNCTION_KINDS)
     t = _FUNCTIONS[fn][0] if t is None else float(t)
     if not np.isfinite(t):
         raise ValueError("parameter t must be finite")
-    if exclude_per_side < 0:
-        raise ValueError("exclude_per_side must be non-negative")
+    check_ints("exclude_per_side", exclude_per_side, 0)
     fit_nodes = generate_nodes(node_kind, n)
     dense_nodes = generate_nodes(node_kind, 2 * n)
     samples = sample_function(fn, t, fit_nodes)

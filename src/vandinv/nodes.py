@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NodeCollisionError
+from .errors import NodeCollisionError, check_ints, check_name
 
 # Relative pairwise-distinctness floor: min gap must exceed this times max |v|.
 DISTINCTNESS_RTOL = 1e-12
@@ -102,14 +102,9 @@ class NodeSet:
 
 def generate_nodes(kind: str, n: int) -> NodeSet:
     """The n nodes of the named family, in the order of ``k = 1..n``."""
-    formula = _FAMILIES.get(kind)
-    if formula is None:
-        raise ValueError(f"unknown node family {kind!r}; expected one of {NODE_FAMILIES}")
-    if n < 1:
-        raise ValueError("node count must be at least 1")
-    if kind in _ENDPOINT_FAMILIES and n < 2:
-        raise ValueError(f"{kind} nodes need N >= 2")
-    return NodeSet(formula(np.arange(1, n + 1), n))
+    check_name("node family", kind, NODE_FAMILIES)
+    check_ints(f"{kind} node count", n, 2 if kind in _ENDPOINT_FAMILIES else 1)
+    return NodeSet(_FAMILIES[kind](np.arange(1, n + 1), n))
 
 
 def perturb_roots_of_unity(
@@ -131,12 +126,12 @@ def perturb_roots_of_unity(
     for name, sigma in (("sigma_shift", sigma_shift), ("sigma_mag", sigma_mag)):
         if not np.isfinite(sigma) or sigma < 0:
             raise ValueError(f"{name} must be finite and non-negative, got {sigma}")
-    if n < 2:
-        raise ValueError("perturbed roots of unity need N >= 2")
+    check_ints("node count", n, 2)
+    check_ints("seed", seed, 0)
     base = _FAMILIES["roots_of_unity"](np.arange(1, n + 1), n)
     part_std = sigma_mag / np.sqrt(2.0)
     for attempt in range(_PERTURB_RETRIES + 1):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), attempt]))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
         eta_s = rng.normal(0.0, sigma_shift, n)
         eta_m = rng.normal(0.0, part_std, n) + 1j * rng.normal(0.0, part_std, n)
         # factored exponential keeps the zero-noise case bit-identical to

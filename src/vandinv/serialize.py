@@ -111,12 +111,13 @@ def sweep_to_csv(grid: SweepGrid, path) -> None:
 
 
 def sweep_to_json(grid: SweepGrid, path) -> None:
+    """The counts and seed may be numpy ints; they write as JSON numbers."""
     doc = {
-        "n": grid.n,
+        "n": int(grid.n),
         "esp_backend": grid.esp_backend,
         "inverse_backend": grid.inverse_backend,
-        "trials_per_cell": grid.trials_per_cell,
-        "seed": grid.seed,
+        "trials_per_cell": int(grid.trials_per_cell),
+        "seed": int(grid.seed),
         "rng_algorithm": RNG_ALGORITHM,
         "sigma_shift_axis": [float(x) for x in grid.sigma_shift_axis],
         "sigma_mag_axis": [float(x) for x in grid.sigma_mag_axis],

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, check_ints
 from .nodes import NodeSet, perturb_roots_of_unity
-from .vandermonde import build_vandermonde, compute_inverse
+from .vandermonde import build_vandermonde, compute_inverse, inverse_esp_backend
 
 
 def nmse(estimate, reference) -> float:
@@ -72,7 +72,8 @@ class SweepGrid:
 
     ``log10_nmse`` holds log10 of the per-cell mean over surviving trials,
     -inf for a zero mean; cells where every trial failed numerically carry
-    NaN and are flagged in ``failed``.
+    NaN and are flagged in ``failed``.  ``esp_backend`` is None for a route
+    that reads no ESPs.
     """
 
     n: int
@@ -82,13 +83,13 @@ class SweepGrid:
     failed: np.ndarray
     trials_per_cell: int
     seed: int
-    esp_backend: str
+    esp_backend: str | None
     inverse_backend: str
 
 
 def derive_seed(master: int, *parts: int) -> int:
     """Stable 64-bit sub-seed for a (cell, trial) coordinate."""
-    ss = np.random.SeedSequence([int(master), *[int(p) for p in parts]])
+    ss = np.random.SeedSequence(check_ints("seed", [master, *parts], 0))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -106,8 +107,7 @@ def noise_sweep(
     mag_axis = np.atleast_1d(np.asarray(sigma_mag_axis, dtype=float))
     if shift_axis.size == 0 or mag_axis.size == 0:
         raise ValueError("sweep axes must be non-empty")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    check_ints("trials", trials, 1)  # derive_seed checks the seed
     cells = np.full((shift_axis.size, mag_axis.size), np.nan)
     failed = np.zeros_like(cells, dtype=bool)
     for a, s_shift in enumerate(shift_axis):
@@ -133,7 +133,7 @@ def noise_sweep(
         log10_nmse=cells,
         failed=failed,
         trials_per_cell=trials,
-        seed=int(seed),
-        esp_backend=esp_backend,
+        seed=seed,
+        esp_backend=inverse_esp_backend(inverse_backend, esp_backend),
         inverse_backend=inverse_backend,
     )

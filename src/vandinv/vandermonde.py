@@ -38,7 +38,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericalError, SingularityError
+from .errors import NumericalError, SingularityError, check_ints, check_name
 from .esp import ESP_BACKENDS, esp_all_orders, esp_dropped
 from .nodes import NodeSet
 
@@ -75,10 +75,7 @@ def build_vandermonde(nodes: NodeSet, num_rows: int | None = None) -> np.ndarray
     The rectangular form backs dense evaluation matrices where more powers
     or fewer are needed than there are nodes.
     """
-    n = len(nodes)
-    rows = n if num_rows is None else int(num_rows)
-    if rows < 1:
-        raise ValueError("num_rows must be at least 1")
+    rows = len(nodes) if num_rows is None else check_ints("num_rows", num_rows, 1)
     return np.vander(nodes.values, rows, increasing=True).T
 
 
@@ -123,10 +120,7 @@ def stanley_matrix(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:
 
 def inverse_closed_form(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:
     """Elementwise inverse from dropped-node ESPs and barycentric weights."""
-    if esp_backend not in ESP_BACKENDS:
-        raise ValueError(
-            f"unknown ESP backend {esp_backend!r}; expected one of {ESP_BACKENDS}"
-        )
+    check_name("ESP backend", esp_backend, ESP_BACKENDS)
     n = len(nodes)
     lam = barycentric_weights(nodes)
     signs = (-1.0) ** (n - np.arange(1, n + 1))
@@ -184,13 +178,9 @@ def compute_inverse(
 ) -> np.ndarray:
     """Look up the inverse route by name; the result is finite or raises
     a NumericalError whose message starts with the route."""
-    route = _ROUTES.get(inverse_backend)
-    if route is None:
-        raise ValueError(
-            f"unknown inverse backend {inverse_backend!r}; expected one of {INVERSE_BACKENDS}"
-        )
+    check_name("inverse backend", inverse_backend, INVERSE_BACKENDS)
     try:
-        matrix = route(nodes, esp_backend)
+        matrix = _ROUTES[inverse_backend](nodes, esp_backend)
     except NumericalError as exc:
         raise type(exc)(f"{inverse_backend} inverse: {exc}") from None
     bad = np.count_nonzero(~np.isfinite(matrix))

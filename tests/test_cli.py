@@ -461,6 +461,19 @@ def test_noise_sweep_exact_inverse_writes_minus_inf(capsys, tmp_path):
     assert '"log10_nmse": [\n    [\n      -Infinity\n' in (tmp_path / "s.json").read_text()
 
 
+def test_baseline_noise_sweep_names_no_esp_backend(capsys, tmp_path):
+    # the elimination baseline reads no ESPs, as in invert JSON and interp
+    out_path = tmp_path / "s.json"
+    code, out, _ = run(
+        capsys, "noise-sweep", "--n", "5", "--trials", "1", "--sigma-shift-axis", "0",
+        "--sigma-mag-axis", "0", "--inverse", "baseline", "--output", str(out_path),
+    )
+    assert code == 0
+    assert "esp=none, inverse=elimination_baseline" in out.splitlines()[0]
+    doc = json.loads(out_path.read_text())
+    assert (doc["esp_backend"], doc["inverse_backend"]) == (None, "elimination_baseline")
+
+
 # ---------------------------------------------------------------- interp
 
 def test_interp_exclude_default_is_the_library_default():

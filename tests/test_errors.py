@@ -1,0 +1,129 @@
+"""The argument policy: every public entry refuses a bad name or a
+non-integer, out-of-range count, order, index or seed with a ValueError that
+names the argument, and never truncates a float."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vandinv import (
+    NodeSet,
+    build_vandermonde,
+    compute_inverse,
+    derive_seed,
+    esp_all_orders,
+    esp_bruteforce_oracle,
+    esp_dropped,
+    esp_single,
+    esp_table,
+    generate_nodes,
+    interp_experiment,
+    inverse_closed_form,
+    noise_sweep,
+    perturb_roots_of_unity,
+)
+from vandinv.errors import check_ints, check_name
+
+NODES = NodeSet([1, 2, 3, 4])
+
+
+def sweep(**kw):
+    args = {"trials": 1, "seed": 1, **kw}
+    return noise_sweep(5, [0.0], [0.1], **args)
+
+
+# entry, argument name in the message, an out-of-range int, a call of the value
+INTEGER_ENTRIES = {
+    "generate_nodes-n": ("node count", 0, lambda x: generate_nodes("chebyshev", x)),
+    "generate_nodes-endpoint-n": ("node count", 1, lambda x: generate_nodes("equidistant", x)),
+    "perturb-n": ("node count", 1, lambda x: perturb_roots_of_unity(x, 0.1, 0.1, 3)),
+    "perturb-seed": ("seed", -1, lambda x: perturb_roots_of_unity(6, 0.1, 0.1, x)),
+    "esp_single-order": ("order", 5, lambda x: esp_single(NODES, x)),
+    "esp_single-drop": ("drop index", 5, lambda x: esp_single(NODES, 1, drop_index=x)),
+    "esp_dropped-drop": ("drop index", 0, lambda x: esp_dropped(NODES, x)),
+    "esp_dropped-drop-list": ("drop index", 5, lambda x: esp_dropped(NODES, [1, x])),
+    "oracle-order": ("order", 5, lambda x: esp_bruteforce_oracle(NODES, x)),
+    "build_vandermonde-rows": ("num_rows", 0, lambda x: build_vandermonde(NODES, x)),
+    "noise_sweep-trials": ("trials", 0, lambda x: sweep(trials=x)),
+    "noise_sweep-seed": ("seed", -1, lambda x: sweep(seed=x)),
+    "derive_seed": ("seed", -1, lambda x: derive_seed(7, 0, x)),
+    "interp-exclude": (
+        "exclude_per_side", -1, lambda x: interp_experiment("cosine", "chebyshev", 10,
+                                                            exclude_per_side=x)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRIES))
+def test_integer_arguments_refuse_floats_and_out_of_range_values(entry):
+    name, out_of_range, call = INTEGER_ENTRIES[entry]
+    for bad in (2.5, 2.0, out_of_range):
+        with pytest.raises(ValueError, match=f"{name} must be an integer .*got {bad!r}$"):
+            call(bad)
+
+
+NAME_ENTRIES = {
+    "generate_nodes": ("node family", lambda x: generate_nodes(x, 5)),
+    "esp_table": ("ESP table backend", lambda x: esp_table(NODES, x)),
+    "esp_all_orders": ("ESP backend", lambda x: esp_all_orders(NODES, x)),
+    "esp_dropped": ("ESP backend", lambda x: esp_dropped(NODES, 1, x)),
+    "inverse_closed_form": ("ESP backend", lambda x: inverse_closed_form(NODES, x)),
+    "compute_inverse": ("inverse backend", lambda x: compute_inverse(NODES, x)),
+    "interp_experiment": ("function kind", lambda x: interp_experiment(x, "chebyshev", 10)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NAME_ENTRIES))
+def test_unknown_names_list_the_known_ones(entry):
+    what, call = NAME_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^unknown {what} 'bogus'; expected one of \\('"):
+        call("bogus")
+
+
+def test_numpy_ints_and_ranges_give_the_results_of_plain_ints():
+    i = np.int64
+    same = np.testing.assert_array_equal
+    same(generate_nodes("chebyshev", i(7)).values, generate_nodes("chebyshev", 7).values)
+    same(
+        perturb_roots_of_unity(i(6), 0.1, 0.1, i(3)).values,
+        perturb_roots_of_unity(6, 0.1, 0.1, 3).values,
+    )
+    assert esp_single(NODES, i(2), drop_index=i(1)) == esp_single(NODES, 2, drop_index=1)
+    assert esp_bruteforce_oracle(NODES, i(2)) == esp_bruteforce_oracle(NODES, 2)
+    for drop in (range(1, 5), np.arange(1, 5), (i(1), 2, np.int32(3), 4)):
+        same(esp_dropped(NODES, drop), esp_dropped(NODES, [1, 2, 3, 4]))
+    same(esp_dropped(NODES, i(3)), esp_dropped(NODES, 3))
+    same(build_vandermonde(NODES, i(3)), build_vandermonde(NODES, 3))
+    same(sweep(trials=i(2), seed=i(9)).log10_nmse, sweep(trials=2, seed=9).log10_nmse)
+    assert derive_seed(i(7), 0, i(2)) == derive_seed(7, 0, 2)
+    assert derive_seed(2**64 - 1, 1) == derive_seed(np.uint64(2**64 - 1), 1)
+    reports = [interp_experiment("cosine", "chebyshev", n, exclude_per_side=e)
+               for n, e in ((i(12), i(3)), (12, 3))]
+    assert reports[0].nmse_after_exclusion == reports[1].nmse_after_exclusion
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(), st.sampled_from(["proposed", "traub", "yang", "mikkawy"]))
+def test_float_orders_and_drop_indices_raise_value_error(x, method):
+    # never a TypeError, an IndexError or a truncated index
+    with pytest.raises(ValueError):
+        esp_single(NODES, x, "traub" if method == "mikkawy" else method)
+    with pytest.raises(ValueError):
+        esp_single(NODES, 1, method, drop_index=x)
+    with pytest.raises(ValueError):
+        esp_dropped(NODES, x, method)
+    with pytest.raises(ValueError):
+        esp_dropped(NODES, [1, x], method)
+
+
+def test_check_helpers_return_or_name_the_bad_value():
+    assert check_ints("count", range(3), 0, 2) == range(3)
+    assert check_ints("seed", 2**70, 0) == 2**70
+    with pytest.raises(ValueError, match=r"^count must be an integer in 0\.\.2, got 3$"):
+        check_ints("count", [0, 3, 1.5], 0, 2)
+    with pytest.raises(ValueError, match="count must be an integer >= 1, got '3'"):
+        check_ints("count", "3", 1)
+    check_name("route", "lu", ("lu", "qr"))
+    with pytest.raises(ValueError, match=r"^unknown route 'svd'; expected one of \('lu', 'qr'\)$"):
+        check_name("route", "svd", {"lu": 1, "qr": 2})

@@ -124,6 +124,11 @@ def test_sweep_serialization(tmp_path):
     assert doc["seed"] == 13
     assert doc["rng_algorithm"] == "numpy.PCG64"
     assert doc["log10_nmse"][0][0] == grid.log10_nmse[0, 0]
+    # numpy-int arguments write the same bytes as plain ints
+    i = np.int64
+    np_grid = noise_sweep(i(8), [0.0, 0.1], [0.0, 0.05], trials=i(2), seed=i(13))
+    sweep_to_json(np_grid, tmp_path / "np.json")
+    assert (tmp_path / "np.json").read_bytes() == json_path.read_bytes()
 
 
 def test_interp_report_csv(tmp_path):
