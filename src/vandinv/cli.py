@@ -18,7 +18,7 @@ import argparse
 import os
 import sys
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import __version__
@@ -36,7 +36,7 @@ from .serialize import (
     INTERP_SUMMARY_HEADER,
     companion_table_to_csv,
     esp_table_to_csv,
-    format_float,
+    float_rows,
     interp_report_to_csv,
     interp_summaries_to_csv,
     interp_summary_row,
@@ -80,9 +80,7 @@ def _combo_label(inverse_backend, esp_backend):
     return f"{inverse_backend}+{esp_backend}"
 
 
-def _fmt_complex(z) -> str:
-    z = complex(z)
-    return f"{z.real:.17g}{z.imag:+.17g}j"
+_COMPLEX = "%.17g%+.17gj"  # one complex stdout entry from its (re, im) floats
 
 
 def _parse_list(text: str, kind) -> list:
@@ -165,8 +163,8 @@ def _cmd_esp(args):
         if args.drop is not None:
             raise ValueError("--table shows the full-set table; it cannot combine with --drop")
         table = esp_table(nodes, args.backend)
-        for row_n in range(1, len(nodes) + 1):
-            cells = " ".join(_fmt_complex(z) for z in table[row_n, : row_n + 1])
+        for row_n, values in enumerate(float_rows(table[1:]), 1):
+            cells = " ".join([_COMPLEX] * (row_n + 1)) % tuple(values[: 2 * row_n + 2])
             print(f"n={row_n}: {cells}")
         return partial(esp_table_to_csv, table)
 
@@ -179,10 +177,8 @@ def _cmd_esp(args):
     else:  # a single order is a one-value sweep that starts at that order
         first = args.order
         values = [esp_single(nodes, args.order, args.backend, drop_index=args.drop)]
-    for order, value in enumerate(values, first):
-        value = complex(value)
-        re_s, im_s = format_float(value.real), format_float(value.imag)
-        print(f"order={order} re={re_s} im={im_s} abs={format_float(abs(value))}")
+    for order, (re, im) in enumerate(float_rows(values), first):
+        print("order=%d re=%.17g im=%.17g abs=%.17g" % (order, re, im, abs(complex(re, im))))
     return partial(order_values_to_csv, values, first_order=first)
 
 
@@ -192,8 +188,8 @@ def _cmd_invert(args):
     matrix = compute_inverse(nodes, inverse_backend, args.esp)
     if args.real:
         matrix = real_part(matrix)
-    for row in matrix:
-        print(",".join(_fmt_complex(z) for z in row))
+    line = ",".join([_COMPLEX] * matrix.shape[1])
+    print("\n".join(line % tuple(values) for values in float_rows(matrix)))
     esp_backend = inverse_esp_backend(inverse_backend, args.esp)
     to_json = partial(
         inverse_to_json, matrix, esp_backend=esp_backend, inverse_backend=inverse_backend
@@ -265,6 +261,7 @@ def _cmd_interp(args):
     return partial(interp_report_to_csv, reports[0])
 
 
+@cache  # one per process; parse_args returns a fresh Namespace and changes no parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vandinv",

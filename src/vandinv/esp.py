@@ -38,7 +38,7 @@ public result is finite: an entry that overflows to inf or NaN raises
   subset by its run of trailing consecutive nodes, giving
   sigma(n, j) = sum_k (v_n * ... * v_{n-k+1}) * sigma(n-k-1, j-k) where the
   k = j = n term contributes the bare product of all n nodes; O(N^3),
-  with the tables of all dropped rows built as one batch.
+  with the tables of dropped rows built in batches of `_YANG_BATCH_BYTES`.
 * ``mikkawy``  - a dropped-node recursion: the node to remove is swapped
   into the leading slot and the traub recursion is run over slots 2..N,
   so the output row holds ESPs of the remaining N-1 nodes; O(N^2).
@@ -60,6 +60,8 @@ MAX_UNSCALED_ORDER = 170
 
 # Bytes of the (nodes x pairs) complex array one proposed chunk holds.
 _BLOCK_BYTES = 256 * 1024
+
+_YANG_BATCH_BYTES = 64 * 2**20  # yang tables of 32 (m+1)^2 B a row: N <= 100 in one
 
 _NEG_ZERO = complex(-0.0, -0.0)  # the exact identity of complex addition
 
@@ -189,13 +191,20 @@ def _yang_tables(w):
     return t
 
 
+def _yang(w, orders):
+    """yang's last table row per row of w; rows are independent, so batches keep the bits."""
+    step = max(1, _YANG_BATCH_BYTES // (32 * (w.shape[1] + 1) ** 2))
+    rows = [_yang_tables(w[i : i + step])[:, -1] for i in range(0, len(w), step)]
+    return np.concatenate(rows).take(orders, axis=1)
+
+
 # Each kernel maps node rows (R x m) and ascending orders in 0..m to sigma,
 # shape (R, len(orders)), in C order: BLAS products of the closed-form
 # inverse built on it round by layout.  mikkawy is traub on its own rows.
 _KERNELS = {
     "proposed": _proposed,
     "traub": _traub,
-    "yang": lambda w, orders: _yang_tables(w)[:, -1].take(orders, axis=1),
+    "yang": _yang,
     "mikkawy": _traub,
 }
 

@@ -13,7 +13,8 @@ The test functions sit in one table by name (``FUNCTION_KINDS``), each with
 a default parameter t.  They are evaluated as complex analytic maps so the
 pipeline is well defined on circle nodes as well as interval ones.
 `interp_experiment(fn, node_kind, n, t=None, ...)` checks the name and t
-once; `sample_function(kind, t, nodes)` evaluates one of them.
+once; `sample_function(kind, t, nodes)` evaluates one of them.  A non-finite
+sample, fit, prediction or NMSE (exp(800 x), say) raises `NumericalError`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_ints, check_name
+from .errors import NumericalError, check_ints, check_name
 from .nodes import NodeSet, generate_nodes
 from .stability import nmse
 from .vandermonde import build_vandermonde, compute_inverse, inverse_esp_backend
@@ -104,10 +105,6 @@ def interp_experiment(
     check_ints("exclude_per_side", exclude_per_side, 0)
     fit_nodes = generate_nodes(node_kind, n)
     dense_nodes = generate_nodes(node_kind, 2 * n)
-    samples = sample_function(fn, t, fit_nodes)
-    coeffs = fit_coefficients(fit_nodes, samples, inverse_backend, esp_backend)
-    predictions = evaluate_superresolved(coeffs, dense_nodes)
-    reference = sample_function(fn, t, dense_nodes)
     if node_kind == "roots_of_unity":
         applied = 0  # closed curve: no boundary to trim
         included = slice(None)
@@ -118,6 +115,14 @@ def interp_experiment(
                 f"excluding {applied} per side leaves fewer than 2 of {2 * n} points"
             )
         included = slice(applied, 2 * n - applied)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        samples = sample_function(fn, t, fit_nodes)
+        coeffs = fit_coefficients(fit_nodes, samples, inverse_backend, esp_backend)
+        predictions = evaluate_superresolved(coeffs, dense_nodes)
+        reference = sample_function(fn, t, dense_nodes)
+        score = nmse(predictions[included], reference[included])
+    if not all(np.isfinite(x).all() for x in (samples, coeffs, predictions, reference, score)):
+        raise NumericalError(f"non-finite result: {fn}, t = {t:g}, {n} {node_kind} nodes")
     return InterpolationReport(
         fn=fn,
         t=t,
@@ -128,6 +133,6 @@ def interp_experiment(
         coefficients=coeffs,
         evaluations=predictions,
         reference=reference,
-        nmse_after_exclusion=nmse(predictions[included], reference[included]),
+        nmse_after_exclusion=score,
         excluded_count_per_side=applied,
     )

@@ -4,8 +4,10 @@ Floats print with 17 significant digits (round-trip exact for doubles);
 CSV files are RFC-4180 (CRLF, header row, UTF-8).  Writers are
 deterministic: the same object always produces identical bytes.  Each
 ``*_to_csv`` / ``*_to_json`` writer takes its result first and the file
-path second, and goes through one of two helpers: `_write_csv` for every
-CSV file and `write_json`, which also writes the CLI's manifests.
+path second.  CSV goes through `_write_csv`, JSON but the inverse through
+`write_json` (also the CLI's manifests), and every matrix writer and
+``invert`` stdout through one row formatter, `float_rows`, and a %-template
+per row, with the bytes of per-entry ``%.17g`` cells and of json.dumps.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import NumericalError
 from .interpolation import InterpolationReport
 from .nodes import RNG_ALGORITHM
 from .stability import SweepGrid
@@ -25,17 +28,22 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _re_im(z: complex) -> tuple[str, str]:
-    z = complex(z)
-    return format_float(z.real), format_float(z.imag)
+def float_rows(matrix) -> list[list[float]]:
+    """The rows of a matrix (a vector is one column) as Python floats, each
+    entry's real and imaginary parts side by side, in one bulk conversion."""
+    rows = np.reshape(matrix, (len(matrix), -1))
+    return np.ascontiguousarray(rows, np.complex128).view(np.float64).tolist()
 
 
-def _write_csv(path, header, rows) -> None:
-    """The one CSV writer: a header row, then ``rows``."""
+def _write_csv(path, header, rows, line: str | None = None) -> None:
+    """The one CSV writer: a header row, then ``rows``, by cell or by ``line``."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows(rows)
+        if line is None:
+            writer.writerows(rows)
+        else:
+            handle.writelines(line % tuple(row) for row in rows)
 
 
 def write_json(doc, path) -> None:
@@ -50,41 +58,42 @@ def _re_im_header(names) -> list[str]:
 def esp_table_to_csv(table: np.ndarray, path) -> None:
     """One row per table row n = 1..N; entries beyond j = n stay blank."""
     order = table.shape[0] - 1
-    rows = []
-    for n in range(1, order + 1):
-        row = [n]
-        for j in range(order + 1):
-            row += _re_im(table[n, j]) if j <= n else ("", "")
-        rows.append(row)
+    rows = (
+        [n, *map(format_float, values[: 2 * n + 2]), *[""] * (2 * (order - n))]
+        for n, values in enumerate(float_rows(table[1:]), 1)
+    )
     _write_csv(path, ["n", *_re_im_header(f"sigma{j}" for j in range(order + 1))], rows)
 
 
 def order_values_to_csv(values, path, first_order: int = 0) -> None:
     """An (order, value) sequence numbered from ``first_order``, e.g. a
     dropped-ESP sweep or one ESP order."""
+    # a Python complex's abs has the bits of numpy's scalar abs, not its vectorised one
     rows = (
-        [n, *_re_im(z), format_float(abs(z))]
-        for n, z in enumerate(np.asarray(values), first_order)
+        (n, re, im, abs(complex(re, im)))
+        for n, (re, im) in enumerate(float_rows(values), first_order)
     )
-    _write_csv(path, ["order", "re", "im", "abs"], rows)
+    _write_csv(path, ["order", "re", "im", "abs"], rows, "%d,%.17g,%.17g,%.17g\r\n")
 
 
 def inverse_to_csv(matrix: np.ndarray, path) -> None:
     header = _re_im_header(f"col{j}" for j in range(1, matrix.shape[1] + 1))
-    _write_csv(path, header, ([cell for z in row for cell in _re_im(z)] for row in matrix))
+    _write_csv(path, header, float_rows(matrix), ",".join(["%.17g"] * len(header)) + "\r\n")
 
 
 def inverse_to_json(
     matrix: np.ndarray, path, esp_backend: str | None, inverse_backend: str
 ) -> None:
-    """``esp_backend`` is None for a route that reads no ESPs."""
-    doc = {
-        "n": int(matrix.shape[0]),
-        "esp_backend": esp_backend,
-        "inverse_backend": inverse_backend,
-        "matrix": [[[z.real, z.imag] for z in row] for row in matrix.astype(complex)],
-    }
-    write_json(doc, path)
+    """``esp_backend`` is None for a route that reads no ESPs.  The matrix
+    text is laid out as json.dumps(indent=2) lays out nested [re, im] pairs."""
+    if not np.isfinite(matrix).all():
+        raise NumericalError("a matrix with inf or NaN entries has no JSON form")
+    head = json.dumps({"n": int(matrix.shape[0]), "esp_backend": esp_backend,
+                       "inverse_backend": inverse_backend}, indent=2)
+    pair = "[\n        %r,\n        %r\n      ]"  # %r: float.__repr__, as json.dumps
+    row = "[\n      " + ",\n      ".join([pair] * matrix.shape[1]) + "\n    ]"
+    body = ",\n    ".join(row % tuple(values) for values in float_rows(matrix))
+    Path(path).write_text(f'{head[:-2]},\n  "matrix": [\n    {body}\n  ]\n}}\n', encoding="utf-8")
 
 
 def companion_table_to_csv(table, path) -> None:
@@ -135,18 +144,13 @@ def interp_report_to_csv(report: InterpolationReport, path) -> None:
     """Per dense node: prediction, reference, absolute residual, exclusion flag."""
     total = report.evaluations.size
     e = report.excluded_count_per_side
+    values = float_rows(np.column_stack([report.evaluations, report.reference]))
     rows = (
-        [
-            k + 1,
-            *_re_im(pred),
-            *_re_im(ref),
-            format_float(abs(pred - ref)),
-            int(k < e or k >= total - e),
-        ]
-        for k, (pred, ref) in enumerate(zip(report.evaluations, report.reference))
+        (k + 1, pr, pi, rr, ri, abs(complex(pr - rr, pi - ri)), k < e or k >= total - e)
+        for k, (pr, pi, rr, ri) in enumerate(values)
     )
     header = ["index", "pred_re", "pred_im", "ref_re", "ref_im", "residual", "excluded"]
-    _write_csv(path, header, rows)
+    _write_csv(path, header, rows, "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d\r\n")
 
 
 INTERP_SUMMARY_HEADER = [
@@ -173,7 +177,7 @@ def interp_summary_row(report: InterpolationReport) -> list:
         report.inverse_backend,
         report.excluded_count_per_side,
         format_float(val),
-        format_float(np.log10(val)) if val > 0 else "-inf",
+        "-inf" if val == 0 else format_float(np.log10(val)),
     ]
 
 

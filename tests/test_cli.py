@@ -1,18 +1,26 @@
 import csv
 import itertools
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vandinv
 from vandinv import (
     ESP_BACKENDS,
     FUNCTION_KINDS,
     INVERSE_BACKENDS,
     NODE_FAMILIES,
+    NodeSet,
     companion_identity_nmse,
     compute_inverse,
+    esp_all_orders,
+    esp_table,
     generate_nodes,
 )
 from vandinv.cli import (
@@ -20,11 +28,13 @@ from vandinv.cli import (
     CLI_FUNCTIONS,
     CLI_INVERSES,
     COMPANION_COMBOS,
+    _nodes_from_args,
     build_parser,
     main,
 )
 from vandinv.interpolation import DEFAULT_EXCLUDE_PER_SIDE
-from vandinv.serialize import format_float
+from vandinv.serialize import format_float, inverse_to_csv, inverse_to_json
+from vandinv.vandermonde import real_part
 
 # sigma(59, j) over 1e6, 2e6, ..., 59e6 passes the double range near j = 40
 OVERFLOWING_NODES = ",".join(f"{k}e6" for k in range(1, 60))
@@ -339,6 +349,61 @@ def test_invert_overflow_exits_3(capsys, route):
     assert "overflowed" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--nodes", "1,2"),
+        ("--nodes", "0.5,-0.25,3,1e-3", "--real"),
+        ("--nodes", "1+2j,-3,0.5j", "--inverse", "baseline"),
+        ("--roots-of-unity", "9", "--inverse", "wa-product", "--esp", "traub"),
+    ],
+    ids=["two", "real", "baseline", "roots"],
+)
+def test_invert_keeps_the_per_entry_bytes(capsys, tmp_path, argv):
+    """stdout against the old per-entry recipe; both files against the
+    serialize writers, whose own tests hold them to the old recipe."""
+    args = build_parser().parse_args(["invert", *argv])
+    inverse = CLI_INVERSES[args.inverse]
+    matrix = compute_inverse(_nodes_from_args(args), inverse, args.esp)
+    if args.real:
+        matrix = real_part(matrix)
+    expected = "".join(
+        ",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in map(complex, row)) + "\n"
+        for row in matrix
+    )
+    esp = None if inverse == "elimination_baseline" else args.esp
+    inverse_to_csv(matrix, tmp_path / "want.csv")
+    inverse_to_json(matrix, tmp_path / "want.json", esp, inverse)
+    for suffix in ("csv", "json"):
+        out_path = tmp_path / f"inv.{suffix}"
+        code, out, _ = run(capsys, "invert", *argv, "--output", str(out_path))
+        assert code == 0
+        assert out == expected
+        assert out_path.read_bytes() == (tmp_path / f"want.{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("what", [("--table", "--backend", "yang"), ("--all-orders",)])
+def test_esp_stdout_keeps_the_per_entry_bytes(capsys, what):
+    nodes = [1, 2j, -3.5, 1e-3, -0.25 + 7e5j]
+    code, out, _ = run(capsys, "esp", "--nodes", ",".join(map(str, nodes)), *what)
+    assert code == 0
+    if what[0] == "--table":
+        table = esp_table(NodeSet(nodes), "yang")
+        expected = "".join(
+            f"n={n}: " + " ".join(f"{z.real:.17g}{z.imag:+.17g}j"
+                                  for z in map(complex, table[n, : n + 1])) + "\n"
+            for n in range(1, len(nodes) + 1)
+        )
+    else:
+        values = map(complex, esp_all_orders(NodeSet(nodes), "proposed"))
+        expected = "".join(
+            f"order={k} re={format_float(z.real)} im={format_float(z.imag)} "
+            f"abs={format_float(abs(z))}\n"
+            for k, z in enumerate(values)
+        )
+    assert out == expected
+
+
 # ---------------------------------------------------------------- tables
 
 def test_companion_table_default(capsys, tmp_path):
@@ -517,6 +582,23 @@ def test_interp_non_finite_t_exits_2_with_empty_stdout(capsys):
     assert err == "error: parameter t must be finite\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--fn", "exp", "--family", "equidistant", "--n", "40", "--t", "800",
+         "--inverse", "baseline"),
+        ("--fn", "cos", "--family", "roots-of-unity", "--n", "10", "--t", "1e308"),
+    ],
+    ids=["exp-overflow", "cos-nan"],
+)
+def test_interp_non_finite_result_exits_3_and_writes_nothing(capsys, tmp_path, argv):
+    code, out, err = run(capsys, "interp", *argv, "--output", str(tmp_path / "i.csv"))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure:") and "non-finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_interp_unknown_family_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run(capsys, "interp", "--fn", "cos", "--family", "fekete", "--n", "10")
@@ -611,6 +693,48 @@ def test_output_dir_env_var(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert (tmp_path / "sub" / "inv.csv").exists()
     assert (tmp_path / "sub" / "inv.csv.manifest.json").exists()
+
+
+def _call_in_process(argv, capsys):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def _manifest_parameters(argv):
+    if "--output" not in argv:
+        return None
+    path = Path(argv[argv.index("--output") + 1] + ".manifest.json")
+    return json.loads(path.read_text())["parameters"]
+
+
+def test_one_parser_serves_many_calls_without_leaking_options(capsys, tmp_path):
+    """A run of different calls in one process gives each call's exit code,
+    stdout and manifest parameters from a fresh process."""
+    out = str(tmp_path)
+    calls = [
+        ("interp", "--fn", "cos", "--family", "chebyshev", "--n", "10", "--t", "0.5",
+         "--exclude", "2", "--output", f"{out}/a.csv"),
+        ("interp", "--fn", "exp", "--family", "chebyshev", "--esp", "traub",
+         "--output", f"{out}/b.csv"),
+        ("invert", "--nodes", "1,2", "--real", "--format", "json", "--output", f"{out}/c"),
+        ("invert", "--nodes", "1,2", "--output", f"{out}/d.csv"),
+        ("invert", "--nodes", "1,2", "--inverse", "qr"),
+        ("noise-sweep", "--n", "6", "--trials", "1", "--sigma-shift-axis", "0",
+         "--sigma-mag-axis", "0.1", "--output", f"{out}/e.csv"),
+    ]
+    in_process = [(*_call_in_process(argv, capsys), _manifest_parameters(argv))
+                  for argv in calls]
+    env = dict(os.environ, PYTHONPATH=str(Path(vandinv.__file__).parents[1]))
+    for argv, got in zip(calls, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "vandinv.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert got == (fresh.returncode, fresh.stdout, _manifest_parameters(argv)), argv
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 0, 2, 0]
+    assert in_process[1][2]["n"] is None and in_process[1][2]["exclude"] == 7
+    assert in_process[3][2]["real"] is False and in_process[3][2]["format"] == "auto"
 
 
 def test_cli_spellings_cover_each_registry_exactly():

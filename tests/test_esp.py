@@ -330,6 +330,17 @@ def test_batched_yang_is_bit_identical_to_the_one_row_table(ns):
         assert same_bits(row, reference_yang_table(np.delete(ns.values, i))[-1])
 
 
+@pytest.mark.parametrize("budget_rows", [1, 3, 5])
+def test_yang_batches_under_a_byte_budget_keep_every_bit(monkeypatch, budget_rows):
+    ns = random_node_set(np.random.default_rng(11), 12)
+    whole = esp_dropped(ns, range(1, 13), "yang")
+    inverse = inverse_closed_form(ns, "yang")
+    # a budget for budget_rows dropped rows of 11 nodes: 12 rows in 12, 4 or 3 batches
+    monkeypatch.setattr(esp_module, "_YANG_BATCH_BYTES", budget_rows * 32 * 12**2)
+    assert same_bits(esp_dropped(ns, range(1, 13), "yang"), whole)
+    assert same_bits(inverse_closed_form(ns, "yang"), inverse)
+
+
 @pytest.mark.parametrize("method", ["proposed", "mikkawy", "newton"])
 def test_table_rejects_other_backends(method):
     with pytest.raises(ValueError, match=method):

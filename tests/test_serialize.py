@@ -1,11 +1,14 @@
 import csv
+import dataclasses
 import inspect
 import json
 
 import numpy as np
+import pytest
 
 from vandinv import (
     NodeSet,
+    NumericalError,
     esp_table,
     interp_experiment,
     inverse_closed_form,
@@ -18,6 +21,7 @@ from vandinv.serialize import (
     format_float,
     interp_report_to_csv,
     interp_summaries_to_csv,
+    interp_summary_row,
     inverse_to_csv,
     inverse_to_json,
     order_values_to_csv,
@@ -155,3 +159,109 @@ def test_interp_summary_csv(tmp_path):
     assert rows[1][0] == "cosine"
     assert rows[1][1] == "roots_of_unity"
     assert int(rows[1][2]) == 10
+
+
+# ------------------------------------------ bytes of the per-entry writers
+# The recipes the writers had before they formatted rows in bulk: csv.writer
+# over f"{x:.17g}" cells, and json.dumps(indent=2) over nested [re, im]
+# pairs.  Each bulk writer must reproduce them byte for byte.
+
+def csv_oracle(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def re_im(z):
+    z = complex(z)
+    return f"{z.real:.17g}", f"{z.imag:.17g}"
+
+
+SPECIAL = [-0.0, 5e-324, 1e308, -1e308, 3.0, -42.0, 1e16, 1.5e-300, 6.02e23, 1 / 3]
+
+
+def writer_matrices():
+    rng = np.random.default_rng(7)
+    special = np.array(SPECIAL[:9]).reshape(3, 3) + 1j * np.array(SPECIAL[1:]).reshape(3, 3)
+    wide = rng.standard_normal((6, 6)) * 10.0 ** rng.integers(-20, 20, (6, 6))
+    return {
+        "1x1": np.array([[2.5 - 0.0j]]),
+        "real": np.array([[-0.0, 5e-324], [1e308, 7.0]]),  # what --real writes
+        "special": special,
+        "transposed": (wide + 1j * wide[::-1]).T,  # not C-contiguous
+        "inverse": inverse_closed_form(NodeSet([1, 2j, -3, 0.5 + 0.5j])),
+    }
+
+
+@pytest.mark.parametrize("name", list(writer_matrices()))
+@pytest.mark.parametrize("esp_backend", ["proposed", None])
+def test_inverse_writers_keep_the_per_entry_bytes(tmp_path, name, esp_backend):
+    matrix = writer_matrices()[name]
+    inverse_to_csv(matrix, tmp_path / "new.csv")
+    header = [f"col{j}_{part}" for j in range(1, matrix.shape[1] + 1) for part in ("re", "im")]
+    csv_oracle(tmp_path / "old.csv", header,
+               ([cell for z in row for cell in re_im(z)] for row in matrix))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    inverse_to_json(matrix, tmp_path / "new.json", esp_backend, "closed_form")
+    doc = {
+        "n": matrix.shape[0],
+        "esp_backend": esp_backend,
+        "inverse_backend": "closed_form",
+        "matrix": [[[z.real, z.imag] for z in row] for row in matrix.astype(complex)],
+    }
+    old = json.dumps(doc, indent=2) + "\n"
+    assert (tmp_path / "new.json").read_text(encoding="utf-8") == old
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_inverse_json_refuses_non_finite_entries(tmp_path, bad):
+    matrix = np.array([[1.0, 2.0], [3.0, bad]])
+    with pytest.raises(NumericalError):
+        inverse_to_json(matrix, tmp_path / "inv.json", None, "elimination_baseline")
+    assert not (tmp_path / "inv.json").exists()
+
+
+def test_value_writers_keep_the_per_entry_bytes(tmp_path):
+    values = np.array(SPECIAL) + 1j * np.array(SPECIAL[::-1])
+    order_values_to_csv(values, tmp_path / "new.csv", first_order=3)
+    csv_oracle(tmp_path / "old.csv", ["order", "re", "im", "abs"],
+               ([n, *re_im(z), f"{abs(z):.17g}"] for n, z in enumerate(values, 3)))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    table = esp_table(NodeSet([1.5, -2j, 3e-7, 4 + 1j]), "yang")
+    esp_table_to_csv(table, tmp_path / "new.csv")
+    order = table.shape[0] - 1
+    header = ["n", *(f"sigma{j}_{part}" for j in range(order + 1) for part in ("re", "im"))]
+    csv_oracle(tmp_path / "old.csv", header, (
+        [n, *(cell for j in range(order + 1)
+              for cell in (re_im(table[n, j]) if j <= n else ("", "")))]
+        for n in range(1, order + 1)
+    ))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("fn, family", [("tanh", "equidistant"), ("exponential", "roots_of_unity")])
+def test_interp_report_csv_keeps_the_per_entry_bytes(tmp_path, fn, family):
+    # complex residuals on the circle, which numpy's vectorised abs may round
+    # differently from the per-entry abs
+    report = interp_experiment(fn, family, 40, t=3.0)
+    interp_report_to_csv(report, tmp_path / "new.csv")
+    total, e = report.evaluations.size, report.excluded_count_per_side
+    header = ["index", "pred_re", "pred_im", "ref_re", "ref_im", "residual", "excluded"]
+    csv_oracle(tmp_path / "old.csv", header, (
+        [k + 1, *re_im(pred), *re_im(ref), f"{abs(pred - ref):.17g}",
+         int(k < e or k >= total - e)]
+        for k, (pred, ref) in enumerate(zip(report.evaluations, report.reference))
+    ))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_summary_row_writes_minus_inf_only_for_a_zero_nmse():
+    report = interp_experiment("cosine", "roots_of_unity", 10)
+    assert interp_summary_row(report)[-1] == format_float(np.log10(report.nmse_after_exclusion))
+    zero = dataclasses.replace(report, nmse_after_exclusion=0.0)
+    assert interp_summary_row(zero)[-2:] == ["0", "-inf"]
+    nan = dataclasses.replace(report, nmse_after_exclusion=float("nan"))
+    assert interp_summary_row(nan)[-1] == "nan"
