@@ -18,7 +18,6 @@ from .errors import (
 from .esp import (
     ESP_BACKENDS,
     FULL_SET_ESP_BACKENDS,
-    MAX_UNSCALED_ORDER,
     esp_all_orders,
     esp_bruteforce_oracle,
     esp_dropped,
@@ -76,7 +75,6 @@ __all__ = [
     "validate_pairwise_distinct",
     "ESP_BACKENDS",
     "FULL_SET_ESP_BACKENDS",
-    "MAX_UNSCALED_ORDER",
     "esp_table",
     "esp_dropped",
     "esp_single",

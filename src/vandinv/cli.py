@@ -159,6 +159,8 @@ def _write_manifest(args, out) -> None:
 
 def _cmd_esp(args):
     nodes = _nodes_from_args(args)
+    if args.backend is None:  # resolved here, so the manifest names it
+        args.backend = "traub" if args.table else "proposed"
     if args.table:
         if args.drop is not None:
             raise ValueError("--table shows the full-set table; it cannot combine with --drop")
@@ -276,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_argument("--order", type=int, help="single ESP order")
     what.add_argument("--all-orders", action="store_true", help="every order at once")
     what.add_argument("--table", action="store_true", help="print the full triangular table")
-    p_esp.add_argument("--backend", choices=ESP_BACKENDS, default="proposed")
+    p_esp.add_argument("--backend", choices=ESP_BACKENDS,
+                       help="ESP backend (default: traub with --table, proposed otherwise)")
     p_esp.add_argument("--drop", type=int, metavar="I", help="drop the I'th node (1-based)")
     p_esp.add_argument("--output", help="write results as CSV")
     p_esp.set_defaults(handler=_cmd_esp)

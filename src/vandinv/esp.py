@@ -15,11 +15,12 @@ public functions are `esp_single` (one order, run alone by ``proposed``),
 public result is finite: an entry that overflows to inf or NaN raises
 `OrderOverflowError`.  All functions are pure.
 
-* ``proposed`` - a per-order balanced recursion.  For a target order n it
-  iterates f_i(v_d) = v_d * (C_{i-1} - (n - i) * f_{i-1}(v_d)) with
-  f_0(v) = v and C_i = sum_d f_i(v_d), and returns C_{n-1} / n!.  The sum
-  over ordered distinct index tuples equals n! times the unordered ESP,
-  which is why the factorial division appears.  Every step keeps the full
+* ``proposed`` - a per-order balanced recursion.  For a target order n the
+  paper iterates f_i(v_d) = v_d * (C_{i-1} - (n - i) * f_{i-1}(v_d)) with
+  f_0(v) = v and C_i = sum_d f_i(v_d), and returns C_{n-1} / n!.  The
+  kernel runs it rescaled exactly by (n-1)! / (n-1-i)!, so it forms no n!:
+  g_0(v) = v, g_i(v_d) = v_d * (G_{i-1} / (n - i) - g_{i-1}(v_d)),
+  G_i = sum_d g_i(v_d), sigma = G_{n-1} / n.  Every step keeps the full
   node set in play, which is what makes this recursion stable on symmetric
   sets such as the roots of unity.  Cost is O(n * N) per order, so O(N^3)
   per sweep and O(N^4) per closed-form inverse.  One kernel runs every
@@ -29,9 +30,6 @@ public result is finite: an entry that overflows to inf or NaN raises
   the Python dispatch and the memory passes are shared.  A zero node
   drops out of the recursion, so the full product of a set holding one is
   returned as exactly 0 rather than as the recursion's rounding residue.
-  Rows of more than 170 nodes, whose top orders pass double range in n!,
-  run scaled: each step divides by i + 1 instead of dividing by n! at the
-  end.  The choice follows the row length, so one order matches a sweep.
 * ``traub``    - the classic triangular table sigma(n, j) =
   sigma(n-1, j) + v_n * sigma(n-1, j-1) over node prefixes; O(N^2).
 * ``yang``     - a prefix-block expansion of the same table: group each
@@ -53,10 +51,6 @@ import numpy as np
 
 from .errors import OrderOverflowError, check_ints, check_name
 from .nodes import NodeSet
-
-# Largest order whose factorial still fits a double; proposed rows longer
-# than it run the scaled recursion.
-MAX_UNSCALED_ORDER = 170
 
 # Bytes of the (nodes x pairs) complex array one proposed chunk holds.
 _BLOCK_BYTES = 256 * 1024
@@ -93,40 +87,51 @@ def _node_sum(f: np.ndarray) -> np.ndarray:
     return np.add.reduce(f, axis=0, initial=_NEG_ZERO)
 
 
-def _proposed_kernel(vp, orders, scaled):
-    """C_{n-1} for every pair column of vp (nodes x pairs), the columns sorted
-    by ascending order n; finished orders are a prefix of the columns and are
-    sliced off, so step i touches only pairs with n > i."""
-    f, k = vp.copy(), orders.astype(np.complex128)
-    c = _node_sum(f)
+def _proposed_kernel(vp, orders):
+    """sigma(m, n) for every pair column of vp (nodes x pairs), the columns
+    sorted by ascending order n >= 1.  Finished orders are a prefix of the
+    columns and are cut off, so step i touches only the pairs with n > i.
+
+    At a cut the live pairs of v and g move to the front of a spare buffer,
+    contiguous again (an op on a column slice runs ~3x slower); two buffer
+    pairs take turns, as fresh arrays at every cut fault their pages in
+    anew.  Each division by n - i or n divides the real and imaginary parts
+    apart, on the float view: numpy's complex / float takes the
+    complex-division path and can differ by an ulp."""
+    ends = np.searchsorted(orders, np.arange(orders[-1]), side="right").tolist()
+    n2 = np.repeat(orders.astype(np.float64), 2)  # n for each real and imaginary part
+    g = vp.copy()
+    live, spare = (vp.reshape(-1), g.reshape(-1)), np.empty((2, vp.size), dtype=vp.dtype)
+    c = _node_sum(g)
     out, done = np.empty_like(c), 0
-    for i in range(1, int(orders[-1])):
-        live = int(np.searchsorted(orders, i, side="right"))
-        out[done:live] = c[: live - done]
-        f, vp, c, done = f[:, live - done :], vp[:, live - done :], c[live - done :], live
-        # operand order as in v * (C - (n - i) * f): numpy's fused complex
+    for i in range(1, len(ends)):
+        cut = ends[i] - done
+        if cut:
+            out[done : ends[i]] = c[:cut]
+            c, done = c[cut:], ends[i]
+            moved = [b[: vp.shape[0] * c.size].reshape(-1, c.size) for b in spare]
+            np.copyto(moved[0], vp[:, cut:])
+            np.copyto(moved[1], g[:, cut:])
+            (vp, g), live, spare = moved, spare, live
+        d = c.view(np.float64)
+        np.divide(d, n2[2 * done :] - i, out=d)  # c is G / (n - i) from here
+        # operand order as in v * (G / (n - i) - g): numpy's fused complex
         # multiply rounds differently with the operands swapped
-        np.multiply(k[done:] - i, f, out=f)
-        np.subtract(c, f, out=f)
-        np.multiply(vp, f, out=f)
-        if scaled:
-            f /= i + 1
-        c = _node_sum(f)
+        np.subtract(c, g, out=g)
+        np.multiply(vp, g, out=g)
+        c = _node_sum(g)
     out[done:] = c
+    d = out.view(np.float64)
+    np.divide(d, n2, out=d)
     return out
 
 
 def _proposed(v, orders):
     """sigma(m, n) for every row of v (rows x m) and ascending order n in 0..m.
 
-    Rows of more than MAX_UNSCALED_ORDER nodes run scaled: each step divides
-    by i + 1 instead of dividing by n! at the end, which keeps orders past
-    170 in range.  The choice follows m, never the orders, so an order has
-    the same bits alone as in a sweep.  Every (row, order >= 1) pair is its
-    own recursion.  The pairs run sorted by order, then row, in chunks of at
-    most _BLOCK_BYTES of node values."""
+    Every (row, order >= 1) pair is its own recursion.  The pairs run sorted
+    by order, then row, in chunks of at most _BLOCK_BYTES of node values."""
     rows, m = v.shape
-    scaled = m > MAX_UNSCALED_ORDER
     pair_orders = np.repeat(orders, rows)
     pair_rows = np.tile(np.arange(rows), orders.size)
     out = np.ones(pair_orders.size, dtype=np.complex128)  # sigma(m, 0) = 1
@@ -135,15 +140,9 @@ def _proposed(v, orders):
     for s in range(np.count_nonzero(orders == 0) * rows, out.size, step):
         chunk = slice(s, s + step)
         vp = v.T.take(pair_rows[chunk], axis=1)  # a C-ordered (nodes x pairs) copy
-        out[chunk] = _proposed_kernel(vp, pair_orders[chunk], scaled)
+        out[chunk] = _proposed_kernel(vp, pair_orders[chunk])
     out = out.reshape(orders.size, rows).T.copy()  # C order, as _KERNELS says
-    if not scaled:
-        # separate real and imaginary float divisions: numpy's complex / float
-        # takes the complex-division path and can differ by an ulp
-        fact = np.array([float(math.factorial(n)) for n in orders])
-        out.real /= fact
-        out.imag /= fact
-    # a zero node's f_i stays 0, so an order above a row's count of nonzero
+    # a zero node's g_i stays 0, so an order above a row's count of nonzero
     # nodes is exactly 0; the recursion reaches it only up to rounding
     out[orders > np.count_nonzero(v, axis=1)[:, None]] = 0
     return out

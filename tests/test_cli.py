@@ -17,6 +17,7 @@ from vandinv import (
     INVERSE_BACKENDS,
     NODE_FAMILIES,
     NodeSet,
+    build_vandermonde,
     companion_identity_nmse,
     compute_inverse,
     esp_all_orders,
@@ -83,6 +84,27 @@ def test_esp_dropped_all_orders_on_roots(capsys):
     assert len(values) == 50
     mags = np.abs(np.array(list(values.values())))
     np.testing.assert_allclose(mags, 1.0, atol=1e-6)
+
+
+def test_esp_dropped_sweep_past_order_170(capsys):
+    # the sweep runs to order 170, the last order whose n! fits a double
+    code, out, _ = run(capsys, "esp", "--roots-of-unity", "171", "--drop", "1", "--all-orders")
+    assert code == 0
+    values = parse_value_lines(out)
+    v1 = generate_nodes("roots_of_unity", 171).values[0]
+    # on the roots of unity the sweep without v_1 is (-v_1)**j exactly
+    exact = (-v1) ** np.arange(171)
+    assert np.abs(np.array([values[j] for j in range(171)]) - exact).max() < 1e-10
+
+
+def test_esp_table_defaults_to_traub(capsys, tmp_path):
+    out_path = tmp_path / "table.csv"
+    code, out, _ = run(capsys, "esp", "--nodes", "1,2,3", "--table", "--output", str(out_path))
+    assert code == 0
+    assert out == run(capsys, "esp", "--nodes", "1,2,3", "--backend", "traub", "--table")[1]
+    assert "n=3: 1+0j 6+0j 11+0j 6+0j" in out
+    manifest = json.loads((tmp_path / "table.csv.manifest.json").read_text())
+    assert manifest["parameters"]["backend"] == "traub"
 
 
 def test_esp_table_output(capsys, tmp_path):
@@ -318,6 +340,15 @@ def test_invert_json_names_the_backends_it_used(capsys, tmp_path, route, esp, es
     doc = json.loads(out_path.read_text())
     assert doc["esp_backend"] == esp_label
     assert doc["inverse_backend"] == CLI_INVERSES[route]
+
+
+def test_invert_closed_form_on_171_roots_of_unity(capsys):
+    # each dropped sweep of 170 nodes reaches order 170
+    code, out, _ = run(capsys, "invert", "--roots-of-unity", "171", "--inverse", "closed-form")
+    assert code == 0
+    w = np.array([[complex(token) for token in line.split(",")] for line in out.splitlines()])
+    v = build_vandermonde(generate_nodes("roots_of_unity", 171))
+    assert np.abs(v @ w - np.eye(171)).max() < 1e-10
 
 
 def test_invert_real_flag_on_complex_nodes_fails(capsys):

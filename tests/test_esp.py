@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,61 +69,43 @@ def test_proposed_rejects_out_of_range_orders():
 
 
 def test_proposed_overflow_guard_and_scaled_escape():
-    # 175! overflows a double: past order 170 the sweep runs scaled
+    # 175! overflows a double; the normalised recursion never forms it
     ns = NodeSet(np.linspace(0.5, 1.5, 180))
     assert np.isfinite(esp_single(ns, 175))
 
 
-def run_scaled(monkeypatch):
-    """Make every proposed row run scaled: the choice reads this at call time."""
-    monkeypatch.setattr(esp_module, "MAX_UNSCALED_ORDER", 0)
+def test_proposed_keeps_finite_orders_past_the_unit_disk():
+    # every ESP of 3 x the 160th roots is finite, up to |prod(v)| = 3**160
+    ns = NodeSet(3 * roots(160).values)
+    sweep = esp_all_orders(ns, "proposed")
+    assert np.isfinite(sweep).all()
+    top = np.prod(ns.values)
+    assert abs(sweep[-1] - top) <= 1e-12 * abs(top)
 
 
-def scaled_proposed(monkeypatch, ns, orders):
-    with monkeypatch.context() as patch:
-        run_scaled(patch)
-        return esp_module._proposed(ns.values[None, :], np.asarray(orders))[0]
+def reference_proposed(values, order):
+    """The normalised balanced recursion one order at a time.
 
-
-def test_proposed_scaled_mode_agrees_on_unit_circle(monkeypatch):
-    # well-conditioned at every order, so the modes must track each other
-    ns = NodeSet(np.delete(generate_nodes("roots_of_unity", 51).values, 0))
-    plain = esp_all_orders(ns)[1:]
-    scaled = scaled_proposed(monkeypatch, ns, range(1, 51))
-    assert (np.abs(plain - scaled) <= 1e-12 * np.abs(plain)).all()
-
-
-def test_proposed_scaled_mode_agrees_on_small_random_sets(monkeypatch, rng):
-    for _ in range(20):
-        n = int(rng.integers(2, 13))
-        ns = random_node_set(rng, n)
-        plain = esp_all_orders(ns)[1:]
-        scaled = scaled_proposed(monkeypatch, ns, range(1, n + 1))
-        assert (np.abs(plain - scaled) <= 1e-12 * np.maximum(1.0, np.abs(plain))).all()
-
-
-def reference_proposed(values, order, scaled=False):
-    """The balanced recursion one order at a time, as the paper states it.
-
-    f_0 = v, f_i = v * (C_{i-1} - (n - i) * f_{i-1}), C_i = sum of f_i in
-    node order, result C_{n-1} / n! by Python-complex division.  The node
-    arrays stay numpy arrays with the same operand order as the kernel:
-    numpy's complex multiply is fused, so Python scalars (or swapped
-    operands) would round differently.  ``scaled`` divides f_i by i + 1
-    instead of dividing by n! at the end.
+    g_0 = v, g_i = v * (G_{i-1} / (n - i) - g_{i-1}), G_i = sum of g_i in
+    node order, result G_{n-1} / n; a division by a count divides the real
+    and the imaginary part apart.  This is the paper's f_i / C_i recursion
+    with f_i = g_i * (n-1)! / (n-1-i)!.  The node arrays stay numpy arrays
+    with the same operand order as the kernel: numpy's complex multiply is
+    fused, so Python scalars (or swapped operands) would round differently.
     """
-    def node_sum(f):
-        return complex(np.cumsum(f)[-1])
+    def node_sum(g):
+        return complex(np.cumsum(g)[-1])
+
+    def div(z, count):
+        return complex(z.real / count, z.imag / count)
 
     v = np.asarray(values, dtype=np.complex128)
-    f = v.copy()
-    c = node_sum(f)
+    g = v.copy()
+    c = node_sum(g)
     for i in range(1, order):
-        f = v * (c - (order - i) * f)
-        if scaled:
-            f = f / (i + 1)
-        c = node_sum(f)
-    return c if scaled else c / math.factorial(order)
+        g = v * (div(c, order - i) - g)
+        c = node_sum(g)
+    return div(c, order)
 
 
 def same_bits(a, b):
@@ -180,33 +160,31 @@ def test_proposed_chunks_are_bit_identical_to_the_scalar_recursion(monkeypatch, 
         assert same_bits(row, [1.0] + [reference_proposed(reduced, k) for k in range(1, 12)])
 
 
-@pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
-def test_proposed_modes_are_bit_identical_to_the_scalar_recursion(monkeypatch, scaled):
-    if scaled:
-        run_scaled(monkeypatch)
+def test_proposed_single_and_batched_rows_are_bit_identical_to_the_scalar_recursion(
+    monkeypatch,
+):
     rng = np.random.default_rng(11)
     v = rng.standard_normal(10) + 1j * rng.standard_normal(10)
     for k in range(1, 11):
         single = esp_module._proposed(v[None, :], np.array([k]))
-        assert same_bits(single, [[reference_proposed(v, k, scaled)]])
+        assert same_bits(single, [[reference_proposed(v, k)]])
     # the batched kernel over every dropped row, in chunks that split orders
     chunk_pairs(monkeypatch, 7, 9)
     rows = np.array([np.delete(v, i) for i in range(10)])
     batch = esp_module._proposed(rows, np.arange(1, 10))
     for row, w in zip(batch, rows):
-        assert same_bits(row, [reference_proposed(w, k, scaled) for k in range(1, 10)])
+        assert same_bits(row, [reference_proposed(w, k) for k in range(1, 10)])
 
 
 def test_proposed_full_set_and_single_orders_are_bit_identical(monkeypatch):
     chunk_pairs(monkeypatch, 7, 20)  # the one row's 20 orders in three chunks
     rng = np.random.default_rng(20)
     plain = NodeSet(rng.standard_normal(20) + 1j * rng.standard_normal(20))
-    # 173 nodes run scaled, each single order as in the sweep
-    scaled = NodeSet(np.exp(2j * np.pi * np.random.default_rng(173).random(173)))
-    for ns in (plain, scaled):
+    # past order 170, where n! leaves double range, on the same path
+    large = NodeSet(np.exp(2j * np.pi * np.random.default_rng(173).random(173)))
+    for ns in (plain, large):
         n = len(ns)
-        is_scaled = n > esp_module.MAX_UNSCALED_ORDER
-        expected = [reference_proposed(ns.values, k, is_scaled) for k in range(1, n + 1)]
+        expected = [reference_proposed(ns.values, k) for k in range(1, n + 1)]
         assert same_bits(esp_all_orders(ns, "proposed"), [1.0] + expected)
         assert same_bits([esp_single(ns, k) for k in range(1, n + 1)], expected)
     assert same_bits(esp_all_orders(NodeSet([2 - 3j]), "proposed"), [1, 2 - 3j])
@@ -216,9 +194,9 @@ def test_esp_single_runs_only_its_order(monkeypatch):
     seen = []
     kernel = esp_module._proposed_kernel
 
-    def spy(vp, orders, scaled):
+    def spy(vp, orders):
         seen.append(orders.copy())
-        return kernel(vp, orders, scaled)
+        return kernel(vp, orders)
 
     monkeypatch.setattr(esp_module, "_proposed_kernel", spy)
     ns = random_node_set(np.random.default_rng(3), 9)
