@@ -26,8 +26,10 @@ public result is finite: an entry that overflows to inf or NaN raises
   per sweep and O(N^4) per closed-form inverse.  One kernel runs every
   (row, order) pair of a call, each pair its own recursion: the pairs are
   sorted by order, then row, and go in chunks of at most 256 KB laid out
-  node-major, as (nodes x pairs) arrays.  The work is the paper's; only
-  the Python dispatch and the memory passes are shared.  A zero node
+  node-major, as (nodes x pairs) arrays.  Every pair of a chunk steps on
+  to the chunk's top order, its sum read off at its own order and the
+  later steps left unread.  The results are the paper's; only the Python
+  dispatch and the memory passes are shared.  A zero node
   drops out of the recursion, so the full product of a set holding one is
   returned as exactly 0 rather than as the recursion's rounding residue.
 * ``traub``    - the classic triangular table sigma(n, j) =
@@ -89,38 +91,29 @@ def _node_sum(f: np.ndarray) -> np.ndarray:
 
 def _proposed_kernel(vp, orders):
     """sigma(m, n) for every pair column of vp (nodes x pairs), the columns
-    sorted by ascending order n >= 1.  Finished orders are a prefix of the
-    columns and are cut off, so step i touches only the pairs with n > i.
+    sorted by ascending order n >= 1.  Every column runs to the chunk's top
+    order; an order-n column's sum is read off at step n, and only the
+    columns still live past step i are divided by n - i.  A finished column
+    steps on undivided and unread; `_esp`'s errstate hides its overflow.
 
-    At a cut the live pairs of v and g move to the front of a spare buffer,
-    contiguous again (an op on a column slice runs ~3x slower); two buffer
-    pairs take turns, as fresh arrays at every cut fault their pages in
-    anew.  Each division by n - i or n divides the real and imaginary parts
-    apart, on the float view: numpy's complex / float takes the
-    complex-division path and can differ by an ulp."""
+    Each division by n - i or n divides the real and imaginary parts apart,
+    on the float view: numpy's complex / float takes the complex-division
+    path and can differ by an ulp."""
     ends = np.searchsorted(orders, np.arange(orders[-1]), side="right").tolist()
     n2 = np.repeat(orders.astype(np.float64), 2)  # n for each real and imaginary part
     g = vp.copy()
-    live, spare = (vp.reshape(-1), g.reshape(-1)), np.empty((2, vp.size), dtype=vp.dtype)
     c = _node_sum(g)
-    out, done = np.empty_like(c), 0
+    out = np.empty_like(c)
     for i in range(1, len(ends)):
-        cut = ends[i] - done
-        if cut:
-            out[done : ends[i]] = c[:cut]
-            c, done = c[cut:], ends[i]
-            moved = [b[: vp.shape[0] * c.size].reshape(-1, c.size) for b in spare]
-            np.copyto(moved[0], vp[:, cut:])
-            np.copyto(moved[1], g[:, cut:])
-            (vp, g), live, spare = moved, spare, live
-        d = c.view(np.float64)
-        np.divide(d, n2[2 * done :] - i, out=d)  # c is G / (n - i) from here
+        out[ends[i - 1] : ends[i]] = c[ends[i - 1] : ends[i]]  # the orders n = i
+        d = c[ends[i] :].view(np.float64)
+        np.divide(d, n2[2 * ends[i] :] - i, out=d)  # live c is G / (n - i) from here
         # operand order as in v * (G / (n - i) - g): numpy's fused complex
         # multiply rounds differently with the operands swapped
         np.subtract(c, g, out=g)
         np.multiply(vp, g, out=g)
         c = _node_sum(g)
-    out[done:] = c
+    out[ends[-1] :] = c[ends[-1] :]
     d = out.view(np.float64)
     np.divide(d, n2, out=d)
     return out

@@ -64,10 +64,11 @@ def validate_pairwise_distinct(values):
     n = v.size
     if n < 2:
         return True, None
-    gaps = np.abs(v[:, None] - v[None, :])
+    with np.errstate(over="ignore"):  # a gap past double range is inf, and distinct
+        gaps = np.abs(v[:, None] - v[None, :])
+        threshold = DISTINCTNESS_RTOL * np.abs(v).max()
     np.fill_diagonal(gaps, np.inf)
     k, j = np.unravel_index(np.argmin(gaps), gaps.shape)
-    threshold = DISTINCTNESS_RTOL * np.abs(v).max()
     if gaps[k, j] > threshold:
         return True, None
     lo, hi = sorted((int(k) + 1, int(j) + 1))

@@ -23,7 +23,8 @@ parts of an inverse built from real nodes, and `inverse_esp_backend` names
 the ESP backend a route reads: none for the elimination baseline.
 
 lambda_k = prod_{j != k} (v_k - v_j) are the barycentric denominators;
-a |lambda_k| below 1e-300 or past double range, or an elimination pivot
+a |lambda_k| below 1e-300 or of 2^1021 (~2.2e307) or more, past which a
+complex division by it loses the quotient, or an elimination pivot
 below 1e-14 * max |entry|, raises SingularityError (naming the weight's
 index).  `compute_inverse` raises NumericalError on any inverse entry that
 overflowed to inf or NaN, and starts every failure message with the route.
@@ -85,16 +86,18 @@ def barycentric_weights(nodes: NodeSet) -> np.ndarray:
     For the Nth roots of unity these are N * v_k**(N-1), all of magnitude N.
     """
     v = nodes.values
-    diff = v[:, None] - v[None, :]
-    np.fill_diagonal(diff, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
+        diff = v[:, None] - v[None, :]
+        np.fill_diagonal(diff, 1.0)
         lam = np.prod(diff, axis=1)
-    big = ~np.isfinite(lam)
+        # numpy divides by lam through 1 / (re + im * (im / re)), re the
+        # larger part; from |lam| = 2^1021 on that goes subnormal or 0
+        big = ~(np.abs(lam) < 2.0**1021)
     if big.any():
         k = int(np.argmax(big)) + 1
         raise SingularityError(
-            f"barycentric weight {k} overflowed double precision; "
-            "the nodes span too wide a range"
+            f"barycentric weight {k} overflowed the range of a complex division "
+            "(|lambda| >= 2^1021); the nodes span too wide a range"
         )
     small = np.abs(lam) < LAMBDA_FLOOR
     if small.any():
@@ -129,7 +132,8 @@ def inverse_closed_form(nodes: NodeSet, esp_backend: str = "proposed") -> np.nda
     else:
         dropped = esp_dropped(nodes, range(1, n + 1), esp_backend)
     # row i is the sweep without node i; column j wants its order N - j
-    return signs * dropped[:, ::-1] / lam[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # compute_inverse reports it
+        return signs * dropped[:, ::-1] / lam[:, None]
 
 
 def inverse_wa_product(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:
@@ -137,8 +141,9 @@ def inverse_wa_product(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndar
     signed-ESP Toeplitz matrix.  Mathematically equal to `inverse_closed_form`."""
     n = len(nodes)
     lam = barycentric_weights(nodes)
-    powers = np.vander(nodes.values, n, increasing=False)  # row i: v_i^{N-1} .. 1
-    w = powers / lam[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # compute_inverse reports it
+        powers = np.vander(nodes.values, n, increasing=False)  # row i: v_i^{N-1} .. 1
+        w = powers / lam[:, None]
     return w @ stanley_matrix(nodes, esp_backend)
 
 

@@ -380,6 +380,19 @@ def test_invert_overflow_exits_3(capsys, route):
     assert "overflowed" in err
 
 
+@pytest.mark.parametrize("nodes", ["1e308,1e308j", "1e308,-1e308"])
+def test_invert_extreme_nodes_exit_3_with_one_stderr_line(capsys, nodes):
+    # a weight too large for numpy's complex division gave an all-zero
+    # inverse and exit 0; a node gap past double range warned twice
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "invert", "--nodes", nodes)
+    assert [str(w.message) for w in caught] == []
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: closed_form inverse: barycentric weight 1")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,13 +2,18 @@
 non-integer, out-of-range count, order, index or seed with a ValueError that
 names the argument, and never truncates a float."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vandinv import (
+    INVERSE_BACKENDS,
     NodeSet,
+    NumericalError,
+    OrderOverflowError,
     build_vandermonde,
     compute_inverse,
     derive_seed,
@@ -24,6 +29,8 @@ from vandinv import (
     perturb_roots_of_unity,
 )
 from vandinv.errors import check_ints, check_name
+
+from test_esp import reference_proposed, same_bits
 
 NODES = NodeSet([1, 2, 3, 4])
 
@@ -127,3 +134,62 @@ def test_check_helpers_return_or_name_the_bad_value():
     check_name("route", "lu", ("lu", "qr"))
     with pytest.raises(ValueError, match=r"^unknown route 'svd'; expected one of \('lu', 'qr'\)$"):
         check_name("route", "svd", {"lu": 1, "qr": 2})
+
+
+# node sets whose gaps, weights, powers or ESPs leave double range
+EXTREME_SETS = (
+    np.array([1e308, 1e308j]),
+    np.array([1e308, -1e308]),
+    np.array([1e154, 1e154 - 1e154j, 0]),
+    1e30 + 1e20 * np.arange(12),  # a cluster: v^11 overflows, lambda does not
+)
+
+
+@st.composite
+def extreme_node_values(draw):
+    """2..12 complex nodes with parts in [-1, 1], scaled by 10^k, k in -300..308."""
+    n = draw(st.integers(2, 12))
+    parts = draw(st.lists(st.floats(-1, 1), min_size=2 * n, max_size=2 * n))
+    scale = 10.0 ** draw(st.integers(-300, 308))
+    return (np.array(parts[:n]) + 1j * np.array(parts[n:])) * scale
+
+
+def proposed_reference(values, orders):
+    """reference_proposed at each order, exactly 0 above the count of nonzero nodes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = [reference_proposed(values, k) if k else 1.0 for k in orders]
+    return np.where(np.asarray(orders) > np.count_nonzero(values), 0, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(extreme_node_values())
+@example(EXTREME_SETS[0])
+@example(EXTREME_SETS[1])
+@example(EXTREME_SETS[2])
+@example(EXTREME_SETS[3])
+def test_extreme_magnitudes_give_finite_results_or_typed_errors(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning may escape
+        try:
+            ns = NodeSet(values)
+        except ValueError:
+            return
+        v, n = ns.values, len(ns)
+        sweeps = (  # each with its reference rows
+            (lambda: esp_all_orders(ns)[None, :], lambda: [proposed_reference(v, range(n + 1))]),
+            (lambda: esp_dropped(ns, range(1, n + 1)),
+             lambda: [proposed_reference(np.delete(v, i), range(n)) for i in range(n)]),
+        )
+        for call, reference in sweeps:
+            try:
+                got = call()
+            except OrderOverflowError:
+                continue
+            assert np.isfinite(got).all()
+            assert same_bits(got, reference())
+        for route in INVERSE_BACKENDS:
+            try:
+                matrix = compute_inverse(ns, route)
+            except NumericalError:
+                continue
+            assert np.isfinite(matrix).all()

@@ -103,6 +103,12 @@ def test_nodeset_names_an_infinite_node():
         NodeSet([1, 2, -np.inf, 4])
 
 
+def test_nodeset_takes_a_gap_past_double_range_as_distinct():
+    # the gap 1e308 - (-1e308) overflows to inf, with no warning
+    assert len(NodeSet([1e308, -1e308])) == 2
+    assert validate_pairwise_distinct([1e308, -1e308, 1e308]) == (False, (1, 3))
+
+
 def test_nodeset_values_are_read_only():
     ns = NodeSet([1, 2, 3])
     with pytest.raises(ValueError):

@@ -85,6 +85,23 @@ def test_barycentric_overflow_names_the_weight():
         compute_inverse(ns, "closed_form", "traub")
 
 
+@pytest.mark.parametrize("route", ["closed_form", "wa_product"])
+def test_a_weight_too_large_to_divide_by_is_refused(route):
+    # lambda_1 = 1e308 - 1e308j is finite, but numpy's complex division by
+    # it overflows inside and returned an all-zero inverse
+    with pytest.raises(SingularityError, match="weight 1 overflowed the range of a complex division"):
+        compute_inverse(NodeSet([1e308, 1e308j]), route)
+    # lambda_1 = 1e308j, lambda_2 = -1e308 - 1e308j: a finite sigma(3, 2) = 1e308 - 1e308j
+    with pytest.raises(SingularityError, match="weight 1 overflowed"):
+        compute_inverse(NodeSet([1e154, 1e154 - 1e154j, 0]), route)
+
+
+def test_a_gap_past_double_range_names_the_overflowed_weight():
+    ns = NodeSet([1e308, -1e308])  # a gap of 2e308 is inf: distinct
+    with pytest.raises(SingularityError, match="weight 1 overflowed"):
+        compute_inverse(ns)
+
+
 # ---------------------------------------------------------------- stanley
 
 def test_stanley_two_nodes():
