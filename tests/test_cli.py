@@ -382,8 +382,8 @@ def test_invert_overflow_exits_3(capsys, route):
 
 @pytest.mark.parametrize("nodes", ["1e308,1e308j", "1e308,-1e308"])
 def test_invert_extreme_nodes_exit_3_with_one_stderr_line(capsys, nodes):
-    # a weight too large for numpy's complex division gave an all-zero
-    # inverse and exit 0; a node gap past double range warned twice
+    # a weight too large for numpy's complex division zeroes the inverse;
+    # a node gap past double range overflows the subtractions
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, "invert", "--nodes", nodes)
