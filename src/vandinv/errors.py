@@ -1,11 +1,13 @@
-"""Typed runtime failures and the argument checks.
+"""Typed runtime failures, the argument checks and the result check.
 
 Argument misuse raises plain ValueError everywhere in this package, through
 two checks that every public entry calls: `check_name` for a name looked up
 in a registry, and `check_ints` for counts, orders, indices and seeds, where
 a float is refused, never truncated.  NumericalError and its subclasses
-signal failures of the computation itself.  The CLI maps ValueError to exit
-code 2 and NumericalError to 3.
+signal failures of the computation itself.  Every public numerical result
+is finite: `check_finite` passes each one on, or raises a NumericalError
+that counts the entries that overflowed to inf or NaN.  The CLI maps
+ValueError to exit code 2 and NumericalError to 3.
 """
 
 import numpy as np
@@ -44,3 +46,14 @@ class OrderOverflowError(NumericalError):
 
 class NodeCollisionError(NumericalError):
     """Perturbed nodes kept collapsing within tolerance after all retries."""
+
+
+def check_finite(what: str, *values, error=NumericalError):
+    """The one value passed (all of them, if several), unless an entry is inf
+    or NaN: then ``error`` naming ``what``, the count of such entries and the
+    total."""
+    bad = sum(np.count_nonzero(~np.isfinite(x)) for x in values)
+    if bad:
+        total = sum(np.size(x) for x in values)
+        raise error(f"{what}: {bad} of {total} entries overflowed to inf or NaN")
+    return values[0] if len(values) == 1 else values

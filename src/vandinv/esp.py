@@ -12,8 +12,9 @@ index without that node.  Nodes are validated once, as a `NodeSet`.  The
 public functions are `esp_single` (one order, run alone by ``proposed``),
 `esp_all_orders`, `esp_dropped` and `esp_table` (traub or yang; (N+1) x
 (N+1), lower triangular).  Results are plain complex arrays, and every
-public result is finite: an entry that overflows to inf or NaN raises
-`OrderOverflowError`.  All functions are pure.
+public result is finite: `_esp` and `esp_table` pass the entries they
+return through `check_finite`, which raises `OrderOverflowError` on one
+that overflowed to inf or NaN.  All functions are pure.
 
 * ``proposed`` - a per-order balanced recursion.  For a target order n the
   paper iterates f_i(v_d) = v_d * (C_{i-1} - (n - i) * f_{i-1}(v_d)) with
@@ -51,7 +52,7 @@ import math
 
 import numpy as np
 
-from .errors import OrderOverflowError, check_ints, check_name
+from .errors import OrderOverflowError, check_finite, check_ints, check_name
 from .nodes import NodeSet
 
 # Bytes of the (nodes x pairs) complex array one proposed chunk holds.
@@ -62,19 +63,6 @@ _YANG_BATCH_BYTES = 64 * 2**20  # yang tables of 32 (m+1)^2 B a row: N <= 100 in
 _NEG_ZERO = complex(-0.0, -0.0)  # the exact identity of complex addition
 
 _ORACLE_MAX_NODES = 25
-
-
-def _finite(values, what: str):
-    """values, unless an entry overflowed to inf or NaN.
-
-    The backends run under np.errstate(over="ignore", invalid="ignore"), as
-    this check reports the overflow."""
-    bad = np.count_nonzero(~np.isfinite(values))
-    if bad:
-        raise OrderOverflowError(
-            f"{what}: {bad} of {np.size(values)} entries overflowed double precision"
-        )
-    return values
 
 
 def _node_sum(f: np.ndarray) -> np.ndarray:
@@ -216,7 +204,7 @@ def esp_table(nodes: NodeSet, method: str) -> np.ndarray:
     check_name("ESP table backend", method, _TABLES)
     with np.errstate(over="ignore", invalid="ignore"):
         table = _TABLES[method](nodes.values[None, :])[0]
-    return _finite(table, f"{method} table")
+    return check_finite(f"{method} table", table, error=OrderOverflowError)
 
 
 def _node_rows(v, drop, method):
@@ -238,7 +226,8 @@ def _node_rows(v, drop, method):
 def _esp(nodes: NodeSet, method: str, drop, orders) -> np.ndarray:
     """sigma at the ascending ``orders`` over the full set (``drop`` None) or
     without each 1-based index in ``drop``: one row for None or one index,
-    shape (len(drop), len(orders)) for a sequence."""
+    shape (len(drop), len(orders)) for a sequence; only these entries must
+    be finite."""
     check_name("ESP backend", method, ESP_BACKENDS)
     if drop is None:
         rows = None
@@ -252,8 +241,10 @@ def _esp(nodes: NodeSet, method: str, drop, orders) -> np.ndarray:
             raise ValueError("dropping a node needs at least 2 nodes")
         rows = np.atleast_1d(check_ints("drop index", drop, 1, len(nodes))) - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _KERNELS[method](_node_rows(nodes.values, rows, method), np.asarray(orders))
-    return out if np.ndim(drop) else out[0]
+        out = _KERNELS[method](_node_rows(nodes.values, rows, method), orders)
+    span = orders[0] if orders.size == 1 else f"{orders[0]}..{orders[-1]}"
+    what = f"{method} sigma({len(nodes) - (drop is not None)}, {span})"
+    return check_finite(what, out if np.ndim(drop) else out[0], error=OrderOverflowError)
 
 
 def esp_dropped(nodes: NodeSet, drop_index, method: str = "proposed") -> np.ndarray:
@@ -262,8 +253,7 @@ def esp_dropped(nodes: NodeSet, drop_index, method: str = "proposed") -> np.ndar
     ``drop_index`` is 1-based.  A sequence of indices returns one sweep per
     index, shape (len, N), from one batched backend call.
     """
-    sweeps = _esp(nodes, method, drop_index, np.arange(len(nodes)))
-    return _finite(sweeps, f"{method} dropped sweep")
+    return _esp(nodes, method, drop_index, np.arange(len(nodes)))
 
 
 def esp_single(
@@ -278,13 +268,12 @@ def esp_single(
     """
     top = len(nodes) - (drop_index is not None)
     check_ints("order", order, 0, top)
-    value = _esp(nodes, method, drop_index, [order])[0]
-    return complex(_finite(value, f"{method} sigma({top}, {order})"))
+    return complex(_esp(nodes, method, drop_index, np.array([order]))[0])
 
 
 def esp_all_orders(nodes: NodeSet, method: str = "proposed") -> np.ndarray:
     """Full-set ESPs for every order 0..N as one array."""
-    return _finite(_esp(nodes, method, None, np.arange(len(nodes) + 1)), f"{method} sweep")
+    return _esp(nodes, method, None, np.arange(len(nodes) + 1))
 
 
 def esp_bruteforce_oracle(nodes: NodeSet, order: int) -> complex:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, check_ints, check_name
+from .errors import check_finite, check_ints, check_name
 from .nodes import NodeSet, generate_nodes
 from .stability import nmse
 from .vandermonde import build_vandermonde, compute_inverse, inverse_esp_backend
@@ -121,8 +121,8 @@ def interp_experiment(
         predictions = evaluate_superresolved(coeffs, dense_nodes)
         reference = sample_function(fn, t, dense_nodes)
         score = nmse(predictions[included], reference[included])
-    if not all(np.isfinite(x).all() for x in (samples, coeffs, predictions, reference, score)):
-        raise NumericalError(f"non-finite result: {fn}, t = {t:g}, {n} {node_kind} nodes")
+    what = f"non-finite result: {fn}, t = {t:g}, {n} {node_kind} nodes"
+    check_finite(what, samples, coeffs, predictions, reference, score)
     return InterpolationReport(
         fn=fn,
         t=t,

@@ -65,6 +65,8 @@ def validate_pairwise_distinct(values):
     if n < 2:
         return True, None
     with np.errstate(over="ignore"):  # a gap past double range is inf, and distinct
+        if np.isinf(np.abs(v)).any():
+            v = v / 2  # exact units in which every |v| is finite
         gaps = np.abs(v[:, None] - v[None, :])
         threshold = DISTINCTNESS_RTOL * np.abs(v).max()
     np.fill_diagonal(gaps, np.inf)

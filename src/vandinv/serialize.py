@@ -1,24 +1,24 @@
 """CSV/JSON serialization for every result type.
 
 Floats print with 17 significant digits (round-trip exact for doubles);
-CSV files are RFC-4180 (CRLF, header row, UTF-8).  Writers are
-deterministic: the same object always produces identical bytes.  Each
-``*_to_csv`` / ``*_to_json`` writer takes its result first and the file
-path second.  CSV goes through `_write_csv`, JSON but the inverse through
-`write_json` (also the CLI's manifests), and every matrix writer and
-``invert`` stdout through one row formatter, `float_rows`, and a %-template
-per row, with the bytes of per-entry ``%.17g`` cells and of json.dumps.
+CSV files are RFC-4180 (CRLF, header row, UTF-8), and no cell needs quotes:
+every name comes from a registry.  Writers are deterministic: the same
+object always produces identical bytes.  Each ``*_to_csv`` / ``*_to_json``
+writer takes its result first and the file path second.  CSV goes through
+`_write_csv`, a %-template per row; JSON but the inverse through
+`write_json` (also the CLI's manifests).  Every matrix writer and
+``invert`` stdout formats rows from one bulk conversion, `float_rows`,
+with the bytes of per-entry ``%.17g`` cells and of json.dumps.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import check_finite
 from .interpolation import InterpolationReport
 from .nodes import RNG_ALGORITHM
 from .stability import SweepGrid
@@ -35,15 +35,11 @@ def float_rows(matrix) -> list[list[float]]:
     return np.ascontiguousarray(rows, np.complex128).view(np.float64).tolist()
 
 
-def _write_csv(path, header, rows, line: str | None = None) -> None:
-    """The one CSV writer: a header row, then ``rows``, by cell or by ``line``."""
+def _write_csv(path, header, lines) -> None:
+    """The one CSV writer: the header row, then finished CRLF ``lines``."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        if line is None:
-            writer.writerows(rows)
-        else:
-            handle.writelines(line % tuple(row) for row in rows)
+        handle.write(",".join(header) + "\r\n")
+        handle.writelines(lines)
 
 
 def write_json(doc, path) -> None:
@@ -58,27 +54,28 @@ def _re_im_header(names) -> list[str]:
 def esp_table_to_csv(table: np.ndarray, path) -> None:
     """One row per table row n = 1..N; entries beyond j = n stay blank."""
     order = table.shape[0] - 1
-    rows = (
-        [n, *map(format_float, values[: 2 * n + 2]), *[""] * (2 * (order - n))]
+    lines = (
+        ("%d" + ",%.17g" * (2 * n + 2) + ",," * (order - n) + "\r\n") % (n, *values[: 2 * n + 2])
         for n, values in enumerate(float_rows(table[1:]), 1)
     )
-    _write_csv(path, ["n", *_re_im_header(f"sigma{j}" for j in range(order + 1))], rows)
+    _write_csv(path, ["n", *_re_im_header(f"sigma{j}" for j in range(order + 1))], lines)
 
 
 def order_values_to_csv(values, path, first_order: int = 0) -> None:
     """An (order, value) sequence numbered from ``first_order``, e.g. a
     dropped-ESP sweep or one ESP order."""
     # a Python complex's abs has the bits of numpy's scalar abs, not its vectorised one
-    rows = (
-        (n, re, im, abs(complex(re, im)))
+    lines = (
+        "%d,%.17g,%.17g,%.17g\r\n" % (n, re, im, abs(complex(re, im)))
         for n, (re, im) in enumerate(float_rows(values), first_order)
     )
-    _write_csv(path, ["order", "re", "im", "abs"], rows, "%d,%.17g,%.17g,%.17g\r\n")
+    _write_csv(path, ["order", "re", "im", "abs"], lines)
 
 
 def inverse_to_csv(matrix: np.ndarray, path) -> None:
     header = _re_im_header(f"col{j}" for j in range(1, matrix.shape[1] + 1))
-    _write_csv(path, header, float_rows(matrix), ",".join(["%.17g"] * len(header)) + "\r\n")
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
+    _write_csv(path, header, (line % tuple(row) for row in float_rows(matrix)))
 
 
 def inverse_to_json(
@@ -86,8 +83,7 @@ def inverse_to_json(
 ) -> None:
     """``esp_backend`` is None for a route that reads no ESPs.  The matrix
     text is laid out as json.dumps(indent=2) lays out nested [re, im] pairs."""
-    if not np.isfinite(matrix).all():
-        raise NumericalError("a matrix with inf or NaN entries has no JSON form")
+    check_finite("matrix to write as JSON", matrix)
     head = json.dumps({"n": int(matrix.shape[0]), "esp_backend": esp_backend,
                        "inverse_backend": inverse_backend}, indent=2)
     pair = "[\n        %r,\n        %r\n      ]"  # %r: float.__repr__, as json.dumps
@@ -99,24 +95,20 @@ def inverse_to_json(
 def companion_table_to_csv(table, path) -> None:
     """``table`` holds (n, {combination label: NMSE}) pairs, one row each."""
     labels = list(table[0][1])
-    rows = ([n, *(format_float(cells[label]) for label in labels)] for n, cells in table)
-    _write_csv(path, ["n", *labels], rows)
+    line = "%d" + ",%.17g" * len(labels) + "\r\n"
+    lines = (line % (n, *(cells[label] for label in labels)) for n, cells in table)
+    _write_csv(path, ["n", *labels], lines)
 
 
 def sweep_to_csv(grid: SweepGrid, path) -> None:
     """Long format: one row per cell, row-major over (shift, mag)."""
-    rows = (
-        [
-            format_float(s_shift),
-            format_float(s_mag),
-            "" if grid.failed[a, b] else format_float(grid.log10_nmse[a, b]),
-            int(grid.failed[a, b]),
-        ]
-        for a, s_shift in enumerate(grid.sigma_shift_axis)
-        for b, s_mag in enumerate(grid.sigma_mag_axis)
+    lines = (
+        "%.17g,%.17g,%s,%d\r\n" % (s_shift, s_mag, "" if bad else format_float(x), bad)
+        for s_shift, row, failed in zip(grid.sigma_shift_axis, grid.log10_nmse, grid.failed)
+        for s_mag, x, bad in zip(grid.sigma_mag_axis, row, failed)
     )
     header = ["sigma_shift", "sigma_mag", "trial_mean_log10_nmse", "failed_flag"]
-    _write_csv(path, header, rows)
+    _write_csv(path, header, lines)
 
 
 def sweep_to_json(grid: SweepGrid, path) -> None:
@@ -145,12 +137,13 @@ def interp_report_to_csv(report: InterpolationReport, path) -> None:
     total = report.evaluations.size
     e = report.excluded_count_per_side
     values = float_rows(np.column_stack([report.evaluations, report.reference]))
-    rows = (
-        (k + 1, pr, pi, rr, ri, abs(complex(pr - rr, pi - ri)), k < e or k >= total - e)
+    lines = (
+        "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d\r\n"
+        % (k + 1, pr, pi, rr, ri, abs(complex(pr - rr, pi - ri)), k < e or k >= total - e)
         for k, (pr, pi, rr, ri) in enumerate(values)
     )
     header = ["index", "pred_re", "pred_im", "ref_re", "ref_im", "residual", "excluded"]
-    _write_csv(path, header, rows, "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d\r\n")
+    _write_csv(path, header, lines)
 
 
 INTERP_SUMMARY_HEADER = [
@@ -182,4 +175,5 @@ def interp_summary_row(report: InterpolationReport) -> list:
 
 
 def interp_summaries_to_csv(reports, path) -> None:
-    _write_csv(path, INTERP_SUMMARY_HEADER, map(interp_summary_row, reports))
+    line = ",".join(["%s"] * len(INTERP_SUMMARY_HEADER)) + "\r\n"
+    _write_csv(path, INTERP_SUMMARY_HEADER, (line % tuple(interp_summary_row(r)) for r in reports))

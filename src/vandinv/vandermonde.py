@@ -26,8 +26,10 @@ lambda_k = prod_{j != k} (v_k - v_j) are the barycentric denominators;
 a |lambda_k| below 1e-300 or of 2^1021 (~2.2e307) or more, past which a
 complex division by it loses the quotient, or an elimination pivot
 below 1e-14 * max |entry|, raises SingularityError (naming the weight's
-index).  `compute_inverse` raises NumericalError on any inverse entry that
-overflowed to inf or NaN, and starts every failure message with the route.
+index).  Each route, called directly or through `compute_inverse`, returns
+a finite matrix or raises NumericalError: `check_finite` counts any entry
+that overflowed to inf or NaN.  `compute_inverse` starts every failure
+message with the route.
 
 Rows of the closed-form inverse are independent; everything is pure.
 """
@@ -39,7 +41,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericalError, SingularityError, check_ints, check_name
+from .errors import NumericalError, SingularityError, check_finite, check_ints, check_name
 from .esp import ESP_BACKENDS, esp_all_orders, esp_dropped
 from .nodes import NodeSet
 
@@ -132,8 +134,8 @@ def inverse_closed_form(nodes: NodeSet, esp_backend: str = "proposed") -> np.nda
     else:
         dropped = esp_dropped(nodes, range(1, n + 1), esp_backend)
     # row i is the sweep without node i; column j wants its order N - j
-    with np.errstate(over="ignore", invalid="ignore"):  # compute_inverse reports it
-        return signs * dropped[:, ::-1] / lam[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return check_finite("inverse matrix", signs * dropped[:, ::-1] / lam[:, None])
 
 
 def inverse_wa_product(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:
@@ -141,17 +143,18 @@ def inverse_wa_product(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndar
     signed-ESP Toeplitz matrix.  Mathematically equal to `inverse_closed_form`."""
     n = len(nodes)
     lam = barycentric_weights(nodes)
-    with np.errstate(over="ignore", invalid="ignore"):  # compute_inverse reports it
+    with np.errstate(over="ignore", invalid="ignore"):
         powers = np.vander(nodes.values, n, increasing=False)  # row i: v_i^{N-1} .. 1
         w = powers / lam[:, None]
-    return w @ stanley_matrix(nodes, esp_backend)
+    return check_finite("inverse matrix", w @ stanley_matrix(nodes, esp_backend))
 
 
 def inverse_elimination_baseline(nodes: NodeSet) -> np.ndarray:
     """Row-pivoted elimination inverse of the explicitly built matrix."""
-    with np.errstate(over="ignore", invalid="ignore"):  # compute_inverse reports it
+    with np.errstate(over="ignore", invalid="ignore"):
         v_matrix = build_vandermonde(nodes)
-    n = len(nodes)
+    # an inf entry makes the pivot floor inf, and NaN pivots pass its test
+    check_finite("Vandermonde matrix", v_matrix)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(v_matrix, check_finite=False)
@@ -162,7 +165,9 @@ def inverse_elimination_baseline(nodes: NodeSet) -> np.ndarray:
             f"elimination pivot {pivots.min():.3e} below {floor:.3e}; "
             "matrix is numerically singular"
         )
-    return scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=np.complex128), check_finite=False)
+    eye = np.eye(len(nodes), dtype=np.complex128)
+    inverse = scipy.linalg.lu_solve((lu, piv), eye, check_finite=False)
+    return check_finite("inverse matrix", inverse)
 
 
 # Each route looks its function up when called, so that a rebinding of the
@@ -181,17 +186,10 @@ def compute_inverse(
     inverse_backend: str = "closed_form",
     esp_backend: str = "proposed",
 ) -> np.ndarray:
-    """Look up the inverse route by name; the result is finite or raises
-    a NumericalError whose message starts with the route."""
+    """Look up the inverse route by name; a NumericalError of the route
+    gets a message that starts with the route."""
     check_name("inverse backend", inverse_backend, INVERSE_BACKENDS)
     try:
-        matrix = _ROUTES[inverse_backend](nodes, esp_backend)
+        return _ROUTES[inverse_backend](nodes, esp_backend)
     except NumericalError as exc:
         raise type(exc)(f"{inverse_backend} inverse: {exc}") from None
-    bad = np.count_nonzero(~np.isfinite(matrix))
-    if bad:
-        raise NumericalError(
-            f"{inverse_backend} inverse: {bad} of {matrix.size} entries "
-            "overflowed to inf or NaN"
-        )
-    return matrix

@@ -380,10 +380,11 @@ def test_invert_overflow_exits_3(capsys, route):
     assert "overflowed" in err
 
 
-@pytest.mark.parametrize("nodes", ["1e308,1e308j", "1e308,-1e308"])
+@pytest.mark.parametrize("nodes", ["1e308,1e308j", "1e308,-1e308", "1.5e308+1.5e308j,0"])
 def test_invert_extreme_nodes_exit_3_with_one_stderr_line(capsys, nodes):
     # a weight too large for numpy's complex division zeroes the inverse;
-    # a node gap past double range overflows the subtractions
+    # a node gap past double range overflows the subtractions; a node whose
+    # magnitude overflows is distinct but makes its weight inf
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, "invert", "--nodes", nodes)

@@ -25,10 +25,12 @@ from vandinv import (
     generate_nodes,
     interp_experiment,
     inverse_closed_form,
+    inverse_elimination_baseline,
+    inverse_wa_product,
     noise_sweep,
     perturb_roots_of_unity,
 )
-from vandinv.errors import check_ints, check_name
+from vandinv.errors import check_finite, check_ints, check_name
 
 from test_esp import reference_proposed, same_bits
 
@@ -136,21 +138,34 @@ def test_check_helpers_return_or_name_the_bad_value():
         check_name("route", "svd", {"lu": 1, "qr": 2})
 
 
+def test_check_finite_returns_or_counts_the_non_finite_entries():
+    a, b = np.array([1.0, 2.0]), 3 + 4j
+    assert check_finite("x", a) is a
+    assert check_finite("x", a, b) == (a, b)
+    with pytest.raises(NumericalError, match=r"^sweep: 2 of 5 entries overflowed to inf or NaN$"):
+        check_finite("sweep", np.array([1, np.inf, 2]), complex(0, np.nan), 1.0)
+    with pytest.raises(OrderOverflowError, match=r"^t: 1 of 1 entries overflowed"):
+        check_finite("t", -np.inf, error=OrderOverflowError)
+
+
 # node sets whose gaps, weights, powers or ESPs leave double range
 EXTREME_SETS = (
     np.array([1e308, 1e308j]),
     np.array([1e308, -1e308]),
     np.array([1e154, 1e154 - 1e154j, 0]),
     1e30 + 1e20 * np.arange(12),  # a cluster: v^11 overflows, lambda does not
+    np.array([1.5e308 + 1.5e308j, 0]),  # |v_1| and lambda_1 overflow, the parts do not
 )
 
 
 @st.composite
 def extreme_node_values(draw):
-    """2..12 complex nodes with parts in [-1, 1], scaled by 10^k, k in -300..308."""
+    """2..12 complex nodes with parts in (-2, 2), scaled by 2^k, k in -997..1023:
+    parts from ~1e-300 up to the largest double."""
     n = draw(st.integers(2, 12))
-    parts = draw(st.lists(st.floats(-1, 1), min_size=2 * n, max_size=2 * n))
-    scale = 10.0 ** draw(st.integers(-300, 308))
+    parts = draw(st.lists(st.floats(-2, 2, exclude_min=True, exclude_max=True),
+                          min_size=2 * n, max_size=2 * n))
+    scale = 2.0 ** draw(st.integers(-997, 1023))
     return (np.array(parts[:n]) + 1j * np.array(parts[n:])) * scale
 
 
@@ -167,6 +182,7 @@ def proposed_reference(values, orders):
 @example(EXTREME_SETS[1])
 @example(EXTREME_SETS[2])
 @example(EXTREME_SETS[3])
+@example(EXTREME_SETS[4])
 def test_extreme_magnitudes_give_finite_results_or_typed_errors(values):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no warning may escape
@@ -187,9 +203,25 @@ def test_extreme_magnitudes_give_finite_results_or_typed_errors(values):
                 continue
             assert np.isfinite(got).all()
             assert same_bits(got, reference())
-        for route in INVERSE_BACKENDS:
+        inverses = (  # each route through compute_inverse and called directly
+            *(lambda route=route: compute_inverse(ns, route) for route in INVERSE_BACKENDS),
+            lambda: inverse_closed_form(ns),
+            lambda: inverse_wa_product(ns),
+            lambda: inverse_elimination_baseline(ns),
+        )
+        for call in inverses:
             try:
-                matrix = compute_inverse(ns, route)
+                matrix = call()
             except NumericalError:
                 continue
             assert np.isfinite(matrix).all()
+
+
+def test_elimination_refuses_a_vandermonde_matrix_past_double_range():
+    # v^39 of nodes near 1e8 overflows: the pivot floor goes inf and the
+    # pivots NaN, which its test passes
+    ns = NodeSet(np.linspace(100, 101, 40) * 1e6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^Vandermonde matrix: 40 of 1600 entries"):
+            inverse_elimination_baseline(ns)

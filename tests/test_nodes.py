@@ -109,6 +109,15 @@ def test_nodeset_takes_a_gap_past_double_range_as_distinct():
     assert validate_pairwise_distinct([1e308, -1e308, 1e308]) == (False, (1, 3))
 
 
+def test_nodeset_takes_a_node_whose_magnitude_overflows():
+    # |1.5e308 + 1.5e308j| is inf, so the threshold and every gap were inf
+    # and the closest pair fell on the diagonal
+    big = 1.5e308 + 1.5e308j
+    assert len(NodeSet([big, 0])) == 2
+    assert validate_pairwise_distinct([big, 0, big * (1 + 1e-14)]) == (False, (1, 3))
+    assert validate_pairwise_distinct([big, 0, big * (1 + 1e-11)]) == (True, None)
+
+
 def test_nodeset_values_are_read_only():
     ns = NodeSet([1, 2, 3])
     with pytest.raises(ValueError):

@@ -242,6 +242,41 @@ def test_value_writers_keep_the_per_entry_bytes(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+def test_sweep_csv_keeps_the_per_entry_bytes(tmp_path):
+    grid = noise_sweep(6, [0.0, 0.1], [0.0, 1e-3, 0.05], trials=2, seed=5)
+    grid = dataclasses.replace(grid, log10_nmse=grid.log10_nmse.copy(), failed=grid.failed.copy())
+    grid.log10_nmse[0, 1] = -np.inf  # a zero mean NMSE
+    grid.log10_nmse[1, 2], grid.failed[1, 2] = np.nan, True
+    sweep_to_csv(grid, tmp_path / "new.csv")
+    header = ["sigma_shift", "sigma_mag", "trial_mean_log10_nmse", "failed_flag"]
+    csv_oracle(tmp_path / "old.csv", header, (
+        [f"{s:.17g}", f"{m:.17g}", "" if grid.failed[a, b] else f"{grid.log10_nmse[a, b]:.17g}",
+         int(grid.failed[a, b])]
+        for a, s in enumerate(grid.sigma_shift_axis) for b, m in enumerate(grid.sigma_mag_axis)
+    ))
+    data = (tmp_path / "new.csv").read_bytes()
+    assert data == (tmp_path / "old.csv").read_bytes()
+    assert b"0,0.001,-inf,0\r\n" in data and b",,1\r\n" in data
+
+
+def test_interp_summary_csv_keeps_the_per_entry_bytes(tmp_path):
+    reports = [interp_experiment("cosine", "roots_of_unity", 10),
+               interp_experiment("tanh", "chebyshev", 20, t=3.5, inverse_backend="wa_product"),
+               interp_experiment("exponential", "equidistant", 16,
+                                 inverse_backend="elimination_baseline")]
+    reports.append(dataclasses.replace(reports[0], nmse_after_exclusion=0.0))
+    interp_summaries_to_csv(reports, tmp_path / "new.csv")
+    csv_oracle(tmp_path / "old.csv", serialize.INTERP_SUMMARY_HEADER, (
+        [r.fn, r.family, r.n, f"{r.t:.17g}", r.esp_backend or "none", r.inverse_backend,
+         r.excluded_count_per_side, f"{r.nmse_after_exclusion:.17g}",
+         f"{np.log10(r.nmse_after_exclusion):.17g}" if r.nmse_after_exclusion else "-inf"]
+        for r in reports
+    ))
+    data = (tmp_path / "new.csv").read_bytes()
+    assert data == (tmp_path / "old.csv").read_bytes()
+    assert data.endswith(b",0,-inf\r\n") and b",none," in data
+
+
 @pytest.mark.parametrize("fn, family", [("tanh", "equidistant"), ("exponential", "roots_of_unity")])
 def test_interp_report_csv_keeps_the_per_entry_bytes(tmp_path, fn, family):
     # complex residuals on the circle, which numpy's vectorised abs may round

@@ -100,6 +100,9 @@ def test_a_gap_past_double_range_names_the_overflowed_weight():
     ns = NodeSet([1e308, -1e308])  # a gap of 2e308 is inf: distinct
     with pytest.raises(SingularityError, match="weight 1 overflowed"):
         compute_inverse(ns)
+    ns = NodeSet([1.5e308 + 1.5e308j, 0])  # |v_1|, the gap and lambda_1 are inf
+    with pytest.raises(SingularityError, match="weight 1 overflowed"):
+        compute_inverse(ns)
 
 
 # ---------------------------------------------------------------- stanley
