@@ -1,6 +1,7 @@
 """The argument policy: every public entry refuses a bad name or a
 non-integer, out-of-range count, order, index or seed with a ValueError that
-names the argument, and never truncates a float."""
+names the argument, and never truncates a float.  The result policy: every
+public numerical result is finite, or the call raises a NumericalError."""
 
 import warnings
 
