@@ -25,12 +25,15 @@ that overflowed to inf or NaN.  All functions are pure.
   node set in play, which is what makes this recursion stable on symmetric
   sets such as the roots of unity.  Cost is O(n * N) per order, so O(N^3)
   per sweep and O(N^4) per closed-form inverse.  One kernel runs every
-  (row, order) pair of a call, each pair its own recursion: the pairs are
-  sorted by order, then row, and go in chunks of at most 256 KB laid out
-  node-major, as (nodes x pairs) arrays.  Every pair of a chunk steps on
-  to the chunk's top order, its sum read off at its own order and the
-  later steps left unread.  The results are the paper's; only the Python
-  dispatch and the memory passes are shared.  A zero node
+  (row, order) pair of a call, each pair its own recursion.  The orders
+  >= 1 of a request form one run lo..hi, and lane j runs order lo + j,
+  then order hi - j, back to back in one column; the middle order of an
+  odd run has a lane of its own.  A two-order lane takes lo + hi - 2
+  steps, as many as every other, so no column steps past its orders.  The
+  columns are the (lane, row) pairs, sorted by lane, then row, and go in
+  chunks of at most 512 KB laid out node-major, as (nodes x columns)
+  arrays.  The results are the paper's; only the Python dispatch and the
+  memory passes are shared.  A zero node
   drops out of the recursion, so the full product of a set holding one is
   returned as exactly 0 rather than as the recursion's rounding residue.
 * ``traub``    - the classic triangular table sigma(n, j) =
@@ -55,8 +58,15 @@ import numpy as np
 from .errors import OrderOverflowError, check_finite, check_ints, check_name
 from .nodes import NodeSet
 
-# Bytes of the (nodes x pairs) complex array one proposed chunk holds.
-_BLOCK_BYTES = 256 * 1024
+# Bytes of the (nodes x columns) complex array one proposed chunk holds: the
+# 666 columns of a closed-form inverse at N = 37 (375 KB) go in one chunk.
+_BLOCK_BYTES = 512 * 1024
+
+# numpy's ufunc buffer size, in elements, while proposed chunks run.  At the
+# default 8192 numpy buffers c - g, whose node sums c repeat along every row
+# of g, and that subtract took twice as long as at 512 (~22 vs ~11 us on the
+# 36 x 666 chunk at N = 37, 2-vCPU Xeon).  Elementwise bits do not depend on it.
+_UFUNC_BUFSIZE = 512
 
 _YANG_BATCH_BYTES = 64 * 2**20  # yang tables of 32 (m+1)^2 B a row: N <= 100 in one
 
@@ -70,59 +80,90 @@ def _node_sum(f: np.ndarray) -> np.ndarray:
 
     Reducing over the outer axis, numpy adds the node rows one after the
     other, as a cumsum would; the initial -0 keeps a sum of negative zeros
-    negative.  A single pair column would be reduced pairwise, so it takes
+    negative.  A single column would be reduced pairwise, so it takes
     the cumsum."""
     if f.shape[1] == 1:
         return np.cumsum(f, axis=0)[-1]
     return np.add.reduce(f, axis=0, initial=_NEG_ZERO)
 
 
-def _proposed_kernel(vp, orders):
-    """sigma(m, n) for every pair column of vp (nodes x pairs), the columns
-    sorted by ascending order n >= 1.  Every column runs to the chunk's top
-    order; an order-n column's sum is read off at step n, and only the
-    columns still live past step i are divided by n - i.  A finished column
-    steps on undivided and unread; `_esp`'s errstate hides its overflow.
+def _divide(z, counts):
+    """z / counts in place, the real and imaginary parts apart on the float
+    view: numpy's complex / float takes the complex-division path and can
+    differ by an ulp.  ``counts`` holds one count per part."""
+    d = z.view(np.float64)
+    np.divide(d, counts, out=d)
 
-    Each division by n - i or n divides the real and imaginary parts apart,
-    on the float view: numpy's complex / float takes the complex-division
-    path and can differ by an ulp."""
-    ends = np.searchsorted(orders, np.arange(orders[-1]), side="right").tolist()
-    n2 = np.repeat(orders.astype(np.float64), 2)  # n for each real and imaginary part
+
+def _proposed_kernel(vp, first, second):
+    """sigma(m, a) and sigma(m, b) for every column of vp (nodes x columns),
+    one lane's orders a = first <= b = second.  The columns are sorted by
+    lane, so by ascending a: the lanes with a < b share a + b, and an a = b
+    lane comes last.
+
+    A column runs order a, then order b, as one stepping: at step t = a it
+    stores its sum, restarts from g_0 and G_0 and divides by a + b - 1 - t
+    instead of a - t.  Each lane then ends on step a + b - 2, the chunk's
+    last.  An a = b lane alone ends on step a - 1; beside other lanes it
+    runs its order twice, to the same bits."""
+    a, b = int(first[0]), int(second[0])
+    steps = a + b - 2 if a < b else a - 1
+    edges = np.searchsorted(first, np.arange(1, steps + 2)).tolist()
+    base = np.repeat(first.astype(np.float64), 2)  # per real and imaginary part
     g = vp.copy()
-    c = _node_sum(g)
-    out = np.empty_like(c)
-    for i in range(1, len(ends)):
-        out[ends[i - 1] : ends[i]] = c[ends[i - 1] : ends[i]]  # the orders n = i
-        d = c[ends[i] :].view(np.float64)
-        np.divide(d, n2[2 * ends[i] :] - i, out=d)  # live c is G / (n - i) from here
+    c0 = _node_sum(g)
+    c = c0.copy()
+    low = np.empty_like(c)
+    for t in range(1, steps + 1):
+        s, e = edges[t - 1], edges[t]  # the lane whose first order is t
+        if s < e:
+            low[s:e] = c[s:e]
+            _divide(low[s:e], t)  # sigma(m, t) = G_{t-1} / t
+            g[:, s:e] = vp[:, s:e]
+            c[s:e] = c0[s:e]
+            base[2 * s : 2 * e] = t + second[s] - 1
+        _divide(c, base - t)  # c is G / (n - i) from here
         # operand order as in v * (G / (n - i) - g): numpy's fused complex
         # multiply rounds differently with the operands swapped
         np.subtract(c, g, out=g)
         np.multiply(vp, g, out=g)
         c = _node_sum(g)
-    out[ends[-1] :] = c[ends[-1] :]
-    d = out.view(np.float64)
-    np.divide(d, n2, out=d)
-    return out
+    _divide(c, np.repeat(second.astype(np.float64), 2))
+    return low, c
 
 
 def _proposed(v, orders):
-    """sigma(m, n) for every row of v (rows x m) and ascending order n in 0..m.
+    """sigma(m, n) for every row of v (rows x m) and order n of ``orders``:
+    ascending, and those >= 1 one run lo..hi.
 
-    Every (row, order >= 1) pair is its own recursion.  The pairs run sorted
-    by order, then row, in chunks of at most _BLOCK_BYTES of node values."""
+    Every (row, order >= 1) pair is its own recursion.  Lane j pairs order
+    lo + j with hi - j, the middle order of an odd run alone.  The columns
+    are the (lane, row) pairs, sorted by lane, then row, and run in chunks
+    of at most _BLOCK_BYTES of node values."""
     rows, m = v.shape
-    pair_orders = np.repeat(orders, rows)
-    pair_rows = np.tile(np.arange(rows), orders.size)
-    out = np.ones(pair_orders.size, dtype=np.complex128)  # sigma(m, 0) = 1
-    step = max(1, _BLOCK_BYTES // (16 * m))
-    # the ascending orders put the order-0 pairs first; the kernel skips them
-    for s in range(np.count_nonzero(orders == 0) * rows, out.size, step):
-        chunk = slice(s, s + step)
-        vp = v.T.take(pair_rows[chunk], axis=1)  # a C-ordered (nodes x pairs) copy
-        out[chunk] = _proposed_kernel(vp, pair_orders[chunk])
-    out = out.reshape(orders.size, rows).T.copy()  # C order, as _KERNELS says
+    out = np.ones((orders.size, rows), dtype=np.complex128)  # sigma(m, 0) = 1
+    run = orders[orders > 0]
+    if run.size:
+        lanes = (run.size + 1) // 2
+        first = np.repeat(run[:lanes], rows)
+        second = np.repeat(run[::-1][:lanes], rows)
+        col_rows = np.tile(np.arange(rows), lanes)
+        low = np.empty(first.size, dtype=np.complex128)
+        high = np.empty_like(low)
+        step = max(1, _BLOCK_BYTES // (16 * m))
+        bufsize = np.setbufsize(_UFUNC_BUFSIZE)
+        try:
+            for s in range(0, first.size, step):
+                chunk = slice(s, s + step)
+                vp = v.T.take(col_rows[chunk], axis=1)  # a C-ordered (nodes x columns) copy
+                low[chunk], high[chunk] = _proposed_kernel(vp, first[chunk], second[chunk])
+        finally:
+            np.setbufsize(bufsize)
+        k = orders.size - run.size  # where lo sits
+        out[k : k + lanes] = low.reshape(lanes, rows)
+        # written last: a middle order's sum is in high, whether it ran alone or twice
+        out[orders.size - lanes :] = high.reshape(lanes, rows)[::-1]
+    out = out.T.copy()  # C order, as _KERNELS says
     # a zero node's g_i stays 0, so an order above a row's count of nonzero
     # nodes is exactly 0; the recursion reaches it only up to rounding
     out[orders > np.count_nonzero(v, axis=1)[:, None]] = 0
@@ -180,7 +221,9 @@ def _yang(w, orders):
 
 # Each kernel maps node rows (R x m) and ascending orders in 0..m to sigma,
 # shape (R, len(orders)), in C order: BLAS products of the closed-form
-# inverse built on it round by layout.  mikkawy is traub on its own rows.
+# inverse built on it round by layout.  The orders >= 1 of a request are one
+# run lo..hi (one order, 1..N or 1..N-1), which ``proposed`` pairs into
+# lanes.  mikkawy is traub on its own rows.
 _KERNELS = {
     "proposed": _proposed,
     "traub": _traub,

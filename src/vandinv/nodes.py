@@ -58,9 +58,13 @@ def validate_pairwise_distinct(values):
 
     Returns ``(True, None)`` when the minimum pairwise gap exceeds
     ``DISTINCTNESS_RTOL * max |v|``, else ``(False, (k, j))`` with the
-    1-based indices of the closest offending pair.
+    1-based indices of the closest offending pair.  A non-finite value
+    raises ValueError naming it.
     """
     v = np.atleast_1d(np.asarray(values, dtype=np.complex128))
+    if not np.isfinite(v).all():
+        k = int(np.argmin(np.isfinite(v)))
+        raise ValueError(f"node {k + 1} is not finite: {v[k]}")
     n = v.size
     if n < 2:
         return True, None
@@ -87,9 +91,6 @@ class NodeSet:
         v = np.atleast_1d(np.asarray(self.values, dtype=np.complex128)).copy()
         if v.ndim != 1 or v.size < 1:
             raise ValueError("a NodeSet needs a one-dimensional, non-empty value sequence")
-        if not np.isfinite(v).all():
-            k = int(np.argmin(np.isfinite(v)))
-            raise ValueError(f"node {k + 1} is not finite: {v[k]}")
         ok, pair = validate_pairwise_distinct(v)
         if not ok:
             raise ValueError(

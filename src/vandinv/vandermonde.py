@@ -42,7 +42,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError, SingularityError, check_finite, check_ints, check_name
-from .esp import ESP_BACKENDS, esp_all_orders, esp_dropped
+from .esp import ESP_BACKENDS, _esp, esp_dropped
 from .nodes import NodeSet
 
 LAMBDA_FLOOR = 1e-300
@@ -114,10 +114,11 @@ def barycentric_weights(nodes: NodeSet) -> np.ndarray:
 def stanley_matrix(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:
     """Unit lower-triangular Toeplitz factor of the inverse: entry (r, c) is
     a_{r-c} = (-1)**(r-c) * sigma(N, r-c) on and below the diagonal, so
-    column 0 holds 1, a_1..a_{N-1}.  Needs a full-set backend."""
+    column 0 holds 1, a_1..a_{N-1}.  Needs a full-set backend; sigma(N, N)
+    is not asked for, so it need not be finite."""
     n = len(nodes)
-    sig = esp_all_orders(nodes, esp_backend)
-    col = ((-1.0) ** np.arange(n)) * sig[:n]
+    sig = _esp(nodes, esp_backend, None, np.arange(n))
+    col = ((-1.0) ** np.arange(n)) * sig
     row = np.zeros(n, dtype=np.complex128)
     row[0] = 1.0
     return scipy.linalg.toeplitz(col, row)

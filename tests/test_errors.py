@@ -33,7 +33,7 @@ from vandinv import (
 )
 from vandinv.errors import check_finite, check_ints, check_name
 
-from test_esp import reference_proposed, same_bits
+from test_esp import proposed_reference, same_bits
 
 NODES = NodeSet([1, 2, 3, 4])
 
@@ -168,13 +168,6 @@ def extreme_node_values(draw):
                           min_size=2 * n, max_size=2 * n))
     scale = 2.0 ** draw(st.integers(-997, 1023))
     return (np.array(parts[:n]) + 1j * np.array(parts[n:])) * scale
-
-
-def proposed_reference(values, orders):
-    """reference_proposed at each order, exactly 0 above the count of nonzero nodes."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        ref = [reference_proposed(values, k) if k else 1.0 for k in orders]
-    return np.where(np.asarray(orders) > np.count_nonzero(values), 0, ref)
 
 
 @settings(max_examples=100, deadline=None)

@@ -108,6 +108,13 @@ def reference_proposed(values, order):
     return div(c, order)
 
 
+def proposed_reference(values, orders):
+    """reference_proposed at each order, exactly 0 above the count of nonzero nodes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = [reference_proposed(values, k) if k else 1.0 for k in orders]
+    return np.where(np.asarray(orders) > np.count_nonzero(values), 0, ref)
+
+
 def same_bits(a, b):
     """Equal including the sign of zero, which np.array_equal ignores."""
     a, b = (np.ascontiguousarray(x, dtype=np.complex128) for x in (a, b))
@@ -116,8 +123,10 @@ def same_bits(a, b):
 
 def bit_exact_sets():
     rng = np.random.default_rng(7)
-    # the dropped (row, order) pairs of N = 37 and N = 64 span several pair chunks
-    assert 37 * 36 * 36 * 16 > esp_module._BLOCK_BYTES
+    # the dropped sweeps of N = 37 run as 18 lanes of 37 rows over 36 nodes
+    # in one chunk; those of N = 64, 32 lanes of 64 rows over 63 nodes,
+    # span several
+    assert 37 * 18 * 36 * 16 <= esp_module._BLOCK_BYTES < 64 * 32 * 63 * 16
     for n in (2, 3, 37, 64):
         yield roots(n)
         yield NodeSet(rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -141,14 +150,17 @@ def test_proposed_kernel_is_bit_identical_to_the_scalar_recursion(ns):
 
 
 def chunk_pairs(monkeypatch, pairs, nodes):
-    """Make each proposed chunk hold ``pairs`` (row, order) pairs of ``nodes`` nodes."""
+    """Make each proposed chunk hold ``pairs`` (lane, row) columns of ``nodes`` nodes."""
     monkeypatch.setattr(esp_module, "_BLOCK_BYTES", pairs * 16 * nodes)
 
 
-# 12 dropped rows of 11 nodes run orders 1..11 as 132 pairs sorted by order,
-# then row.  One pair per chunk makes every node sum a single column (the
-# cumsum path); 25 pairs put order 3's rows in two chunks, the first of which
-# ends on one order-3 pair alone; 7 pairs split rows and orders everywhere.
+# 12 dropped rows of 11 nodes run orders 1..11 as the lanes (1, 11) ..
+# (5, 7) and the middle order 6 alone: 72 columns sorted by lane, then row.
+# One column per chunk makes every node sum a single column (the cumsum
+# path); 25 columns put lane (3, 9)'s rows in two chunks, the first of which
+# ends on one of its columns alone, and the last chunk holds lane (5, 7)'s
+# last 10 rows beside the middle lane; 7 columns split rows and lanes
+# everywhere and leave the middle lane's last rows a chunk of their own.
 @pytest.mark.parametrize("pairs", [1, 25, 7])
 def test_proposed_chunks_are_bit_identical_to_the_scalar_recursion(monkeypatch, pairs):
     chunk_pairs(monkeypatch, pairs, 11)
@@ -168,7 +180,7 @@ def test_proposed_single_and_batched_rows_are_bit_identical_to_the_scalar_recurs
     for k in range(1, 11):
         single = esp_module._proposed(v[None, :], np.array([k]))
         assert same_bits(single, [[reference_proposed(v, k)]])
-    # the batched kernel over every dropped row, in chunks that split orders
+    # the batched kernel over every dropped row, in chunks that split lanes
     chunk_pairs(monkeypatch, 7, 9)
     rows = np.array([np.delete(v, i) for i in range(10)])
     batch = esp_module._proposed(rows, np.arange(1, 10))
@@ -177,7 +189,7 @@ def test_proposed_single_and_batched_rows_are_bit_identical_to_the_scalar_recurs
 
 
 def test_proposed_full_set_and_single_orders_are_bit_identical(monkeypatch):
-    chunk_pairs(monkeypatch, 7, 20)  # the one row's 20 orders in three chunks
+    chunk_pairs(monkeypatch, 7, 20)  # the one row's 10 lanes in two chunks
     rng = np.random.default_rng(20)
     plain = NodeSet(rng.standard_normal(20) + 1j * rng.standard_normal(20))
     # past order 170, where n! leaves double range, on the same path
@@ -192,18 +204,48 @@ def test_proposed_full_set_and_single_orders_are_bit_identical(monkeypatch):
 
 def test_esp_single_runs_only_its_order(monkeypatch):
     seen = []
-    kernel = esp_module._proposed_kernel
+    kernel, node_sum = esp_module._proposed_kernel, esp_module._node_sum
 
-    def spy(vp, orders):
-        seen.append(orders.copy())
-        return kernel(vp, orders)
+    def spy(vp, first, second):
+        seen.append((first.copy(), second.copy()))
+        return kernel(vp, first, second)
+
+    def counted_sum(f):
+        seen.append("sum")
+        return node_sum(f)
 
     monkeypatch.setattr(esp_module, "_proposed_kernel", spy)
+    monkeypatch.setattr(esp_module, "_node_sum", counted_sum)
     ns = random_node_set(np.random.default_rng(3), 9)
     for drop in (None, 4):
         seen.clear()
         esp_single(ns, 3, drop_index=drop)
-        assert seen and all((orders == 3).all() for orders in seen)
+        # one lane of order 3 alone, and its three sums G_0..G_2: no second order
+        (first, second), *sums = seen
+        assert (first == 3).all() and (second == 3).all()
+        assert sums == ["sum"] * 3
+
+
+# 10 dropped rows of 9 nodes, all but one holding a zero node, so their
+# order 9 (the second order of lane (1, 9), after a restart) is exactly 0.
+# Orders 0..9 run 1..9 as 4 lanes and the middle order 5 alone (50
+# columns); orders 2..9 as the 4 lanes (2, 9) .. (5, 6) (40 columns).  One
+# column per chunk takes the cumsum path; 4 split each lane's rows across
+# chunks; 45 put the odd run's middle lane half beside the other lanes,
+# where it runs its order twice, and half in a chunk of its own.
+@pytest.mark.parametrize("orders", [np.arange(10), np.arange(2, 10)], ids=["odd", "even"])
+@pytest.mark.parametrize("columns", [1, 4, 45])
+def test_proposed_lanes_are_bit_identical_to_the_scalar_recursion(monkeypatch, orders, columns):
+    chunk_pairs(monkeypatch, columns, 9)
+    rng = np.random.default_rng(columns)
+    v = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+    v[3] = 0
+    rows = np.array([np.delete(v, i) for i in range(10)])
+    expected = [proposed_reference(w, orders) for w in rows]
+    assert (np.asarray(expected)[:, -1] == 0).sum() == 9
+    bufsize = np.getbufsize()
+    assert same_bits(esp_module._proposed(rows, orders), expected)
+    assert np.getbufsize() == bufsize  # the kernel's ufunc buffer size is undone
 
 
 def test_proposed_keeps_negative_zero_sums():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,14 @@ def test_nodeset_names_a_nan_node():
 def test_nodeset_names_an_infinite_node():
     with pytest.raises(ValueError, match=r"node 3 is not finite: \(-inf"):
         NodeSet([1, 2, -np.inf, 4])
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_validate_pairwise_distinct_names_a_non_finite_value(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"node 1 is not finite"):
+            validate_pairwise_distinct([bad, 0])
 
 
 def test_nodeset_takes_a_gap_past_double_range_as_distinct():

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from vandinv import (
     inverse_closed_form,
     inverse_elimination_baseline,
     inverse_wa_product,
+    perturb_roots_of_unity,
     stanley_matrix,
 )
 from vandinv.vandermonde import real_part
@@ -159,6 +161,33 @@ def test_factorization_equivalence(rng):
         a = inverse_closed_form(ns)
         b = inverse_wa_product(ns)
         assert matrix_rel_gap(a, b) < 1e-12
+
+
+def test_wa_product_needs_no_finite_full_product():
+    # sigma(2, 2) = 1e400 overflows, but the Toeplitz factor never uses it
+    ns = NodeSet([1e200, 1e200 + 1e190])
+    wa = compute_inverse(ns, "wa_product")
+    np.testing.assert_allclose(wa, compute_inverse(ns, "closed_form"), rtol=1e-12)
+    np.testing.assert_allclose(wa.real, [[1e10, -1e-190], [-1e10, 1e-190]], rtol=1e-5)
+
+
+def mp_inverse(values, digits=80):
+    """The inverse of the Vandermonde matrix of the exact double nodes,
+    by mpmath LU at ``digits`` decimal digits, rounded to complex."""
+    with mpmath.workdps(digits):
+        v = [mpmath.mpc(complex(x)) for x in values]
+        matrix = mpmath.matrix([[x**r for x in v] for r in range(len(v))])
+        inverse = mpmath.inverse(matrix)
+        return np.array(inverse.tolist(), dtype=np.complex128)
+
+
+@pytest.mark.parametrize("ns", [roots(37), perturb_roots_of_unity(37, 0.2, 0.1, 1)],
+                         ids=["roots", "perturbed"])
+def test_closed_form_matches_an_extended_precision_inverse_at_n37(ns):
+    # past the N = 25 reach of the brute-force oracle; measured 1.4e-15 and 1.6e-15
+    reference = mp_inverse(ns.values)
+    error = np.linalg.norm(compute_inverse(ns) - reference) / np.linalg.norm(reference)
+    assert error < 1e-14
 
 
 def test_baseline_two_nodes():
