@@ -17,7 +17,6 @@ from .errors import (
 )
 from .esp import (
     ESP_BACKENDS,
-    FULL_SET_ESP_BACKENDS,
     esp_all_orders,
     esp_bruteforce_oracle,
     esp_dropped,
@@ -47,7 +46,6 @@ from .stability import (
     derive_seed,
     nmse,
     noise_sweep,
-    shifted_identity_block,
 )
 from .vandermonde import (
     INVERSE_BACKENDS,
@@ -74,7 +72,6 @@ __all__ = [
     "perturb_roots_of_unity",
     "validate_pairwise_distinct",
     "ESP_BACKENDS",
-    "FULL_SET_ESP_BACKENDS",
     "esp_table",
     "esp_dropped",
     "esp_single",
@@ -90,7 +87,6 @@ __all__ = [
     "compute_inverse",
     "nmse",
     "companion_identity_nmse",
-    "shifted_identity_block",
     "SweepGrid",
     "noise_sweep",
     "derive_seed",

@@ -32,9 +32,11 @@ that overflowed to inf or NaN.  All functions are pure.
   steps, as many as every other, so no column steps past its orders.  The
   columns are the (lane, row) pairs, sorted by lane, then row, and go in
   chunks of at most 512 KB laid out node-major, as (nodes x columns)
-  arrays.  The results are the paper's; only the Python dispatch and the
-  memory passes are shared.  A zero node
-  drops out of the recursion, so the full product of a set holding one is
+  arrays, views of one working array per call: glibc keeps it on its
+  heap, where two chunk arrays came from fresh pages on every call (~176
+  page faults per N = 37 inverse).  The results are the paper's; only the
+  Python dispatch and the memory passes are shared.  A zero node drops
+  out of the recursion, so the full product of a set holding one is
   returned as exactly 0 rather than as the recursion's rounding residue.
 * ``traub``    - the classic triangular table sigma(n, j) =
   sigma(n-1, j) + v_n * sigma(n-1, j-1) over node prefixes; O(N^2).
@@ -95,11 +97,11 @@ def _divide(z, counts):
     np.divide(d, counts, out=d)
 
 
-def _proposed_kernel(vp, first, second):
+def _proposed_kernel(vp, g, first, second):
     """sigma(m, a) and sigma(m, b) for every column of vp (nodes x columns),
-    one lane's orders a = first <= b = second.  The columns are sorted by
-    lane, so by ascending a: the lanes with a < b share a + b, and an a = b
-    lane comes last.
+    one lane's orders a = first <= b = second; g, of vp's shape, holds the
+    g_i.  The columns are sorted by lane, so by ascending a: the lanes with
+    a < b share a + b, and an a = b lane comes last.
 
     A column runs order a, then order b, as one stepping: at step t = a it
     stores its sum, restarts from g_0 and G_0 and divides by a + b - 1 - t
@@ -110,7 +112,7 @@ def _proposed_kernel(vp, first, second):
     steps = a + b - 2 if a < b else a - 1
     edges = np.searchsorted(first, np.arange(1, steps + 2)).tolist()
     base = np.repeat(first.astype(np.float64), 2)  # per real and imaginary part
-    g = vp.copy()
+    np.copyto(g, vp)
     c0 = _node_sum(g)
     c = c0.copy()
     low = np.empty_like(c)
@@ -139,7 +141,10 @@ def _proposed(v, orders):
     Every (row, order >= 1) pair is its own recursion.  Lane j pairs order
     lo + j with hi - j, the middle order of an odd run alone.  The columns
     are the (lane, row) pairs, sorted by lane, then row, and run in chunks
-    of at most _BLOCK_BYTES of node values."""
+    of at most _BLOCK_BYTES of node values.  A chunk's node values and g_i
+    are views of one working array per call.  Freed whole, it lifts glibc's
+    mmap and trim thresholds past its size, so later calls reuse heap pages
+    and take no page faults; nothing is kept between calls."""
     rows, m = v.shape
     out = np.ones((orders.size, rows), dtype=np.complex128)  # sigma(m, 0) = 1
     run = orders[orders > 0]
@@ -151,12 +156,15 @@ def _proposed(v, orders):
         low = np.empty(first.size, dtype=np.complex128)
         high = np.empty_like(low)
         step = max(1, _BLOCK_BYTES // (16 * m))
+        work = np.empty(2 * m * min(step, first.size), dtype=np.complex128)
         bufsize = np.setbufsize(_UFUNC_BUFSIZE)
         try:
             for s in range(0, first.size, step):
                 chunk = slice(s, s + step)
-                vp = v.T.take(col_rows[chunk], axis=1)  # a C-ordered (nodes x columns) copy
-                low[chunk], high[chunk] = _proposed_kernel(vp, first[chunk], second[chunk])
+                cols = col_rows[chunk]
+                vp, g = work[: 2 * m * cols.size].reshape(2, m, cols.size)
+                np.take(v.T, cols, axis=1, out=vp, mode="clip")  # "raise" fills a copy
+                low[chunk], high[chunk] = _proposed_kernel(vp, g, first[chunk], second[chunk])
         finally:
             np.setbufsize(bufsize)
         k = orders.size - run.size  # where lo sits

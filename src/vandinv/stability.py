@@ -43,13 +43,6 @@ def nmse(estimate, reference) -> float:
     return float(np.linalg.norm(est - ref) / denom)
 
 
-def shifted_identity_block(n: int) -> np.ndarray:
-    """The exact left companion block: ones at (r+1, r)."""
-    block = np.zeros((n, n - 1))
-    block[1:, :] = np.eye(n - 1)
-    return block
-
-
 def companion_identity_nmse(nodes: NodeSet, inverse: np.ndarray) -> float:
     """Score a candidate inverse matrix through the companion identity block."""
     n = len(nodes)
@@ -61,9 +54,8 @@ def companion_identity_nmse(nodes: NodeSet, inverse: np.ndarray) -> float:
         raise ValueError("companion check needs N >= 2")
     v_exact = build_vandermonde(nodes)
     m = (inverse.T * nodes.values[None, :]) @ v_exact.T
-    block = m[:, : n - 1]
-    target = shifted_identity_block(n)
-    return nmse(block, target)
+    # the exact left block is the shifted identity, ones at (r+1, r)
+    return nmse(m[:, : n - 1], np.eye(n, n - 1, k=-1))
 
 
 @dataclass

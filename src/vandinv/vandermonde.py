@@ -39,7 +39,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, SingularityError, check_finite, check_ints, check_name
 from .esp import ESP_BACKENDS, _esp, esp_dropped
@@ -119,9 +118,9 @@ def stanley_matrix(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:
     n = len(nodes)
     sig = _esp(nodes, esp_backend, None, np.arange(n))
     col = ((-1.0) ** np.arange(n)) * sig
-    row = np.zeros(n, dtype=np.complex128)
-    row[0] = 1.0
-    return scipy.linalg.toeplitz(col, row)
+    vals = np.concatenate((np.zeros(n - 1, dtype=np.complex128), col))
+    # row r is vals[r : r + n] reversed: a_r .. a_0, then zeros
+    return np.lib.stride_tricks.sliding_window_view(vals, n)[:, ::-1].copy()
 
 
 def inverse_closed_form(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:
@@ -152,6 +151,7 @@ def inverse_wa_product(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndar
 
 def inverse_elimination_baseline(nodes: NodeSet) -> np.ndarray:
     """Row-pivoted elimination inverse of the explicitly built matrix."""
+    import scipy.linalg  # only this route needs scipy; the CLI starts without it
     with np.errstate(over="ignore", invalid="ignore"):
         v_matrix = build_vandermonde(nodes)
     # an inf entry makes the pivot floor inf, and NaN pivots pass its test

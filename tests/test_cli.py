@@ -782,6 +782,22 @@ def test_one_parser_serves_many_calls_without_leaking_options(capsys, tmp_path):
     assert in_process[3][2]["real"] is False and in_process[3][2]["format"] == "auto"
 
 
+def test_cli_starts_without_scipy_and_loads_it_for_the_baseline():
+    # only the LU route needs scipy, and importing it roughly doubles start-up
+    check = """
+import sys
+import vandinv.cli
+assert "scipy" not in sys.modules
+assert vandinv.cli.main(["invert", "--nodes", "1,2", "--inverse", "baseline"]) == 0
+assert "scipy" in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(vandinv.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip()  # the printed inverse
+
+
 def test_cli_spellings_cover_each_registry_exactly():
     for spellings, names in (
         (CLI_FAMILIES, NODE_FAMILIES),

@@ -4,6 +4,7 @@ names the argument, and never truncates a float.  The result policy: every
 public numerical result is finite, or the call raises a NumericalError."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from vandinv import (
     noise_sweep,
     perturb_roots_of_unity,
 )
+from vandinv import esp as esp_module
 from vandinv.errors import check_finite, check_ints, check_name
 
 from test_esp import proposed_reference, same_bits
@@ -170,6 +172,13 @@ def extreme_node_values(draw):
     return (np.array(parts[:n]) + 1j * np.array(parts[n:])) * scale
 
 
+# proposed chunks of 7 columns of 11 nodes: the dropped sweeps of 12 nodes
+# (72 columns, the middle order 6 in columns 60..71) run as ten chunks of 7
+# and a narrower last one of 2, and the middle lane has the last two chunks
+# to itself; smaller sets run several chunks too
+MULTI_CHUNK_BYTES = 7 * 16 * 11
+
+
 @settings(max_examples=100, deadline=None)
 @given(extreme_node_values())
 @example(EXTREME_SETS[0])
@@ -177,6 +186,7 @@ def extreme_node_values(draw):
 @example(EXTREME_SETS[2])
 @example(EXTREME_SETS[3])
 @example(EXTREME_SETS[4])
+@example((np.arange(1, 13) + 1j * np.arange(12, 0, -1)) * 2.0**55)  # finite ESPs up to ~7e210
 def test_extreme_magnitudes_give_finite_results_or_typed_errors(values):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no warning may escape
@@ -184,31 +194,39 @@ def test_extreme_magnitudes_give_finite_results_or_typed_errors(values):
             ns = NodeSet(values)
         except ValueError:
             return
-        v, n = ns.values, len(ns)
-        sweeps = (  # each with its reference rows
-            (lambda: esp_all_orders(ns)[None, :], lambda: [proposed_reference(v, range(n + 1))]),
-            (lambda: esp_dropped(ns, range(1, n + 1)),
-             lambda: [proposed_reference(np.delete(v, i), range(n)) for i in range(n)]),
-        )
-        for call, reference in sweeps:
-            try:
-                got = call()
-            except OrderOverflowError:
-                continue
-            assert np.isfinite(got).all()
-            assert same_bits(got, reference())
-        inverses = (  # each route through compute_inverse and called directly
-            *(lambda route=route: compute_inverse(ns, route) for route in INVERSE_BACKENDS),
-            lambda: inverse_closed_form(ns),
-            lambda: inverse_wa_product(ns),
-            lambda: inverse_elimination_baseline(ns),
-        )
-        for call in inverses:
-            try:
-                matrix = call()
-            except NumericalError:
-                continue
-            assert np.isfinite(matrix).all()
+        # the default chunk size runs N <= 12 in one chunk; the patch (not a
+        # fixture, which hypothesis refuses) reaches the multi-chunk paths
+        for block in (esp_module._BLOCK_BYTES, MULTI_CHUNK_BYTES):
+            with mock.patch.object(esp_module, "_BLOCK_BYTES", block):
+                check_finite_or_typed_errors(ns)
+
+
+def check_finite_or_typed_errors(ns):
+    v, n = ns.values, len(ns)
+    sweeps = (  # each with its reference rows
+        (lambda: esp_all_orders(ns)[None, :], lambda: [proposed_reference(v, range(n + 1))]),
+        (lambda: esp_dropped(ns, range(1, n + 1)),
+         lambda: [proposed_reference(np.delete(v, i), range(n)) for i in range(n)]),
+    )
+    for call, reference in sweeps:
+        try:
+            got = call()
+        except OrderOverflowError:
+            continue
+        assert np.isfinite(got).all()
+        assert same_bits(got, reference())
+    inverses = (  # each route through compute_inverse and called directly
+        *(lambda route=route: compute_inverse(ns, route) for route in INVERSE_BACKENDS),
+        lambda: inverse_closed_form(ns),
+        lambda: inverse_wa_product(ns),
+        lambda: inverse_elimination_baseline(ns),
+    )
+    for call in inverses:
+        try:
+            matrix = call()
+        except NumericalError:
+            continue
+        assert np.isfinite(matrix).all()
 
 
 def test_elimination_refuses_a_vandermonde_matrix_past_double_range():

@@ -1,8 +1,15 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vandinv
 from vandinv import (
     NodeSet,
     OrderOverflowError,
@@ -206,9 +213,9 @@ def test_esp_single_runs_only_its_order(monkeypatch):
     seen = []
     kernel, node_sum = esp_module._proposed_kernel, esp_module._node_sum
 
-    def spy(vp, first, second):
+    def spy(vp, g, first, second):
         seen.append((first.copy(), second.copy()))
-        return kernel(vp, first, second)
+        return kernel(vp, g, first, second)
 
     def counted_sum(f):
         seen.append("sum")
@@ -224,6 +231,33 @@ def test_esp_single_runs_only_its_order(monkeypatch):
         (first, second), *sums = seen
         assert (first == 3).all() and (second == 3).all()
         assert sums == ["sum"] * 3
+
+
+# Warm closed-form proposed inverses at N = 37, counting minor page faults:
+# the chunks of a call share one working array, which glibc keeps on its
+# heap once one has been freed.  A node array and a g array per chunk, of
+# 384 KB each, come from fresh pages on every call: ~180 faults an inverse.
+FAULT_COUNT = """
+import resource
+from vandinv import compute_inverse, perturb_roots_of_unity
+
+ns = perturb_roots_of_unity(37, 0.1, 0.1, 5)
+for _ in range(4):
+    compute_inverse(ns, "closed_form", "proposed")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(16):
+    compute_inverse(ns, "closed_form", "proposed")
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 16)
+"""
+
+
+@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the heap reuse it counts is glibc malloc's")
+def test_warm_proposed_inverses_take_no_fresh_pages():
+    env = dict(os.environ, PYTHONPATH=str(Path(vandinv.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", FAULT_COUNT], capture_output=True,
+                         text=True, env=env, timeout=120, check=True)
+    assert float(run.stdout) < 20  # faults per inverse
 
 
 # 10 dropped rows of 9 nodes, all but one holding a zero node, so their

@@ -14,7 +14,6 @@ from vandinv import (
     inverse_elimination_baseline,
     nmse,
     noise_sweep,
-    shifted_identity_block,
 )
 
 from conftest import unit_circle_deviation
@@ -86,13 +85,6 @@ def test_companion_rejects_mismatched_inverse():
     wrong = inverse_elimination_baseline(NodeSet([1, 2]))
     with pytest.raises(ValueError):
         companion_identity_nmse(ns, wrong)
-
-
-def test_shifted_identity_block_shape():
-    block = shifted_identity_block(4)
-    np.testing.assert_array_equal(
-        block, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    )
 
 
 # ------------------------------------------------------------ unit circle
