@@ -18,7 +18,6 @@ from .errors import (
 from .esp import (
     ESP_BACKENDS,
     esp_all_orders,
-    esp_bruteforce_oracle,
     esp_dropped,
     esp_single,
     esp_table,
@@ -76,7 +75,6 @@ __all__ = [
     "esp_dropped",
     "esp_single",
     "esp_all_orders",
-    "esp_bruteforce_oracle",
     "INVERSE_BACKENDS",
     "build_vandermonde",
     "barycentric_weights",

@@ -64,21 +64,14 @@ DEFAULT_SWEEP_AXIS = "0,0.05,0.1,0.15,0.2,0.25,0.3,0.35"
 DEFAULT_TABLE_NS = "5,10,15,20,25,30,35,40,45,50"
 DEFAULT_INTERP_NS = tuple(range(10, 101, 10))
 
-COMPANION_COMBOS = (
-    ("closed_form", "proposed"),
-    ("closed_form", "traub"),
-    ("closed_form", "yang"),
-    ("closed_form", "mikkawy"),
-    ("elimination_baseline", "proposed"),
-)
-
-
-def _combo_label(inverse_backend, esp_backend):
-    esp_backend = inverse_esp_backend(inverse_backend, esp_backend)
-    if esp_backend is None:
-        return inverse_backend
-    return f"{inverse_backend}+{esp_backend}"
-
+# companion-table column label -> (inverse route, ESP backend)
+COMPANION_COMBOS = {
+    "closed_form+proposed": ("closed_form", "proposed"),
+    "closed_form+traub": ("closed_form", "traub"),
+    "closed_form+yang": ("closed_form", "yang"),
+    "closed_form+mikkawy": ("closed_form", "mikkawy"),
+    "elimination_baseline": ("elimination_baseline", "proposed"),
+}
 
 _COMPLEX = "%.17g%+.17gj"  # one complex stdout entry from its (re, im) floats
 
@@ -133,10 +126,8 @@ def _by_format(args, to_csv, to_json):
     ``.json`` output and CSV otherwise."""
 
     def write(out):
-        fmt = args.format
-        if fmt == "auto":
-            fmt = "json" if out.suffix.lower() == ".json" else "csv"
-        (to_json if fmt == "json" else to_csv)(out)
+        auto_json = args.format == "auto" and out.suffix.lower() == ".json"
+        (to_json if auto_json or args.format == "json" else to_csv)(out)
 
     return write
 
@@ -203,19 +194,18 @@ def _cmd_companion_table(args):
     n_values = _parse_list(args.n_list, int)
     if any(n < 2 for n in n_values):
         raise ValueError("--n-list needs integers >= 2")
-    labels = [_combo_label(inv, esp) for inv, esp in COMPANION_COMBOS]
     table = []
     for n in n_values:
         nodes = generate_nodes("roots_of_unity", n)
-        cells = {}
-        for label, (inverse_backend, esp_backend) in zip(labels, COMPANION_COMBOS):
-            inv = compute_inverse(nodes, inverse_backend, esp_backend)
-            cells[label] = companion_identity_nmse(nodes, inv)
+        cells = {
+            label: companion_identity_nmse(nodes, compute_inverse(nodes, route, esp))
+            for label, (route, esp) in COMPANION_COMBOS.items()
+        }
         table.append((n, cells))
-    width = max(len(label) for label in labels) + 2
-    print("n".rjust(4) + "".join(label.rjust(width) for label in labels))
+    width = max(map(len, COMPANION_COMBOS)) + 2
+    print("n".rjust(4) + "".join(label.rjust(width) for label in COMPANION_COMBOS))
     for n, cells in table:
-        print(str(n).rjust(4) + "".join(f"{cells[label]:.3e}".rjust(width) for label in labels))
+        print(str(n).rjust(4) + "".join(f"{x:.3e}".rjust(width) for x in cells.values()))
     return partial(companion_table_to_csv, table)
 
 

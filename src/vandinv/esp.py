@@ -32,9 +32,9 @@ that overflowed to inf or NaN.  All functions are pure.
   steps, as many as every other, so no column steps past its orders.  The
   columns are the (lane, row) pairs, sorted by lane, then row, and go in
   chunks of at most 512 KB laid out node-major, as (nodes x columns)
-  arrays, views of one working array per call: glibc keeps it on its
-  heap, where two chunk arrays came from fresh pages on every call (~176
-  page faults per N = 37 inverse).  The results are the paper's; only the
+  arrays, views of one working array per call, allocated ahead of the
+  column arrays and results so that its pages stay on the heap (see
+  `_proposed_lanes`).  The results are the paper's; only the
   Python dispatch and the memory passes are shared.  A zero node drops
   out of the recursion, so the full product of a set holding one is
   returned as exactly 0 rather than as the recursion's rounding residue.
@@ -51,9 +51,6 @@ that overflowed to inf or NaN.  All functions are pure.
 """
 
 from __future__ import annotations
-
-import itertools
-import math
 
 import numpy as np
 
@@ -73,8 +70,6 @@ _UFUNC_BUFSIZE = 512
 _YANG_BATCH_BYTES = 64 * 2**20  # yang tables of 32 (m+1)^2 B a row: N <= 100 in one
 
 _NEG_ZERO = complex(-0.0, -0.0)  # the exact identity of complex addition
-
-_ORACLE_MAX_NODES = 25
 
 
 def _node_sum(f: np.ndarray) -> np.ndarray:
@@ -134,43 +129,54 @@ def _proposed_kernel(vp, g, first, second):
     return low, c
 
 
+def _proposed_lanes(v, run):
+    """Lane j's sigma(m, lo + j) and sigma(m, hi - j) for every row of v
+    (rows x m), ``run`` the ascending orders lo..hi >= 1, as two (lanes x
+    rows) arrays.  The (lane, row) columns run in chunks of at most
+    _BLOCK_BYTES of node values, gathered from one contiguous copy of v.T.
+
+    The chunks share one working array, allocated before the column arrays
+    and ``low`` and ``high``, and freed on return, while those two live on.
+    Below them it cannot merge with the free top of the heap, so glibc
+    keeps its pages for the next call.  Allocated after them, it could land
+    on top of the heap, which glibc hands back to the OS when it is freed,
+    and the next call faults its pages in again (~170 at N = 37).  Nothing
+    is kept between calls."""
+    rows, m = v.shape
+    lanes = (run.size + 1) // 2
+    step = max(1, _BLOCK_BYTES // (16 * m))
+    work = np.empty(2 * m * min(step, lanes * rows), dtype=np.complex128)
+    vt = v.T.copy()  # take gathers from a C-order array in place
+    first = np.repeat(run[:lanes], rows)
+    second = np.repeat(run[::-1][:lanes], rows)
+    col_rows = np.tile(np.arange(rows), lanes)
+    low = np.empty(first.size, dtype=np.complex128)
+    high = np.empty_like(low)
+    bufsize = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
+        for s in range(0, first.size, step):
+            chunk = slice(s, s + step)
+            cols = col_rows[chunk]
+            vp, g = work[: 2 * m * cols.size].reshape(2, m, cols.size)
+            np.take(vt, cols, axis=1, out=vp, mode="clip")  # "raise" fills a copy
+            low[chunk], high[chunk] = _proposed_kernel(vp, g, first[chunk], second[chunk])
+    finally:
+        np.setbufsize(bufsize)
+    return low.reshape(lanes, rows), high.reshape(lanes, rows)
+
+
 def _proposed(v, orders):
     """sigma(m, n) for every row of v (rows x m) and order n of ``orders``:
-    ascending, and those >= 1 one run lo..hi.
-
-    Every (row, order >= 1) pair is its own recursion.  Lane j pairs order
-    lo + j with hi - j, the middle order of an odd run alone.  The columns
-    are the (lane, row) pairs, sorted by lane, then row, and run in chunks
-    of at most _BLOCK_BYTES of node values.  A chunk's node values and g_i
-    are views of one working array per call.  Freed whole, it lifts glibc's
-    mmap and trim thresholds past its size, so later calls reuse heap pages
-    and take no page faults; nothing is kept between calls."""
-    rows, m = v.shape
-    out = np.ones((orders.size, rows), dtype=np.complex128)  # sigma(m, 0) = 1
+    ascending, and those >= 1 one run lo..hi, which `_proposed_lanes`
+    pairs into lanes, the middle order of an odd run alone."""
     run = orders[orders > 0]
+    out = np.ones((orders.size, v.shape[0]), dtype=np.complex128)  # sigma(m, 0) = 1
     if run.size:
-        lanes = (run.size + 1) // 2
-        first = np.repeat(run[:lanes], rows)
-        second = np.repeat(run[::-1][:lanes], rows)
-        col_rows = np.tile(np.arange(rows), lanes)
-        low = np.empty(first.size, dtype=np.complex128)
-        high = np.empty_like(low)
-        step = max(1, _BLOCK_BYTES // (16 * m))
-        work = np.empty(2 * m * min(step, first.size), dtype=np.complex128)
-        bufsize = np.setbufsize(_UFUNC_BUFSIZE)
-        try:
-            for s in range(0, first.size, step):
-                chunk = slice(s, s + step)
-                cols = col_rows[chunk]
-                vp, g = work[: 2 * m * cols.size].reshape(2, m, cols.size)
-                np.take(v.T, cols, axis=1, out=vp, mode="clip")  # "raise" fills a copy
-                low[chunk], high[chunk] = _proposed_kernel(vp, g, first[chunk], second[chunk])
-        finally:
-            np.setbufsize(bufsize)
+        low, high = _proposed_lanes(v, run)
         k = orders.size - run.size  # where lo sits
-        out[k : k + lanes] = low.reshape(lanes, rows)
+        out[k : k + len(low)] = low
         # written last: a middle order's sum is in high, whether it ran alone or twice
-        out[orders.size - lanes :] = high.reshape(lanes, rows)[::-1]
+        out[orders.size - len(high) :] = high[::-1]
     out = out.T.copy()  # C order, as _KERNELS says
     # a zero node's g_i stays 0, so an order above a row's count of nonzero
     # nodes is exactly 0; the recursion reaches it only up to rounding
@@ -325,23 +331,4 @@ def esp_single(
 def esp_all_orders(nodes: NodeSet, method: str = "proposed") -> np.ndarray:
     """Full-set ESPs for every order 0..N as one array."""
     return _esp(nodes, method, None, np.arange(len(nodes) + 1))
-
-
-def esp_bruteforce_oracle(nodes: NodeSet, order: int) -> complex:
-    """Exact subset enumeration; the reference for every other backend.
-
-    Guarded at N <= 25 because the subset count is combinatorial.
-    """
-    v = nodes.values
-    if v.size > _ORACLE_MAX_NODES:
-        raise ValueError(
-            f"oracle refuses N = {v.size} > {_ORACLE_MAX_NODES} (combinatorial blowup)"
-        )
-    check_ints("order", order, 0, v.size)
-    if order == 0:
-        return 1.0 + 0j
-    total = 0j
-    for combo in itertools.combinations(v.tolist(), order):
-        total += math.prod(combo)
-    return total
 

@@ -53,21 +53,19 @@ RNG_ALGORITHM = "numpy.PCG64"
 _PERTURB_RETRIES = 8
 
 
-def validate_pairwise_distinct(values):
+def validate_pairwise_distinct(values) -> None:
     """Check the pairwise-distinctness tolerance on a raw value sequence.
 
-    Returns ``(True, None)`` when the minimum pairwise gap exceeds
-    ``DISTINCTNESS_RTOL * max |v|``, else ``(False, (k, j))`` with the
-    1-based indices of the closest offending pair.  A non-finite value
-    raises ValueError naming it.
+    Raises ValueError naming the 1-based indices of the closest pair unless
+    the minimum pairwise gap exceeds ``DISTINCTNESS_RTOL * max |v|``, and
+    ValueError naming a non-finite value.
     """
     v = np.atleast_1d(np.asarray(values, dtype=np.complex128))
     if not np.isfinite(v).all():
         k = int(np.argmin(np.isfinite(v)))
         raise ValueError(f"node {k + 1} is not finite: {v[k]}")
-    n = v.size
-    if n < 2:
-        return True, None
+    if v.size < 2:
+        return
     with np.errstate(over="ignore"):  # a gap past double range is inf, and distinct
         if np.isinf(np.abs(v)).any():
             v = v / 2  # exact units in which every |v| is finite
@@ -75,10 +73,9 @@ def validate_pairwise_distinct(values):
         threshold = DISTINCTNESS_RTOL * np.abs(v).max()
     np.fill_diagonal(gaps, np.inf)
     k, j = np.unravel_index(np.argmin(gaps), gaps.shape)
-    if gaps[k, j] > threshold:
-        return True, None
-    lo, hi = sorted((int(k) + 1, int(j) + 1))
-    return False, (lo, hi)
+    if gaps[k, j] <= threshold:
+        lo, hi = sorted((int(k) + 1, int(j) + 1))
+        raise ValueError(f"nodes {lo} and {hi} are closer than {DISTINCTNESS_RTOL:g} * max|v|")
 
 
 @dataclass(frozen=True)
@@ -91,12 +88,7 @@ class NodeSet:
         v = np.atleast_1d(np.asarray(self.values, dtype=np.complex128)).copy()
         if v.ndim != 1 or v.size < 1:
             raise ValueError("a NodeSet needs a one-dimensional, non-empty value sequence")
-        ok, pair = validate_pairwise_distinct(v)
-        if not ok:
-            raise ValueError(
-                f"nodes {pair[0]} and {pair[1]} are closer than "
-                f"{DISTINCTNESS_RTOL:g} * max|v|"
-            )
+        validate_pairwise_distinct(v)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

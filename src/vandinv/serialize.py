@@ -122,11 +122,7 @@ def sweep_to_json(grid: SweepGrid, path) -> None:
         "rng_algorithm": RNG_ALGORITHM,
         "sigma_shift_axis": [float(x) for x in grid.sigma_shift_axis],
         "sigma_mag_axis": [float(x) for x in grid.sigma_mag_axis],
-        "log10_nmse": [
-            [None if grid.failed[a, b] else float(grid.log10_nmse[a, b])
-             for b in range(grid.sigma_mag_axis.size)]
-            for a in range(grid.sigma_shift_axis.size)
-        ],
+        "log10_nmse": np.where(grid.failed, None, grid.log10_nmse).tolist(),
         "failed": grid.failed.astype(int).tolist(),
     }
     write_json(doc, path)

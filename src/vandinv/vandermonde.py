@@ -188,8 +188,11 @@ def compute_inverse(
     esp_backend: str = "proposed",
 ) -> np.ndarray:
     """Look up the inverse route by name; a NumericalError of the route
-    gets a message that starts with the route."""
+    gets a message that starts with the route.  An unknown ESP backend is
+    refused for every route, the elimination baseline, which reads none,
+    included."""
     check_name("inverse backend", inverse_backend, INVERSE_BACKENDS)
+    check_name("ESP backend", esp_backend, ESP_BACKENDS)
     try:
         return _ROUTES[inverse_backend](nodes, esp_backend)
     except NumericalError as exc:

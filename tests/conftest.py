@@ -1,7 +1,13 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from vandinv import NodeSet
+from vandinv.errors import check_ints
+
+_ORACLE_MAX_NODES = 25
 
 
 def random_node_set(rng, n, scale=1.0):
@@ -12,6 +18,25 @@ def random_node_set(rng, n, scale=1.0):
             return NodeSet(v)
         except ValueError:
             continue
+
+
+def esp_bruteforce_oracle(nodes: NodeSet, order: int) -> complex:
+    """Exact subset enumeration; the reference for every other backend.
+
+    Guarded at N <= 25 because the subset count is combinatorial.
+    """
+    v = nodes.values
+    if v.size > _ORACLE_MAX_NODES:
+        raise ValueError(
+            f"oracle refuses N = {v.size} > {_ORACLE_MAX_NODES} (combinatorial blowup)"
+        )
+    check_ints("order", order, 0, v.size)
+    if order == 0:
+        return 1.0 + 0j
+    total = 0j
+    for combo in itertools.combinations(v.tolist(), order):
+        total += math.prod(combo)
+    return total
 
 
 def assert_close(actual, expected, rel=1e-10, abs_floor=1e-12):

@@ -12,7 +12,6 @@ import numpy as np
 from vandinv import (
     NodeSet,
     companion_identity_nmse,
-    esp_bruteforce_oracle,
     esp_dropped,
     esp_single,
     generate_nodes,
@@ -23,7 +22,12 @@ from vandinv import (
 )
 from vandinv.cli import main
 
-from conftest import matrix_rel_gap, random_node_set, unit_circle_deviation
+from conftest import (
+    esp_bruteforce_oracle,
+    matrix_rel_gap,
+    random_node_set,
+    unit_circle_deviation,
+)
 
 SEED = 20260810
 

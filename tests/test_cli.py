@@ -35,7 +35,7 @@ from vandinv.cli import (
 )
 from vandinv.interpolation import DEFAULT_EXCLUDE_PER_SIDE
 from vandinv.serialize import format_float, inverse_to_csv, inverse_to_json
-from vandinv.vandermonde import real_part
+from vandinv.vandermonde import inverse_esp_backend, real_part
 
 # sigma(59, j) over 1e6, 2e6, ..., 59e6 passes the double range near j = 40
 OVERFLOWING_NODES = ",".join(f"{k}e6" for k in range(1, 60))
@@ -485,7 +485,7 @@ def test_companion_table_csv_bytes(capsys, tmp_path):
         nodes = generate_nodes("roots_of_unity", n)
         cells = [
             format_float(companion_identity_nmse(nodes, compute_inverse(nodes, inv, esp)))
-            for inv, esp in COMPANION_COMBOS
+            for inv, esp in COMPANION_COMBOS.values()
         ]
         expected += ",".join([str(n), *cells]) + "\r\n"
     assert out_path.read_bytes() == expected.encode()
@@ -806,8 +806,11 @@ def test_cli_spellings_cover_each_registry_exactly():
     ):
         assert set(spellings.values()) == set(names)
         assert len(spellings) == len(names)  # one spelling per entry
-    for route, esp in COMPANION_COMBOS:
+    for label, (route, esp) in COMPANION_COMBOS.items():
         assert route in INVERSE_BACKENDS and esp in ESP_BACKENDS
+        # the label names the ESP backend only where the route reads one
+        read = inverse_esp_backend(route, esp)
+        assert label == (route if read is None else f"{route}+{read}")
 
 
 def test_version_flag(capsys):

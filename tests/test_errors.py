@@ -20,7 +20,6 @@ from vandinv import (
     compute_inverse,
     derive_seed,
     esp_all_orders,
-    esp_bruteforce_oracle,
     esp_dropped,
     esp_single,
     esp_table,
@@ -35,6 +34,7 @@ from vandinv import (
 from vandinv import esp as esp_module
 from vandinv.errors import check_finite, check_ints, check_name
 
+from conftest import esp_bruteforce_oracle
 from test_esp import proposed_reference, same_bits
 
 NODES = NodeSet([1, 2, 3, 4])
@@ -82,6 +82,17 @@ NAME_ENTRIES = {
     "esp_dropped": ("ESP backend", lambda x: esp_dropped(NODES, 1, x)),
     "inverse_closed_form": ("ESP backend", lambda x: inverse_closed_form(NODES, x)),
     "compute_inverse": ("inverse backend", lambda x: compute_inverse(NODES, x)),
+    # the elimination baseline reads no ESPs, but a bad name is still refused
+    "compute_inverse-esp": (
+        "ESP backend", lambda x: compute_inverse(NODES, "elimination_baseline", x)
+    ),
+    "interp_experiment-esp": (
+        "ESP backend",
+        lambda x: interp_experiment("cosine", "chebyshev", 10, None, "elimination_baseline", x),
+    ),
+    "noise_sweep-esp": (
+        "ESP backend", lambda x: sweep(esp_backend=x, inverse_backend="elimination_baseline")
+    ),
     "interp_experiment": ("function kind", lambda x: interp_experiment(x, "chebyshev", 10)),
 }
 

@@ -15,7 +15,6 @@ from vandinv import (
     OrderOverflowError,
     barycentric_weights,
     esp_all_orders,
-    esp_bruteforce_oracle,
     esp_dropped,
     esp_single,
     esp_table,
@@ -24,7 +23,7 @@ from vandinv import (
 )
 from vandinv import esp as esp_module
 
-from conftest import assert_close, random_node_set
+from conftest import assert_close, esp_bruteforce_oracle, random_node_set
 
 
 def roots(n):
@@ -233,14 +232,24 @@ def test_esp_single_runs_only_its_order(monkeypatch):
         assert sums == ["sum"] * 3
 
 
-# Warm closed-form proposed inverses at N = 37, counting minor page faults:
-# the chunks of a call share one working array, which glibc keeps on its
-# heap once one has been freed.  A node array and a g array per chunk, of
-# 384 KB each, come from fresh pages on every call: ~180 faults an inverse.
+# Warm closed-form proposed inverses at N = 37, counting minor page faults
+# per inverse, with numpy blocks of the KB sizes in argv kept alive first.
+# The chunks of a call share one working array; where glibc places it
+# depends on the blocks alive, and only below the call's smaller arrays is
+# it kept on the heap when freed (see esp._proposed_lanes).  Allocated after
+# them, it landed on top of the heap beside each of the blocks below, was
+# handed back to the OS when freed and took 10-55 faults an inverse.
+# The child gets PYTHONPATH and the loader's library path alone, so the
+# caller's environment, which Python copies onto the heap, does not move
+# the layout.
 FAULT_COUNT = """
 import resource
+import sys
+
+import numpy as np
 from vandinv import compute_inverse, perturb_roots_of_unity
 
+keep = [np.ones(int(float(kb) * 1024) // 8) for kb in sys.argv[1:]]
 ns = perturb_roots_of_unity(37, 0.1, 0.1, 5)
 for _ in range(4):
     compute_inverse(ns, "closed_form", "proposed")
@@ -250,14 +259,30 @@ for _ in range(16):
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 16)
 """
 
+glibc_only = pytest.mark.skipif(
+    platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+    reason="the heap reuse it counts is glibc malloc's",
+)
 
-@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
-                    reason="the heap reuse it counts is glibc malloc's")
+
+def faults_per_inverse(*blocks_kb):
+    env = {key: os.environ[key] for key in ("LD_LIBRARY_PATH",) if key in os.environ}
+    env["PYTHONPATH"] = str(Path(vandinv.__file__).parents[1])
+    argv = [sys.executable, "-c", FAULT_COUNT, *map(str, blocks_kb)]
+    run = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120, check=True)
+    return float(run.stdout)
+
+
+@glibc_only
 def test_warm_proposed_inverses_take_no_fresh_pages():
-    env = dict(os.environ, PYTHONPATH=str(Path(vandinv.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-c", FAULT_COUNT], capture_output=True,
-                         text=True, env=env, timeout=120, check=True)
-    assert float(run.stdout) < 20  # faults per inverse
+    assert faults_per_inverse() < 1
+
+
+@glibc_only
+@pytest.mark.parametrize("blocks_kb", [(20,), (50, 50, 50), (2, 2), (0.5, 2)],
+                         ids=["20K", "3x50K", "2x2K", "0.5K-2K"])
+def test_warm_proposed_inverses_take_no_fresh_pages_beside_live_blocks(blocks_kb):
+    assert faults_per_inverse(*blocks_kb) < 1
 
 
 # 10 dropped rows of 9 nodes, all but one holding a zero node, so their

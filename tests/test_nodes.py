@@ -80,14 +80,14 @@ def test_unknown_family_rejected():
         generate_nodes("fekete", 5)
 
 
+COLLISION = r" are closer than 1e-12 \* max\|v\|$"
+
+
 def test_validate_pairwise_distinct_examples():
-    ok, pair = validate_pairwise_distinct([1, 2, 3])
-    assert ok and pair is None
-    ok, pair = validate_pairwise_distinct([1, 1 + 1e-15])
-    assert not ok
-    assert pair == (1, 2)
-    ok, _ = validate_pairwise_distinct(family("roots_of_unity", 70))
-    assert ok
+    assert validate_pairwise_distinct([1, 2, 3]) is None
+    with pytest.raises(ValueError, match="^nodes 1 and 2" + COLLISION):
+        validate_pairwise_distinct([1, 1 + 1e-15])
+    assert validate_pairwise_distinct(family("roots_of_unity", 70)) is None
 
 
 def test_nodeset_rejects_near_duplicates():
@@ -116,7 +116,8 @@ def test_validate_pairwise_distinct_names_a_non_finite_value(bad):
 def test_nodeset_takes_a_gap_past_double_range_as_distinct():
     # the gap 1e308 - (-1e308) overflows to inf, with no warning
     assert len(NodeSet([1e308, -1e308])) == 2
-    assert validate_pairwise_distinct([1e308, -1e308, 1e308]) == (False, (1, 3))
+    with pytest.raises(ValueError, match="^nodes 1 and 3" + COLLISION):
+        validate_pairwise_distinct([1e308, -1e308, 1e308])
 
 
 def test_nodeset_takes_a_node_whose_magnitude_overflows():
@@ -124,8 +125,9 @@ def test_nodeset_takes_a_node_whose_magnitude_overflows():
     # and the closest pair fell on the diagonal
     big = 1.5e308 + 1.5e308j
     assert len(NodeSet([big, 0])) == 2
-    assert validate_pairwise_distinct([big, 0, big * (1 + 1e-14)]) == (False, (1, 3))
-    assert validate_pairwise_distinct([big, 0, big * (1 + 1e-11)]) == (True, None)
+    with pytest.raises(ValueError, match="^nodes 1 and 3" + COLLISION):
+        validate_pairwise_distinct([big, 0, big * (1 + 1e-14)])
+    assert validate_pairwise_distinct([big, 0, big * (1 + 1e-11)]) is None
 
 
 def test_nodeset_values_are_read_only():
@@ -169,9 +171,9 @@ def test_perturbation_gives_up_after_retries(monkeypatch):
 
     def always_collides(values):
         calls["n"] += 1
-        return False, (1, 2)
+        raise ValueError("nodes 1 and 2 are closer than 1e-12 * max|v|")
 
     monkeypatch.setattr(nodes_mod, "validate_pairwise_distinct", always_collides)
-    with pytest.raises(NodeCollisionError):
+    with pytest.raises(NodeCollisionError, match=COLLISION[:-1] + " on 9 consecutive draws"):
         perturb_roots_of_unity(8, 0.1, 0.1, 3)
     assert calls["n"] == 9  # first draw plus 8 retries

@@ -12,6 +12,7 @@ from vandinv import (
     esp_table,
     interp_experiment,
     inverse_closed_form,
+    SweepGrid,
     noise_sweep,
 )
 from vandinv import serialize
@@ -133,6 +134,21 @@ def test_sweep_serialization(tmp_path):
     np_grid = noise_sweep(i(8), [0.0, 0.1], [0.0, 0.05], trials=i(2), seed=i(13))
     sweep_to_json(np_grid, tmp_path / "np.json")
     assert (tmp_path / "np.json").read_bytes() == json_path.read_bytes()
+
+
+def test_sweep_json_writes_a_failed_cell_as_null(tmp_path):
+    grid = SweepGrid(
+        n=5, sigma_shift_axis=np.array([0.0, 0.1]), sigma_mag_axis=np.array([0.0, 0.2]),
+        log10_nmse=np.array([[np.nan, -np.inf], [-15.25, 0.5]]),
+        failed=np.array([[True, False], [False, False]]),
+        trials_per_cell=2, seed=3, esp_backend=None, inverse_backend="elimination_baseline",
+    )
+    sweep_to_json(grid, tmp_path / "sweep.json")
+    text = (tmp_path / "sweep.json").read_text()
+    assert '"log10_nmse": [\n    [\n      null,\n      -Infinity\n    ],' in text
+    doc = json.loads(text)
+    assert doc["log10_nmse"] == [[None, -np.inf], [-15.25, 0.5]]
+    assert doc["failed"] == [[1, 0], [0, 0]]
 
 
 def test_interp_report_csv(tmp_path):
