@@ -40,6 +40,7 @@ from .serialize import (
     interp_report_to_csv,
     interp_summaries_to_csv,
     interp_summary_row,
+    inverse_text_rows,
     inverse_to_csv,
     inverse_to_json,
     order_values_to_csv,
@@ -181,13 +182,15 @@ def _cmd_invert(args):
     matrix = compute_inverse(nodes, inverse_backend, args.esp)
     if args.real:
         matrix = real_part(matrix)
-    line = ",".join([_COMPLEX] * matrix.shape[1])
-    print("\n".join(line % tuple(values) for values in float_rows(matrix)))
+    rows = inverse_text_rows(matrix)
+    # an entry prints as re, im with its sign, j: the bytes of _COMPLEX
+    print("\n".join(row.replace(",", "j,").replace(";-", "-").replace(";", "+") + "j"
+                    for row in rows))
     esp_backend = inverse_esp_backend(inverse_backend, args.esp)
     to_json = partial(
         inverse_to_json, matrix, esp_backend=esp_backend, inverse_backend=inverse_backend
     )
-    return _by_format(args, partial(inverse_to_csv, matrix), to_json)
+    return _by_format(args, partial(inverse_to_csv, rows), to_json)
 
 
 def _cmd_companion_table(args):

@@ -8,7 +8,8 @@ writer takes its result first and the file path second.  CSV goes through
 `_write_csv`, a %-template per row; JSON but the inverse through
 `write_json` (also the CLI's manifests).  Every matrix writer and
 ``invert`` stdout formats rows from one bulk conversion, `float_rows`,
-with the bytes of per-entry ``%.17g`` cells and of json.dumps.
+with the bytes of per-entry ``%.17g`` cells and of json.dumps; the inverse
+CSV and ``invert`` stdout share the cells of `inverse_text_rows`.
 """
 
 from __future__ import annotations
@@ -72,24 +73,35 @@ def order_values_to_csv(values, path, first_order: int = 0) -> None:
     _write_csv(path, ["order", "re", "im", "abs"], lines)
 
 
-def inverse_to_csv(matrix: np.ndarray, path) -> None:
-    header = _re_im_header(f"col{j}" for j in range(1, matrix.shape[1] + 1))
-    line = ",".join(["%.17g"] * len(header)) + "\r\n"
-    _write_csv(path, header, (line % tuple(row) for row in float_rows(matrix)))
+def inverse_text_rows(matrix: np.ndarray) -> list[str]:
+    """Each matrix row formatted once, for its CSV line and the ``invert``
+    stdout: entries joined by ",", an entry's ``%.17g`` re and im by ";"."""
+    line = ",".join(["%.17g;%.17g"] * matrix.shape[1])
+    return [line % tuple(values) for values in float_rows(matrix)]
+
+
+def inverse_to_csv(rows: list[str], path) -> None:
+    """``rows`` as `inverse_text_rows` gives them."""
+    header = _re_im_header(f"col{j}" for j in range(1, rows[0].count(",") + 2))
+    _write_csv(path, header, (row.replace(";", ",") + "\r\n" for row in rows))
 
 
 def inverse_to_json(
     matrix: np.ndarray, path, esp_backend: str | None, inverse_backend: str
 ) -> None:
     """``esp_backend`` is None for a route that reads no ESPs.  The matrix
-    text is laid out as json.dumps(indent=2) lays out nested [re, im] pairs."""
+    text is laid out as json.dumps(indent=2) lays out nested [re, im] pairs,
+    and written a row at a time."""
     check_finite("matrix to write as JSON", matrix)
     head = json.dumps({"n": int(matrix.shape[0]), "esp_backend": esp_backend,
                        "inverse_backend": inverse_backend}, indent=2)
     pair = "[\n        %r,\n        %r\n      ]"  # %r: float.__repr__, as json.dumps
     row = "[\n      " + ",\n      ".join([pair] * matrix.shape[1]) + "\n    ]"
-    body = ",\n    ".join(row % tuple(values) for values in float_rows(matrix))
-    Path(path).write_text(f'{head[:-2]},\n  "matrix": [\n    {body}\n  ]\n}}\n', encoding="utf-8")
+    *rows, last = float_rows(matrix)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f'{head[:-2]},\n  "matrix": [\n    ')
+        handle.writelines(row % tuple(values) + ",\n    " for values in rows)
+        handle.write(row % tuple(last) + "\n  ]\n}\n")
 
 
 def companion_table_to_csv(table, path) -> None:

@@ -14,8 +14,9 @@ Three inverse routes, which `compute_inverse` looks up by name:
 * ``wa_product``            the same inverse factored as W @ A where row i
   of W is (v_i**(N-1), ..., v_i, 1) / lambda_i and A is the unit
   lower-triangular Toeplitz matrix of signed full-set ESPs.
-* ``elimination_baseline``  row-pivoted Gaussian elimination (LAPACK LU)
-  of the explicitly built matrix; the method-independent reference.
+* ``elimination_baseline``  row-pivoted Gaussian elimination (LAPACK gesv)
+  of the explicitly built matrix; the method-independent reference.  scipy
+  is loaded only where the inverse cannot prove the pivot floor.
 
 Every route returns the N x N complex inverse as a plain array, as do
 `build_vandermonde` and `stanley_matrix`.  `real_part` strips the imaginary
@@ -46,6 +47,10 @@ from .nodes import NodeSet
 
 LAMBDA_FLOOR = 1e-300
 PIVOT_RTOL = 1e-14
+# Pivoting on |re| + |im| keeps multipliers within sqrt(2), so every pivot
+# is >= 1 / (sqrt(2) ||V^-1||_inf); where that clears the floor by this
+# factor (for the inverse's rounding), getrf's U diagonal need not be read.
+PIVOT_PROOF_FACTOR = 2.0
 
 # Imaginary parts of an inverse built from real nodes must stay below this
 # times the Frobenius norm before they may be stripped.
@@ -151,24 +156,30 @@ def inverse_wa_product(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndar
 
 def inverse_elimination_baseline(nodes: NodeSet) -> np.ndarray:
     """Row-pivoted elimination inverse of the explicitly built matrix."""
-    import scipy.linalg  # only this route needs scipy; the CLI starts without it
     with np.errstate(over="ignore", invalid="ignore"):
         v_matrix = build_vandermonde(nodes)
     # an inf entry makes the pivot floor inf, and NaN pivots pass its test
     check_finite("Vandermonde matrix", v_matrix)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(v_matrix, check_finite=False)
-    pivots = np.abs(np.diag(lu))
     floor = PIVOT_RTOL * np.abs(v_matrix).max()
-    if pivots.min() < floor:
-        raise SingularityError(
-            f"elimination pivot {pivots.min():.3e} below {floor:.3e}; "
-            "matrix is numerically singular"
-        )
-    eye = np.eye(len(nodes), dtype=np.complex128)
-    inverse = scipy.linalg.lu_solve((lu, piv), eye, check_finite=False)
-    return check_finite("inverse matrix", inverse)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            inverse = np.linalg.inv(v_matrix)  # LAPACK gesv: getrf, then getrs on I
+            bound = np.sqrt(2) * np.abs(inverse).sum(axis=1).max() * floor
+    except np.linalg.LinAlgError:  # an exactly zero pivot, which the check refuses
+        bound = np.inf
+    if not bound * PIVOT_PROOF_FACTOR <= 1:  # NaN included
+        import scipy.linalg  # loaded only for getrf's U diagonal
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, _ = scipy.linalg.lu_factor(v_matrix, check_finite=False)
+        pivots = np.abs(np.diag(lu))
+        if pivots.min() < floor:
+            raise SingularityError(
+                f"elimination pivot {pivots.min():.3e} below {floor:.3e}; "
+                "matrix is numerically singular"
+            )
+    # Fortran order, as getrs writes it: BLAS products round by memory order
+    return check_finite("inverse matrix", np.asfortranarray(inverse))
 
 
 # Each route looks its function up when called, so that a rebinding of the

@@ -1,11 +1,14 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from vandinv import NodeSet
-from vandinv.errors import check_ints
+from vandinv import NodeSet, SingularityError, build_vandermonde
+from vandinv.errors import check_finite, check_ints
+from vandinv.vandermonde import PIVOT_RTOL
 
 _ORACLE_MAX_NODES = 25
 
@@ -37,6 +40,29 @@ def esp_bruteforce_oracle(nodes: NodeSet, order: int) -> complex:
     for combo in itertools.combinations(v.tolist(), order):
         total += math.prod(combo)
     return total
+
+
+def elimination_reference(nodes: NodeSet):
+    """The elimination baseline through scipy's getrf and getrs, its pivot
+    floor read off the U diagonal; the reference for
+    `inverse_elimination_baseline`, which reads that diagonal only when its
+    inverse cannot prove the floor.  Returns the inverse and the smallest
+    pivot over the floor, or raises the route's NumericalError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_matrix = build_vandermonde(nodes)
+    check_finite("Vandermonde matrix", v_matrix)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(v_matrix, check_finite=False)
+    pivot = np.abs(np.diag(lu)).min()
+    floor = PIVOT_RTOL * np.abs(v_matrix).max()
+    if pivot < floor:
+        raise SingularityError(
+            f"elimination pivot {pivot:.3e} below {floor:.3e}; matrix is numerically singular"
+        )
+    eye = np.eye(len(nodes), dtype=np.complex128)
+    inverse = scipy.linalg.lu_solve((lu, piv), eye, check_finite=False)
+    return check_finite("inverse matrix", inverse), pivot / floor
 
 
 def assert_close(actual, expected, rel=1e-10, abs_floor=1e-12):

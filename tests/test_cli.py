@@ -34,8 +34,10 @@ from vandinv.cli import (
     main,
 )
 from vandinv.interpolation import DEFAULT_EXCLUDE_PER_SIDE
-from vandinv.serialize import format_float, inverse_to_csv, inverse_to_json
+from vandinv.serialize import format_float, inverse_text_rows, inverse_to_csv, inverse_to_json
 from vandinv.vandermonde import inverse_esp_backend, real_part
+
+from test_serialize import writer_matrices
 
 # sigma(59, j) over 1e6, 2e6, ..., 59e6 passes the double range near j = 40
 OVERFLOWING_NODES = ",".join(f"{k}e6" for k in range(1, 60))
@@ -417,7 +419,7 @@ def test_invert_keeps_the_per_entry_bytes(capsys, tmp_path, argv):
         for row in matrix
     )
     esp = None if inverse == "elimination_baseline" else args.esp
-    inverse_to_csv(matrix, tmp_path / "want.csv")
+    inverse_to_csv(inverse_text_rows(matrix), tmp_path / "want.csv")
     inverse_to_json(matrix, tmp_path / "want.json", esp, inverse)
     for suffix in ("csv", "json"):
         out_path = tmp_path / f"inv.{suffix}"
@@ -425,6 +427,26 @@ def test_invert_keeps_the_per_entry_bytes(capsys, tmp_path, argv):
         assert code == 0
         assert out == expected
         assert out_path.read_bytes() == (tmp_path / f"want.{suffix}").read_bytes()
+
+
+def stdout_matrices():
+    signed_zeros = np.array([[complex(-0.0, -0.0), complex(0.0, -0.0)],
+                             [complex(-1e-310, 0.0), complex(2.0, -5e-324)]])
+    return {**writer_matrices(), "signed zeros": signed_zeros}
+
+
+@pytest.mark.parametrize("name", list(stdout_matrices()))
+def test_invert_stdout_keeps_the_per_entry_bytes_on_any_value(capsys, monkeypatch, name):
+    # stdout entries are derived from the CSV cells: signs, exponents, zeros
+    # and subnormals keep the bytes of a per-entry "%.17g%+.17gj"
+    matrix = stdout_matrices()[name]
+    monkeypatch.setattr(vandinv.cli, "compute_inverse", lambda *args: matrix)
+    code, out, _ = run(capsys, "invert", "--nodes", "1,2")
+    assert code == 0
+    assert out == "".join(
+        ",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in map(complex, row)) + "\n"
+        for row in matrix
+    )
 
 
 @pytest.mark.parametrize("what", [("--table", "--backend", "yang"), ("--all-orders",)])
@@ -782,20 +804,26 @@ def test_one_parser_serves_many_calls_without_leaking_options(capsys, tmp_path):
     assert in_process[3][2]["real"] is False and in_process[3][2]["format"] == "auto"
 
 
-def test_cli_starts_without_scipy_and_loads_it_for_the_baseline():
-    # only the LU route needs scipy, and importing it roughly doubles start-up
+def test_cli_loads_scipy_only_where_the_inverse_cannot_prove_the_pivot_floor():
+    # importing scipy roughly doubles start-up; the baseline loads it for
+    # getrf's U diagonal, which it reads only where its inverse cannot prove
+    # the pivot floor, as on 40 equidistant nodes
     check = """
 import sys
 import vandinv.cli
 assert "scipy" not in sys.modules
-assert vandinv.cli.main(["invert", "--nodes", "1,2", "--inverse", "baseline"]) == 0
+for nodes in (["--nodes", "1,2"], ["--roots-of-unity", "150"]):
+    assert vandinv.cli.main(["invert", *nodes, "--inverse", "baseline"]) == 0
+assert "scipy" not in sys.modules
+argv = ["invert", "--family", "equidistant", "--count", "40", "--inverse", "baseline"]
+assert vandinv.cli.main(argv) == 0
 assert "scipy" in sys.modules
 """
     env = dict(os.environ, PYTHONPATH=str(Path(vandinv.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
                          env=env, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip()  # the printed inverse
+    assert len(run.stdout.splitlines()) == 2 + 150 + 40  # the printed inverses
 
 
 def test_cli_spellings_cover_each_registry_exactly():

@@ -23,6 +23,7 @@ from vandinv.serialize import (
     interp_report_to_csv,
     interp_summaries_to_csv,
     interp_summary_row,
+    inverse_text_rows,
     inverse_to_csv,
     inverse_to_json,
     order_values_to_csv,
@@ -84,7 +85,7 @@ def test_order_values_csv(tmp_path):
 def test_inverse_csv_and_json(tmp_path):
     inv = inverse_closed_form(NodeSet([1, 2]))
     csv_path = tmp_path / "inv.csv"
-    inverse_to_csv(inv, csv_path)
+    inverse_to_csv(inverse_text_rows(inv), csv_path)
     rows = read_rows(csv_path)
     assert rows[0] == ["col1_re", "col1_im", "col2_re", "col2_im"]
     assert float(rows[1][0]) == 2.0
@@ -214,7 +215,7 @@ def writer_matrices():
 @pytest.mark.parametrize("esp_backend", ["proposed", None])
 def test_inverse_writers_keep_the_per_entry_bytes(tmp_path, name, esp_backend):
     matrix = writer_matrices()[name]
-    inverse_to_csv(matrix, tmp_path / "new.csv")
+    inverse_to_csv(inverse_text_rows(matrix), tmp_path / "new.csv")
     header = [f"col{j}_{part}" for j in range(1, matrix.shape[1] + 1) for part in ("re", "im")]
     csv_oracle(tmp_path / "old.csv", header,
                ([cell for z in row for cell in re_im(z)] for row in matrix))

@@ -1,6 +1,10 @@
+import itertools
+from unittest import mock
+
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from vandinv import (
     NodeSet,
@@ -18,7 +22,8 @@ from vandinv import (
 )
 from vandinv.vandermonde import real_part
 
-from conftest import matrix_rel_gap, random_node_set
+from conftest import elimination_reference, matrix_rel_gap, random_node_set
+from test_esp import same_bits
 
 
 def roots(n):
@@ -215,6 +220,63 @@ def test_baseline_identity_on_chebyshev():
 def test_baseline_singular_pivot_raises():
     with pytest.raises(SingularityError):
         inverse_elimination_baseline(NodeSet([0.0, 1e-160, 2e-160]))
+
+
+def elimination_cases():
+    """Node sets on both sides of the pivot floor and of its proof from the
+    inverse, each with a label."""
+    rng = np.random.default_rng(7)
+    for kind in ("equidistant", "chebyshev", "extended_chebyshev", "gauss_lobatto",
+                 "roots_of_unity"):
+        for n in (*range(2, 61), 150):
+            yield f"{kind} {n}", generate_nodes(kind, n)
+    for n in (5, 10, 20, 37, 60):
+        for seed, (shift, mag) in enumerate(((0.1, 0.1), (0.2, 0.1), (0.3, 0.5))):
+            yield f"perturbed {n} {shift} {mag}", perturb_roots_of_unity(n, shift, mag, seed)
+        chebyshev = generate_nodes("chebyshev", n).values
+        for scale in (1e-3, 3.0, 1e3):
+            yield f"chebyshev {n} x {scale:g}", NodeSet(scale * chebyshev)
+        draws = {"uniform(1, 2)": rng.uniform(1, 2, n)}
+        for center, spread in itertools.product((0.0, 1.0), (1e-2, 1e-5)):
+            draws[f"{center} +- {spread:g}"] = center + spread * rng.uniform(-1, 1, n)
+        for name, values in draws.items():
+            try:
+                ns = NodeSet(values)
+            except ValueError:  # a draw below the distinctness floor
+                continue
+            yield f"{name} {n}", ns
+    yield "[0, 1e-160, 2e-160]", NodeSet([0.0, 1e-160, 2e-160])
+    yield "[0, 1e-170, 2e-170] (exactly singular)", NodeSet([0.0, 1e-170, 2e-170])
+
+
+def test_baseline_matches_the_scipy_route_and_proves_its_floor():
+    # np.linalg.inv runs the getrf and getrs of scipy's lu_factor and
+    # lu_solve; where the inverse proves the pivot floor, getrf's U
+    # diagonal is not read, and the reference's pivots must clear the floor
+    outcomes, skipped = set(), 0
+    for label, ns in elimination_cases():
+        try:
+            want, pivot_over_floor = elimination_reference(ns)
+        except NumericalError as exc:
+            want = exc
+        with mock.patch("scipy.linalg.lu_factor", wraps=scipy.linalg.lu_factor) as lu_factor:
+            try:
+                got = inverse_elimination_baseline(ns)
+            except NumericalError as exc:
+                got = exc
+        if isinstance(want, Exception):
+            assert (type(got), str(got)) == (type(want), str(want)), label
+            outcomes.add(type(want).__name__)
+            continue
+        assert isinstance(got, np.ndarray), f"{label}: {got}"
+        assert got.flags.f_contiguous, label
+        assert same_bits(got, want), label
+        if not lu_factor.called:
+            skipped += 1
+            assert pivot_over_floor >= 1, label
+        outcomes.add("inverse")
+    assert outcomes == {"inverse", "SingularityError"}
+    assert skipped >= 5 * 20
 
 
 @pytest.mark.parametrize("kind", ["equidistant", "chebyshev", "extended_chebyshev", "gauss_lobatto", "roots_of_unity"])
