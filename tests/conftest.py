@@ -65,6 +65,68 @@ def elimination_reference(nodes: NodeSet):
     return check_finite("inverse matrix", inverse), pivot / floor
 
 
+# The row-major table kernels that esp.py ran before it laid the traub and
+# yang recursions out orders-major, copied verbatim: the references that
+# layout must match bit for bit.
+
+def _traub_steps(w):
+    """The running traub row of every row of w (rows x m): after step n it
+    holds sigma(n, 0..n) over the first n nodes, zeros beyond."""
+    row = np.zeros((w.shape[0], w.shape[1] + 1), dtype=np.complex128)
+    row[:, 0] = 1.0
+    yield row
+    for n in range(1, w.shape[1] + 1):
+        row[:, 1 : n + 1] = row[:, 1 : n + 1] + w[:, n - 1, None] * row[:, 0:n]
+        yield row
+
+
+def _yang_tables(w):
+    """The yang table of every row of w (rows x m), shape (rows, m+1, m+1).
+
+    block[:, n, k] = v_n * v_{n-1} * ... * v_{n-k+1}, taken by real
+    arithmetic without fused multiply-adds, which is how numpy multiplies
+    complex scalars; its array multiply is fused and rounds differently."""
+    r, m = w.shape
+    block = np.zeros((r, m + 1, m + 1), dtype=np.complex128)
+    block[:, :, 0] = 1.0
+    for k in range(m):
+        b, x = block[:, k + 1 :, k], w[:, : m - k]
+        block[:, k + 1 :, k + 1].real = b.real * x.real - b.imag * x.imag
+        block[:, k + 1 :, k + 1].imag = b.real * x.imag + b.imag * x.real
+    t = np.zeros_like(block)
+    t[:, 0, 0] = 1.0
+    for n in range(1, m + 1):
+        for k in range(n):
+            t[:, n, k:n] += block[:, n, k, None] * t[:, n - 1 - k, : n - k]
+        t[:, n, n] = block[:, n, n]  # the whole prefix taken as one block
+    return t
+
+
+def table_reference(rows, method):
+    """The traub (also mikkawy's) or yang tables of node rows (R x m) by the
+    row-major kernels, shape (R, m+1, m+1); overflow is left as inf or NaN."""
+    rows = np.asarray(rows, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "yang":
+            return _yang_tables(rows)
+        return np.stack([row.copy() for row in _traub_steps(rows)], axis=1)
+
+
+def dropped_rows(values, method):
+    """One row per node i of ``values``: the others, in order, or for mikkawy
+    node i swapped into the first slot and left out."""
+    v = np.asarray(values, dtype=np.complex128)
+    rows = []
+    for i in range(v.size):
+        w = v.copy()
+        if method == "mikkawy":
+            w[[0, i]] = w[[i, 0]]
+            rows.append(w[1:])
+        else:
+            rows.append(np.delete(w, i))
+    return np.array(rows)
+
+
 def assert_close(actual, expected, rel=1e-10, abs_floor=1e-12):
     """|actual - expected| <= max(rel * |expected|, abs_floor).
 

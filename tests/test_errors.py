@@ -34,7 +34,7 @@ from vandinv import (
 from vandinv import esp as esp_module
 from vandinv.errors import check_finite, check_ints, check_name
 
-from conftest import esp_bruteforce_oracle
+from conftest import dropped_rows, esp_bruteforce_oracle, table_reference
 from test_esp import proposed_reference, same_bits
 
 NODES = NodeSet([1, 2, 3, 4])
@@ -218,6 +218,13 @@ def check_finite_or_typed_errors(ns):
         (lambda: esp_all_orders(ns)[None, :], lambda: [proposed_reference(v, range(n + 1))]),
         (lambda: esp_dropped(ns, range(1, n + 1)),
          lambda: [proposed_reference(np.delete(v, i), range(n)) for i in range(n)]),
+        *((lambda m=m: esp_dropped(ns, range(1, n + 1), m),
+           lambda m=m: table_reference(dropped_rows(v, m), m)[:, -1])
+          for m in ("traub", "mikkawy")),
+        *((lambda m=m: esp_all_orders(ns, m), lambda m=m: table_reference(v[None, :], m)[0, -1])
+          for m in ("traub", "yang")),
+        *((lambda m=m: esp_table(ns, m), lambda m=m: table_reference(v[None, :], m)[0])
+          for m in ("traub", "yang")),
     )
     for call, reference in sweeps:
         try:

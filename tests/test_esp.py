@@ -23,7 +23,13 @@ from vandinv import (
 )
 from vandinv import esp as esp_module
 
-from conftest import assert_close, esp_bruteforce_oracle, random_node_set
+from conftest import (
+    assert_close,
+    dropped_rows,
+    esp_bruteforce_oracle,
+    random_node_set,
+    table_reference,
+)
 
 
 def roots(n):
@@ -418,6 +424,57 @@ def test_yang_batches_under_a_byte_budget_keep_every_bit(monkeypatch, budget_row
     monkeypatch.setattr(esp_module, "_YANG_BATCH_BYTES", budget_rows * 32 * 12**2)
     assert same_bits(esp_dropped(ns, range(1, 13), "yang"), whole)
     assert same_bits(inverse_closed_form(ns, "yang"), inverse)
+
+
+def table_sets():
+    """N = 1..40, 64 and 100: random complex nodes, the roots of unity, a
+    random set holding a zero node, and random sets whose parts are scaled
+    by 2^500, by 2^-500, or the real part by 2^500 and the imaginary part by
+    2^-500.  The scaled sets overflow or underflow from a few orders on."""
+    rng = np.random.default_rng(19)
+    for n in [*range(1, 41), 64, 100]:
+        re, im = rng.standard_normal((2, n))
+        zero = re + 1j * im
+        zero[n // 2] = 0
+        yield pytest.param(re + 1j * im, id=f"random-N{n}")
+        yield pytest.param(roots(n).values, id=f"roots-N{n}")
+        yield pytest.param(zero, id=f"zero-N{n}")
+        yield pytest.param((re + 1j * im) * 2.0**500, id=f"huge-N{n}")
+        yield pytest.param((re + 1j * im) * 2.0**-500, id=f"tiny-N{n}")
+        yield pytest.param(re * 2.0**500 + 1j * im * 2.0**-500, id=f"split-N{n}")
+
+
+@pytest.mark.parametrize("values", table_sets())
+def test_table_kernels_are_bit_identical_to_the_row_major_recursions(monkeypatch, values):
+    # traub, mikkawy and yang against the row-major kernels of conftest: the
+    # same bits, or OrderOverflowError where the reference holds an inf or NaN
+    ns = NodeSet(values)
+    n = len(ns)
+    full = {method: table_reference(values[None, :], method)[0] for method in ("traub", "yang")}
+    checks = [
+        *((lambda m=m: esp_all_orders(ns, m), table[-1]) for m, table in full.items()),
+        *((lambda m=m: esp_table(ns, m), table) for m, table in full.items()),
+    ]
+    if n >= 2:
+        checks += [
+            (lambda m=m: esp_dropped(ns, range(1, n + 1), m),
+             table_reference(dropped_rows(values, m), m)[:, -1])
+            for m in ("traub", "mikkawy")
+        ]
+    for call, want in checks:
+        if np.isfinite(want).all():
+            assert same_bits(call(), want)
+        else:
+            with pytest.raises(OrderOverflowError):
+                call()
+    if n >= 2:
+        # the batched yang kernel in batches of 7 rows (the last one shorter
+        # unless 7 divides N), with every inf and NaN it computes
+        monkeypatch.setattr(esp_module, "_YANG_BATCH_BYTES", 7 * 32 * n**2)
+        rows = dropped_rows(values, "yang")
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = esp_module._yang(rows, np.arange(n))
+        assert same_bits(got, table_reference(rows, "yang")[:, -1])
 
 
 @pytest.mark.parametrize("method", ["proposed", "mikkawy", "newton"])
