@@ -186,12 +186,12 @@ def _proposed(v, orders):
 
 def _traub_steps(w, table=None):
     """sigma(m, 0..m) of every row of w (rows x m), orders-major, as (m+1, rows);
-    table[n], if given, gets it after step n.  Operands keep the row-major order."""
+    table[n], if given, gets it after step n, over the first n nodes."""
     wt, col = w.T.copy(), np.zeros((w.shape[1] + 1, w.shape[0]), dtype=np.complex128)
     col[0] = 1.0
     for n in range(w.shape[1] + 1):
         if n:
-            col[1 : n + 1] += wt[n - 1] * col[0:n]
+            col[1 : n + 1] += wt[n - 1] * col[0:n]  # node first: products round by operand order
         if table is not None:
             table[n] = col
     return col
