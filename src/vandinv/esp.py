@@ -7,14 +7,16 @@ public outputs use this unordered convention (sigma(N, 0) = 1).
 Every ESP result is one request to one kernel table, `_KERNELS`: node
 rows (R x m) and ascending orders in 0..m in, an R x len(orders) array
 out.  `_esp` checks a request once (backend name, full-set use, drop
-range); `_node_rows` builds its rows, the whole set or one row per drop
-index without that node.  Nodes are validated once, as a `NodeSet`.  The
-public functions are `esp_single` (one order, run alone by ``proposed``),
-`esp_all_orders`, `esp_dropped` and `esp_table` (traub or yang; (N+1) x
-(N+1), lower triangular).  Results are plain complex arrays, and every
-public result is finite: `_esp` and `esp_table` pass the entries they
-return through `check_finite`, which raises `OrderOverflowError` on one
-that overflowed to inf or NaN.  All functions are pure.
+range); `_node_rows` builds its rows, for each node set of the request
+the whole set or one row per drop index without that node.  Nodes are
+validated once, as a `NodeSet`.  The public functions are `esp_single`
+(one order, run alone by ``proposed``), `esp_all_orders`, `esp_dropped`
+(of one set, or of a list of sets in one kernel call) and `esp_table`
+(traub or yang; (N+1) x (N+1), lower triangular).  Results are plain
+complex arrays, and every public result is finite: `_esp` and `esp_table`
+pass the entries they return through `check_finite`, which raises
+`OrderOverflowError` on one that overflowed to inf or NaN.  All functions
+are pure.
 
 * ``proposed`` - a per-order balanced recursion.  For a target order n the
   paper iterates f_i(v_d) = v_d * (C_{i-1} - (n - i) * f_{i-1}(v_d)) with
@@ -269,27 +271,28 @@ def esp_table(nodes: NodeSet, method: str) -> np.ndarray:
 
 
 def _node_rows(v, drop, method):
-    """The rows a kernel runs on: all of v as one row when ``drop`` is None,
-    else one row per 0-based index in ``drop`` that lacks that node.  A
-    mikkawy row swaps the dropped node into the leading slot, which it then
-    leaves out: the original first node visits the dropped slot."""
+    """The rows a kernel runs on, set by set for the sets of v (sets x N):
+    a whole set as one row when ``drop`` is None, else one row per 0-based
+    index in ``drop`` that lacks that node.  A mikkawy row swaps the dropped
+    node into the leading slot, which it leaves out: v_1 visits that slot."""
     if drop is None:
-        return v[None, :]
+        return v
     if method == "mikkawy":
-        w = np.repeat(v[None, :], drop.size, axis=0)
-        w[np.arange(drop.size), drop] = v[0]
-        return w[:, 1:]
-    keep = np.arange(v.size - 1)
-    return v[keep + (keep >= drop[:, None])]  # row r lacks node r
+        w = np.repeat(v[:, None, :], drop.size, axis=1)
+        w[:, np.arange(drop.size), drop] = v[:, :1]
+        return w[:, :, 1:].reshape(-1, v.shape[1] - 1)
+    keep = np.arange(v.shape[1] - 1)
+    return v[:, keep + (keep >= drop[:, None])].reshape(-1, keep.size)  # row r lacks node r
 
 
-def _esp(nodes: NodeSet, method: str, drop, orders) -> np.ndarray:
-    """sigma at the ascending ``orders`` over the full set (``drop`` None) or
-    without each 1-based index in ``drop``: one row for None or one index,
-    shape (len(drop), len(orders)) for a sequence; only these entries must
-    be finite."""
+def _esp(v, method: str, drop, orders) -> np.ndarray:
+    """sigma at the ascending ``orders`` for each node set of v (sets x N),
+    over the whole set (``drop`` None) or without each 1-based index in
+    ``drop``: shape (sets, len(orders)) for None or one index, (sets,
+    len(drop), len(orders)) for a sequence.  The rows of every set go to
+    the kernel in one call; only the returned entries must be finite."""
     check_name("ESP backend", method, ESP_BACKENDS)
-    n = len(nodes)
+    n = v.shape[1]
     if drop is None and method not in FULL_SET_ESP_BACKENDS:
         raise ValueError(
             f"ESP backend {method!r} computes dropped-node ESPs only, so it needs a "
@@ -299,19 +302,25 @@ def _esp(nodes: NodeSet, method: str, drop, orders) -> np.ndarray:
         raise ValueError("dropping a node needs at least 2 nodes")
     rows = None if drop is None else np.atleast_1d(check_ints("drop index", drop, 1, n)) - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _KERNELS[method](_node_rows(nodes.values, rows, method), orders)
+        out = _KERNELS[method](_node_rows(v, rows, method), orders)
     span = orders[0] if orders.size == 1 else f"{orders[0]}..{orders[-1]}"
     what = f"{method} sigma({n - (drop is not None)}, {span})"
-    return check_finite(what, out if np.ndim(drop) else out[0], error=OrderOverflowError)
+    if np.ndim(drop):
+        out = out.reshape(len(v), -1, orders.size)
+    return check_finite(what, out, error=OrderOverflowError)
 
 
 def esp_dropped(nodes: NodeSet, drop_index, method: str = "proposed") -> np.ndarray:
     """Dropped-node sweeps: sigma over the reduced set for orders 0..N-1.
 
     ``drop_index`` is 1-based.  A sequence of indices returns one sweep per
-    index, shape (len, N), from one batched backend call.
+    index, shape (len, N), from one batched backend call.  ``nodes`` may
+    also be a list of node sets of one size: their sweeps stack along a
+    leading axis, and the rows of every set go to that one call.
     """
-    return _esp(nodes, method, drop_index, np.arange(len(nodes)))
+    if isinstance(nodes, NodeSet):
+        return _esp(nodes.values[None], method, drop_index, np.arange(len(nodes)))[0]
+    return _esp(np.array([s.values for s in nodes]), method, drop_index, np.arange(len(nodes[0])))
 
 
 def esp_single(
@@ -325,10 +334,10 @@ def esp_single(
     yang sweep it is read from may overflow.
     """
     check_ints("order", order, 0, len(nodes) - (drop_index is not None))
-    return complex(_esp(nodes, method, drop_index, np.array([order]))[0])
+    return complex(_esp(nodes.values[None], method, drop_index, np.array([order]))[0, 0])
 
 
 def esp_all_orders(nodes: NodeSet, method: str = "proposed") -> np.ndarray:
     """Full-set ESPs for every order 0..N as one array."""
-    return _esp(nodes, method, None, np.arange(len(nodes) + 1))
+    return _esp(nodes.values[None], method, None, np.arange(len(nodes) + 1))[0]
 

@@ -14,9 +14,13 @@ one float.
 
 The module also packages one experiment: a Monte-Carlo sweep of the
 companion NMSE over phase/magnitude noise on perturbed roots of unity.
-Sweep cells and trials use seeds derived from the master seed per
-(cell, trial), so serial and parallel evaluation orders produce identical
-grids.
+Each trial draws its nodes from a seed derived from the master seed per
+(cell, trial).  The sweep draws every trial's nodes first, then inverts
+them in batches: the closed form runs the dropped rows of a batch's sets
+through one ESP kernel call, under `_BATCH_BYTES` of node rows; the other
+routes take one set at a time.  Each set's inverse has the bits it has
+alone, and a batch that fails runs again set by set, so the grid is the
+one a per-trial loop gives.
 """
 
 from __future__ import annotations
@@ -28,7 +32,14 @@ import numpy as np
 
 from .errors import NumericalError, check_ints
 from .nodes import NodeSet, perturb_roots_of_unity
-from .vandermonde import build_vandermonde, compute_inverse, inverse_esp_backend
+from .vandermonde import (
+    build_vandermonde, compute_inverse, inverse_closed_form, inverse_esp_backend,
+)
+
+# Bytes of node rows one batch of closed-form inverses sends to the ESP
+# kernel: 6 sets at N = 37, one from N = 65 on.  Memory then stays flat
+# whatever the count of cells and trials.
+_BATCH_BYTES = 128 * 1024
 
 
 def nmse(estimate, reference) -> float:
@@ -85,6 +96,21 @@ def derive_seed(master: int, *parts: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _scores(batch, inverse_backend, esp_backend):
+    """Companion NMSE of each node set of ``batch``, None where its inverse
+    fails numerically; a batch that fails runs again set by set."""
+    try:
+        if inverse_backend == "closed_form":  # the batch's rows in one ESP kernel call
+            inverses = inverse_closed_form(batch, esp_backend)
+        else:  # the other routes run in batches of one
+            inverses = [compute_inverse(batch[0], inverse_backend, esp_backend)]
+        return [companion_identity_nmse(nodes, inv) for nodes, inv in zip(batch, inverses)]
+    except NumericalError:
+        if len(batch) == 1:
+            return [None]
+        return [x for nodes in batch for x in _scores([nodes], inverse_backend, esp_backend)]
+
+
 def noise_sweep(
     n: int,
     sigma_shift_axis,
@@ -100,30 +126,32 @@ def noise_sweep(
     if shift_axis.size == 0 or mag_axis.size == 0:
         raise ValueError("sweep axes must be non-empty")
     check_ints("trials", trials, 1)  # derive_seed checks the seed
-    cells = np.full((shift_axis.size, mag_axis.size), np.nan)
-    failed = np.zeros_like(cells, dtype=bool)
-    for a, s_shift in enumerate(shift_axis):
-        for b, s_mag in enumerate(mag_axis):
-            survived = []
-            for trial in range(trials):
-                sub = derive_seed(seed, a, b, trial)
-                try:
-                    nodes = perturb_roots_of_unity(n, float(s_shift), float(s_mag), sub)
-                    inv = compute_inverse(nodes, inverse_backend, esp_backend)
-                    survived.append(companion_identity_nmse(nodes, inv))
-                except NumericalError:
-                    continue
-            if survived:
-                mean = sum(survived) / len(survived)
-                cells[a, b] = math.log10(mean) if mean > 0 else -math.inf
-            else:
-                failed[a, b] = True
+    cells = np.full((shift_axis.size, mag_axis.size), np.nan)  # NaN: every trial failed
+    drawn, sets = [], []  # cell and nodes of each trial whose draw did not collide
+    for a, b in np.ndindex(cells.shape):
+        sigmas = float(shift_axis[a]), float(mag_axis[b])
+        for trial in range(trials):
+            try:
+                sets.append(perturb_roots_of_unity(n, *sigmas, derive_seed(seed, a, b, trial)))
+            except NumericalError:
+                continue
+            drawn.append((a, b))
+    size = max(1, _BATCH_BYTES // (16 * n * (n - 1))) if inverse_backend == "closed_form" else 1
+    survived = {}
+    for s in range(0, len(sets), size):
+        scores = _scores(sets[s : s + size], inverse_backend, esp_backend)
+        for cell, score in zip(drawn[s : s + size], scores):
+            if score is not None:
+                survived.setdefault(cell, []).append(score)
+    for cell, kept in survived.items():
+        mean = sum(kept) / len(kept)
+        cells[cell] = math.log10(mean) if mean > 0 else -math.inf
     return SweepGrid(
         n=n,
         sigma_shift_axis=shift_axis,
         sigma_mag_axis=mag_axis,
         log10_nmse=cells,
-        failed=failed,
+        failed=np.isnan(cells),
         trials_per_cell=trials,
         seed=seed,
         esp_backend=inverse_esp_backend(inverse_backend, esp_backend),

@@ -10,7 +10,8 @@ Three inverse routes, which `compute_inverse` looks up by name:
   Each row performs one full dropped-ESP sweep with the selected ESP
   backend; sweeps are deliberately recomputed per row (no sharing), which
   is the per-row cost profile being benchmarked.  All rows go to the
-  backend in one batched call.
+  backend in one batched call, those of every set when
+  `inverse_closed_form` inverts a list of sets of one size.
 * ``wa_product``            the same inverse factored as W @ A where row i
   of W is (v_i**(N-1), ..., v_i, 1) / lambda_i and A is the unit
   lower-triangular Toeplitz matrix of signed full-set ESPs.
@@ -121,18 +122,22 @@ def stanley_matrix(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:
     column 0 holds 1, a_1..a_{N-1}.  Needs a full-set backend; sigma(N, N)
     is not asked for, so it need not be finite."""
     n = len(nodes)
-    sig = _esp(nodes, esp_backend, None, np.arange(n))
+    sig = _esp(nodes.values[None], esp_backend, None, np.arange(n))[0]
     col = ((-1.0) ** np.arange(n)) * sig
     vals = np.concatenate((np.zeros(n - 1, dtype=np.complex128), col))
     # row r is vals[r : r + n] reversed: a_r .. a_0, then zeros
     return np.lib.stride_tricks.sliding_window_view(vals, n)[:, ::-1].copy()
 
 
-def inverse_closed_form(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:
-    """Elementwise inverse from dropped-node ESPs and barycentric weights."""
+def inverse_closed_form(nodes, esp_backend: str = "proposed") -> np.ndarray:
+    """Elementwise inverse from dropped-node ESPs and barycentric weights.
+    Of a list of node sets of one size, the inverses stack, (sets, N, N),
+    from one ESP backend call; each has the bits it has alone, and the list
+    raises if and only if one of its sets would."""
     check_name("ESP backend", esp_backend, ESP_BACKENDS)
-    n = len(nodes)
-    lam = barycentric_weights(nodes)
+    sets = [nodes] if isinstance(nodes, NodeSet) else nodes
+    n = len(sets[0])
+    lam = np.array([barycentric_weights(s) for s in sets])
     signs = (-1.0) ** (n - np.arange(1, n + 1))
     if n == 1:
         dropped = np.ones((1, 1), dtype=np.complex128)
@@ -140,7 +145,8 @@ def inverse_closed_form(nodes: NodeSet, esp_backend: str = "proposed") -> np.nda
         dropped = esp_dropped(nodes, range(1, n + 1), esp_backend)
     # row i is the sweep without node i; column j wants its order N - j
     with np.errstate(over="ignore", invalid="ignore"):
-        return check_finite("inverse matrix", signs * dropped[:, ::-1] / lam[:, None])
+        inverse = check_finite("inverse matrix", signs * dropped[..., ::-1] / lam[..., None])
+    return inverse[0] if isinstance(nodes, NodeSet) else inverse
 
 
 def inverse_wa_product(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:

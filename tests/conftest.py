@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from vandinv import NodeSet, SingularityError, build_vandermonde
+from vandinv import (
+    NodeSet,
+    NumericalError,
+    SingularityError,
+    build_vandermonde,
+    companion_identity_nmse,
+    compute_inverse,
+    derive_seed,
+    perturb_roots_of_unity,
+)
 from vandinv.errors import check_finite, check_ints
 from vandinv.vandermonde import PIVOT_RTOL
 
@@ -125,6 +134,32 @@ def dropped_rows(values, method):
         else:
             rows.append(np.delete(w, i))
     return np.array(rows)
+
+
+def sweep_reference(n, shift_axis, mag_axis, trials, seed, esp_backend, inverse_backend):
+    """The noise sweep one set at a time, as `noise_sweep` ran before it drew
+    every set first and inverted them in batches: per cell, the mean
+    companion NMSE over the trials whose draw and inverse raise no
+    NumericalError.  Returns the log10 grid and the failed mask."""
+    cells = np.full((len(shift_axis), len(mag_axis)), np.nan)
+    failed = np.zeros_like(cells, dtype=bool)
+    for a, s_shift in enumerate(shift_axis):
+        for b, s_mag in enumerate(mag_axis):
+            survived = []
+            for trial in range(trials):
+                sub = derive_seed(seed, a, b, trial)
+                try:
+                    nodes = perturb_roots_of_unity(n, float(s_shift), float(s_mag), sub)
+                    inv = compute_inverse(nodes, inverse_backend, esp_backend)
+                    survived.append(companion_identity_nmse(nodes, inv))
+                except NumericalError:
+                    continue
+            if survived:
+                mean = sum(survived) / len(survived)
+                cells[a, b] = math.log10(mean) if mean > 0 else -math.inf
+            else:
+                failed[a, b] = True
+    return cells, failed
 
 
 def assert_close(actual, expected, rel=1e-10, abs_floor=1e-12):

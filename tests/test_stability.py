@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import vandinv.esp as esp_module
 import vandinv.stability as stability_mod
 from vandinv import (
     NodeCollisionError,
@@ -16,7 +17,8 @@ from vandinv import (
     noise_sweep,
 )
 
-from conftest import unit_circle_deviation
+from conftest import sweep_reference, unit_circle_deviation
+from test_esp import same_bits
 
 
 def roots(n):
@@ -179,3 +181,62 @@ def test_sweep_gap_between_backends_small_case():
     prop = noise_sweep(12, [0.2], [0.1], trials=4, seed=3, esp_backend="proposed")
     traub = noise_sweep(12, [0.2], [0.1], trials=4, seed=3, esp_backend="traub")
     assert prop.log10_nmse[0, 0] < traub.log10_nmse[0, 0]
+
+
+# 2 x 3 cells of 3 trials: 18 draws, whose rows go to the ESP kernel in
+# batches of 1, 2 or 5 sets (three of 5 and a short last batch of 3).  Every draw
+# at sigma_mag 1e100 has a weight past 2^1021 from N = 9 on, so failing
+# trials sit mid-batch beside survivors; at N = 2 only the elimination
+# baseline refuses them.
+SWEEP_SHIFTS = [0.0, 0.2]
+SWEEP_MAGS = [0.0, 1e100, 0.1]
+
+
+@pytest.mark.parametrize("sets_per_batch", [1, 2, 5])
+@pytest.mark.parametrize("n", [2, 9, 37])
+@pytest.mark.parametrize(
+    "esp_backend, inverse_backend",
+    [(esp, "closed_form") for esp in ("proposed", "traub", "yang", "mikkawy")]
+    + [("traub", "wa_product"), ("proposed", "elimination_baseline")],
+)
+def test_sweep_is_bit_identical_to_the_per_set_loop(
+    monkeypatch, esp_backend, inverse_backend, n, sets_per_batch
+):
+    monkeypatch.setattr(stability_mod, "_BATCH_BYTES", sets_per_batch * 16 * n * (n - 1))
+    args = (n, SWEEP_SHIFTS, SWEEP_MAGS, 3, 5, esp_backend, inverse_backend)
+    cells, failed = sweep_reference(*args)
+    grid = noise_sweep(*args)
+    assert same_bits(grid.log10_nmse, cells)
+    np.testing.assert_array_equal(grid.failed, failed)
+    assert not failed.all()
+    assert failed.any() or n == 2
+
+
+def kernel_spy(monkeypatch, method):
+    """Record the node-row bytes and row count of every call of a kernel."""
+    calls = []
+    kernel = esp_module._KERNELS[method]
+
+    def spy(w, orders):
+        calls.append((w.nbytes, w.shape[0]))
+        return kernel(w, orders)
+
+    monkeypatch.setitem(esp_module._KERNELS, method, spy)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["proposed", "traub"])
+def test_sweep_batches_hold_no_more_node_rows_than_the_budget(monkeypatch, method):
+    calls = kernel_spy(monkeypatch, method)
+    noise_sweep(37, [0.0, 0.1], [0.0, 0.1, 0.2], trials=3, seed=4, esp_backend=method)
+    # 18 draws of 37 rows each: 21 KB of node rows a set, 380 KB in all
+    assert sum(rows for _, rows in calls) == 18 * 37
+    assert max(nbytes for nbytes, _ in calls) <= stability_mod._BATCH_BYTES
+    assert max(rows for _, rows in calls) > 37  # several sets share a call
+
+
+def test_sweep_sends_a_set_past_the_budget_alone(monkeypatch):
+    calls = kernel_spy(monkeypatch, "traub")
+    monkeypatch.setattr(stability_mod, "_BATCH_BYTES", 16 * 9 * 8 - 1)
+    noise_sweep(9, [0.0], [0.0, 0.1], trials=3, seed=4, esp_backend="traub")
+    assert [rows for _, rows in calls] == [9] * 6
