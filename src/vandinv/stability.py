@@ -33,7 +33,10 @@ import numpy as np
 from .errors import NumericalError, check_ints
 from .nodes import NodeSet, perturb_roots_of_unity
 from .vandermonde import (
-    build_vandermonde, compute_inverse, inverse_closed_form, inverse_esp_backend,
+    build_vandermonde,
+    compute_inverse,
+    inverse_closed_form,
+    inverse_esp_backend,
 )
 
 # Bytes of node rows one batch of closed-form inverses sends to the ESP

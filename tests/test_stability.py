@@ -184,10 +184,10 @@ def test_sweep_gap_between_backends_small_case():
 
 
 # 2 x 3 cells of 3 trials: 18 draws, whose rows go to the ESP kernel in
-# batches of 1, 2 or 5 sets (three of 5 and a short last batch of 3).  Every draw
-# at sigma_mag 1e100 has a weight past 2^1021 from N = 9 on, so failing
-# trials sit mid-batch beside survivors; at N = 2 only the elimination
-# baseline refuses them.
+# batches of 1, 2 or 5 sets (three of 5 and a short last batch of 3).
+# Every draw at sigma_mag 1e100 has a weight past 2^1021 from N = 9 on, so
+# failing trials sit mid-batch beside survivors; at N = 2 only the
+# elimination baseline refuses them.
 SWEEP_SHIFTS = [0.0, 0.2]
 SWEEP_MAGS = [0.0, 1e100, 0.1]
 
