@@ -56,42 +56,3 @@ from .vandermonde import (
     inverse_wa_product,
     stanley_matrix,
 )
-
-__all__ = [
-    "__version__",
-    "NumericalError",
-    "SingularityError",
-    "OrderOverflowError",
-    "NodeCollisionError",
-    "DISTINCTNESS_RTOL",
-    "NODE_FAMILIES",
-    "RNG_ALGORITHM",
-    "NodeSet",
-    "generate_nodes",
-    "perturb_roots_of_unity",
-    "validate_pairwise_distinct",
-    "ESP_BACKENDS",
-    "esp_table",
-    "esp_dropped",
-    "esp_single",
-    "esp_all_orders",
-    "INVERSE_BACKENDS",
-    "build_vandermonde",
-    "barycentric_weights",
-    "stanley_matrix",
-    "inverse_closed_form",
-    "inverse_wa_product",
-    "inverse_elimination_baseline",
-    "compute_inverse",
-    "nmse",
-    "companion_identity_nmse",
-    "SweepGrid",
-    "noise_sweep",
-    "derive_seed",
-    "FUNCTION_KINDS",
-    "InterpolationReport",
-    "sample_function",
-    "fit_coefficients",
-    "evaluate_superresolved",
-    "interp_experiment",
-]

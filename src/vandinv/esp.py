@@ -173,12 +173,11 @@ def _proposed(v, orders):
     pairs into lanes, the middle order of an odd run alone."""
     run = orders[orders > 0]
     out = np.ones((orders.size, v.shape[0]), dtype=np.complex128)  # sigma(m, 0) = 1
-    if run.size:
-        low, high = _proposed_lanes(v, run)
-        k = orders.size - run.size  # where lo sits
-        out[k : k + len(low)] = low
-        # written last: a middle order's sum is in high, whether it ran alone or twice
-        out[orders.size - len(high) :] = high[::-1]
+    low, high = _proposed_lanes(v, run)  # no lanes for order 0 alone
+    k = orders.size - run.size  # where lo sits
+    out[k : k + len(low)] = low
+    # written last: a middle order's sum is in high, whether it ran alone or twice
+    out[orders.size - len(high) :] = high[::-1]
     out = out.T.copy()  # C order, as _KERNELS says
     # a zero node's g_i stays 0, so an order above a row's count of nonzero
     # nodes is exactly 0; the recursion reaches it only up to rounding
@@ -272,17 +271,14 @@ def esp_table(nodes: NodeSet, method: str) -> np.ndarray:
 
 def _node_rows(v, drop, method):
     """The rows a kernel runs on, set by set for the sets of v (sets x N):
-    a whole set as one row when ``drop`` is None, else one row per 0-based
-    index in ``drop`` that lacks that node.  A mikkawy row swaps the dropped
-    node into the leading slot, which it leaves out: v_1 visits that slot."""
+    a whole set as one row when ``drop`` is None, else, in one gather, one
+    row per 0-based index in the column ``drop`` that lacks that node.  A
+    mikkawy row swaps v_1 into the dropped node's slot and leaves out the first."""
     if drop is None:
         return v
-    if method == "mikkawy":
-        w = np.repeat(v[:, None, :], drop.size, axis=1)
-        w[:, np.arange(drop.size), drop] = v[:, :1]
-        return w[:, :, 1:].reshape(-1, v.shape[1] - 1)
     keep = np.arange(v.shape[1] - 1)
-    return v[:, keep + (keep >= drop[:, None])].reshape(-1, keep.size)  # row r lacks node r
+    cols = (keep + 1) * (keep + 1 != drop) if method == "mikkawy" else keep + (keep >= drop)
+    return v[:, cols].reshape(-1, keep.size)
 
 
 def _esp(v, method: str, drop, orders) -> np.ndarray:
@@ -300,7 +296,7 @@ def _esp(v, method: str, drop, orders) -> np.ndarray:
         )
     if drop is not None and n < 2:
         raise ValueError("dropping a node needs at least 2 nodes")
-    rows = None if drop is None else np.atleast_1d(check_ints("drop index", drop, 1, n)) - 1
+    rows = None if drop is None else np.reshape(check_ints("drop index", drop, 1, n), (-1, 1)) - 1
     with np.errstate(over="ignore", invalid="ignore"):
         out = _KERNELS[method](_node_rows(v, rows, method), orders)
     span = orders[0] if orders.size == 1 else f"{orders[0]}..{orders[-1]}"

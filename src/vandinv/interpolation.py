@@ -105,16 +105,12 @@ def interp_experiment(
     check_ints("exclude_per_side", exclude_per_side, 0)
     fit_nodes = generate_nodes(node_kind, n)
     dense_nodes = generate_nodes(node_kind, 2 * n)
-    if node_kind == "roots_of_unity":
-        applied = 0  # closed curve: no boundary to trim
-        included = slice(None)
-    else:
-        applied = exclude_per_side
-        if 2 * n - 2 * applied < 2:
-            raise ValueError(
-                f"excluding {applied} per side leaves fewer than 2 of {2 * n} points"
-            )
-        included = slice(applied, 2 * n - applied)
+    applied = 0 if node_kind == "roots_of_unity" else exclude_per_side  # a circle has no ends
+    if 2 * n - 2 * applied < 2:
+        raise ValueError(
+            f"excluding {applied} per side leaves fewer than 2 of {2 * n} points"
+        )
+    included = slice(applied, 2 * n - applied)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         samples = sample_function(fn, t, fit_nodes)
         coeffs = fit_coefficients(fit_nodes, samples, inverse_backend, esp_backend)

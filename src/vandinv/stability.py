@@ -10,7 +10,7 @@ inverse's quality without ever forming a reference inverse:
     M = inv_candidate^T @ diag(v) @ V^T,   NMSE = ||M_left - I_shift|| / ||I_shift||
 
 with Frobenius norms throughout; `companion_identity_nmse` returns that
-one float.
+one float, or raises `NumericalError` where it leaves double range.
 
 The module also packages one experiment: a Monte-Carlo sweep of the
 companion NMSE over phase/magnitude noise on perturbed roots of unity.
@@ -20,7 +20,8 @@ them in batches: the closed form runs the dropped rows of a batch's sets
 through one ESP kernel call, under `_BATCH_BYTES` of node rows; the other
 routes take one set at a time.  Each set's inverse has the bits it has
 alone, and a batch that fails runs again set by set, so the grid is the
-one a per-trial loop gives.
+one a per-trial loop gives.  A trial fails where its draw, its inverse or
+its score raises `NumericalError`, and is left out of its cell's mean.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, check_ints
+from .errors import NumericalError, check_finite, check_ints
 from .nodes import NodeSet, perturb_roots_of_unity
 from .vandermonde import (
     build_vandermonde,
@@ -66,10 +67,11 @@ def companion_identity_nmse(nodes: NodeSet, inverse: np.ndarray) -> float:
         )
     if n < 2:
         raise ValueError("companion check needs N >= 2")
-    v_exact = build_vandermonde(nodes)
-    m = (inverse.T * nodes.values[None, :]) @ v_exact.T
-    # the exact left block is the shifted identity, ones at (r+1, r)
-    return nmse(m[:, : n - 1], np.eye(n, n - 1, k=-1))
+    with np.errstate(over="ignore", invalid="ignore"):  # a score past double range fails below
+        m = (inverse.T * nodes.values[None, :]) @ build_vandermonde(nodes).T
+        # the exact left block is the shifted identity, ones at (r+1, r)
+        score = nmse(m[:, : n - 1], np.eye(n, n - 1, k=-1))
+    return check_finite("companion NMSE", score)
 
 
 @dataclass

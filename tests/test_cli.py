@@ -606,6 +606,15 @@ def test_baseline_noise_sweep_names_no_esp_backend(capsys, tmp_path):
     assert (doc["esp_backend"], doc["inverse_backend"]) == (None, "elimination_baseline")
 
 
+def test_noise_sweep_prints_failed_for_scores_past_double_range(capsys):
+    code, out, err = run(
+        capsys, "noise-sweep", "--n", "9", "--trials", "3", "--seed", "5",
+        "--sigma-shift-axis", "0", "--sigma-mag-axis", "1e30,0.1",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "       0  failed  -15.44"
+
+
 # ---------------------------------------------------------------- interp
 
 def test_interp_exclude_default_is_the_library_default():

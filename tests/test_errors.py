@@ -12,11 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vandinv import (
+    ESP_BACKENDS,
     INVERSE_BACKENDS,
     NodeSet,
     NumericalError,
     OrderOverflowError,
     build_vandermonde,
+    companion_identity_nmse,
     compute_inverse,
     derive_seed,
     esp_all_orders,
@@ -174,9 +176,9 @@ EXTREME_SETS = (
 
 @st.composite
 def extreme_node_values(draw):
-    """2..12 complex nodes with parts in (-2, 2), scaled by 2^k, k in -997..1023:
+    """2..24 complex nodes with parts in (-2, 2), scaled by 2^k, k in -997..1023:
     parts from ~1e-300 up to the largest double."""
-    n = draw(st.integers(2, 12))
+    n = draw(st.integers(2, 24))
     parts = draw(st.lists(st.floats(-2, 2, exclude_min=True, exclude_max=True),
                           min_size=2 * n, max_size=2 * n))
     scale = 2.0 ** draw(st.integers(-997, 1023))
@@ -186,7 +188,7 @@ def extreme_node_values(draw):
 # proposed chunks of 7 columns of 11 nodes: the dropped sweeps of 12 nodes
 # (72 columns, the middle order 6 in columns 60..71) run as ten chunks of 7
 # and a narrower last one of 2, and the middle lane has the last two chunks
-# to itself; smaller sets run several chunks too
+# to itself; other sizes run several chunks too
 MULTI_CHUNK_BYTES = 7 * 16 * 11
 
 
@@ -205,7 +207,7 @@ def test_extreme_magnitudes_give_finite_results_or_typed_errors(values):
             ns = NodeSet(values)
         except ValueError:
             return
-        # the default chunk size runs N <= 12 in one chunk; the patch (not a
+        # the default chunk size runs N <= 24 in one chunk; the patch (not a
         # fixture, which hypothesis refuses) reaches the multi-chunk paths
         for block in (esp_module._BLOCK_BYTES, MULTI_CHUNK_BYTES):
             with mock.patch.object(esp_module, "_BLOCK_BYTES", block):
@@ -245,6 +247,23 @@ def check_finite_or_typed_errors(ns):
         except NumericalError:
             continue
         assert np.isfinite(matrix).all()
+        try:  # the score of a finite inverse may still leave double range
+            assert np.isfinite(companion_identity_nmse(ns, matrix))
+        except NumericalError:
+            pass
+    # a set batched beside a benign one fails as it does alone, and each
+    # inverse of the batch keeps the bits it has alone
+    benign = generate_nodes("roots_of_unity", n)
+    for method in ESP_BACKENDS:
+        try:
+            alone = inverse_closed_form(ns, method)
+        except NumericalError:
+            with pytest.raises(NumericalError):
+                inverse_closed_form([ns, benign], method)
+            continue
+        both = inverse_closed_form([ns, benign], method)
+        assert same_bits(both[0], alone)
+        assert same_bits(both[1], inverse_closed_form(benign, method))
 
 
 def test_elimination_refuses_a_vandermonde_matrix_past_double_range():

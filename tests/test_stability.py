@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ import vandinv.stability as stability_mod
 from vandinv import (
     NodeCollisionError,
     NodeSet,
+    NumericalError,
     companion_identity_nmse,
     compute_inverse,
     derive_seed,
@@ -15,6 +19,7 @@ from vandinv import (
     inverse_elimination_baseline,
     nmse,
     noise_sweep,
+    perturb_roots_of_unity,
 )
 
 from conftest import sweep_reference, unit_circle_deviation
@@ -87,6 +92,14 @@ def test_companion_rejects_mismatched_inverse():
     wrong = inverse_elimination_baseline(NodeSet([1, 2]))
     with pytest.raises(ValueError):
         companion_identity_nmse(ns, wrong)
+
+
+def test_companion_score_past_double_range_raises():
+    ns = perturb_roots_of_unity(9, 0.0, 1e30, derive_seed(5, 0, 0, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning may escape
+        with pytest.raises(NumericalError, match="^companion NMSE: 1 of 1 entries overflowed"):
+            companion_identity_nmse(ns, inverse_closed_form(ns))
 
 
 # ------------------------------------------------------------ unit circle
@@ -166,6 +179,21 @@ def test_sweep_averages_surviving_trials(monkeypatch):
     grid = noise_sweep(8, [0.05], [0.05], trials=3, seed=2)
     assert not grid.failed.any()
     assert np.isfinite(grid.log10_nmse).all()
+
+
+def test_sweep_fails_the_trials_whose_score_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning may escape
+        # every score of the 1e30 cell leaves double range, none of the 0.1 cell's
+        grid = noise_sweep(9, [0.0], [1e30, 0.1], trials=3, seed=5)
+        np.testing.assert_array_equal(grid.failed, [[True, False]])
+        assert f"{grid.log10_nmse[0, 1]:.2f}" == "-15.44"
+        # at N = 2 two of the 1e200 cell's three scores overflow: it reads the third
+        grid = noise_sweep(2, [0.0], [1e200, 0.1], trials=3, seed=5)
+        np.testing.assert_array_equal(grid.failed, [[False, False]])
+        ns = perturb_roots_of_unity(2, 0.0, 1e200, derive_seed(5, 0, 0, 2))
+        score = companion_identity_nmse(ns, inverse_closed_form(ns))
+        assert grid.log10_nmse[0, 0] == math.log10(score)
 
 
 def test_derive_seed_is_stable_and_distinct():
