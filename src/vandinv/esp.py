@@ -296,6 +296,8 @@ def _esp(v, method: str, drop, orders) -> np.ndarray:
         )
     if drop is not None and n < 2:
         raise ValueError("dropping a node needs at least 2 nodes")
+    if np.size(drop) == 0:
+        raise ValueError("drop needs at least one 1-based index, got an empty sequence")
     rows = None if drop is None else np.reshape(check_ints("drop index", drop, 1, n), (-1, 1)) - 1
     with np.errstate(over="ignore", invalid="ignore"):
         out = _KERNELS[method](_node_rows(v, rows, method), orders)
@@ -309,7 +311,7 @@ def _esp(v, method: str, drop, orders) -> np.ndarray:
 def esp_dropped(nodes: NodeSet, drop_index, method: str = "proposed") -> np.ndarray:
     """Dropped-node sweeps: sigma over the reduced set for orders 0..N-1.
 
-    ``drop_index`` is 1-based.  A sequence of indices returns one sweep per
+    ``drop_index`` is 1-based.  A non-empty sequence of indices returns one sweep per
     index, shape (len, N), from one batched backend call.  ``nodes`` may
     also be a list of node sets of one size: their sweeps stack along a
     leading axis, and the rows of every set go to that one call.

@@ -1,15 +1,15 @@
 """CSV/JSON serialization for every result type.
 
-Floats print with 17 significant digits (round-trip exact for doubles);
-CSV files are RFC-4180 (CRLF, header row, UTF-8), and no cell needs quotes:
-every name comes from a registry.  Writers are deterministic: the same
-object always produces identical bytes.  Each ``*_to_csv`` / ``*_to_json``
-writer takes its result first and the file path second.  CSV goes through
-`_write_csv`, a %-template per row; JSON but the inverse through
-`write_json` (also the CLI's manifests).  Every matrix writer and
-``invert`` stdout formats rows from one bulk conversion, `float_rows`,
-with the bytes of per-entry ``%.17g`` cells and of json.dumps; the inverse
-CSV and ``invert`` stdout share the cells of `inverse_text_rows`.
+Every CSV float cell is a ``%.17g`` %-format, with no helper between: 17
+significant digits, round-trip exact for doubles.  CSV files are RFC-4180
+(CRLF, header row, UTF-8), and no cell needs quotes: every name comes from a
+registry.  Writers are deterministic: the same object always produces
+identical bytes.  Each ``*_to_csv`` / ``*_to_json`` writer takes its result
+first and the file path second.  CSV goes through `_write_csv`, a %-template
+per row, and JSON but the inverse through `write_json` (also the CLI's
+manifests).  Every matrix writer and ``invert`` stdout formats rows from one
+bulk conversion, `float_rows`, to the bytes of per-entry cells and of
+json.dumps; the inverse CSV and ``invert`` stdout share `inverse_text_rows`.
 """
 
 from __future__ import annotations
@@ -20,13 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import check_finite
-from .interpolation import InterpolationReport
 from .nodes import RNG_ALGORITHM
-from .stability import SweepGrid
-
-
-def format_float(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def float_rows(matrix) -> list[list[float]]:
@@ -115,7 +109,7 @@ def companion_table_to_csv(table, path) -> None:
 def sweep_to_csv(grid: SweepGrid, path) -> None:
     """Long format: one row per cell, row-major over (shift, mag)."""
     lines = (
-        "%.17g,%.17g,%s,%d\r\n" % (s_shift, s_mag, "" if bad else format_float(x), bad)
+        "%.17g,%.17g,%s,%d\r\n" % (s_shift, s_mag, "" if bad else "%.17g" % x, bad)
         for s_shift, row, failed in zip(grid.sigma_shift_axis, grid.log10_nmse, grid.failed)
         for s_mag, x, bad in zip(grid.sigma_mag_axis, row, failed)
     )
@@ -173,12 +167,12 @@ def interp_summary_row(report: InterpolationReport) -> list:
         report.fn,
         report.family,
         report.n,
-        format_float(report.t),
+        "%.17g" % report.t,
         report.esp_backend or "none",
         report.inverse_backend,
         report.excluded_count_per_side,
-        format_float(val),
-        "-inf" if val == 0 else format_float(np.log10(val)),
+        "%.17g" % val,
+        "-inf" if val == 0 else "%.17g" % np.log10(val),
     ]
 
 

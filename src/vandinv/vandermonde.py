@@ -99,20 +99,15 @@ def barycentric_weights(nodes: NodeSet) -> np.ndarray:
         lam = np.prod(diff, axis=1)
         # numpy divides by lam through 1 / (re + im * (im / re)), re the
         # larger part; from |lam| = 2^1021 on that goes subnormal or 0
-        big = ~(np.abs(lam) < 2.0**1021)
-    if big.any():
-        k = int(np.argmax(big)) + 1
-        raise SingularityError(
-            f"barycentric weight {k} overflowed the range of a complex division "
-            "(|lambda| >= 2^1021); the nodes span too wide a range"
-        )
-    small = np.abs(lam) < LAMBDA_FLOOR
-    if small.any():
-        k = int(np.argmax(small)) + 1
-        raise SingularityError(
-            f"barycentric weight {k} underflowed (|lambda| < {LAMBDA_FLOOR:g}); "
-            "nodes are numerically coincident"
-        )
+        mag = np.abs(lam)
+    for mask, reason in (
+        (~(mag < 2.0**1021), "overflowed the range of a complex division "
+         "(|lambda| >= 2^1021); the nodes span too wide a range"),
+        (mag < LAMBDA_FLOOR, f"underflowed (|lambda| < {LAMBDA_FLOOR:g}); "
+         "nodes are numerically coincident"),
+    ):
+        if mask.any():
+            raise SingularityError(f"barycentric weight {int(np.argmax(mask)) + 1} {reason}")
     return lam
 
 

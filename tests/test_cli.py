@@ -34,7 +34,7 @@ from vandinv.cli import (
     main,
 )
 from vandinv.interpolation import DEFAULT_EXCLUDE_PER_SIDE
-from vandinv.serialize import format_float, inverse_text_rows, inverse_to_csv, inverse_to_json
+from vandinv.serialize import inverse_text_rows, inverse_to_csv, inverse_to_json
 from vandinv.vandermonde import inverse_esp_backend, real_part
 
 from test_serialize import writer_matrices
@@ -464,8 +464,7 @@ def test_esp_stdout_keeps_the_per_entry_bytes(capsys, what):
     else:
         values = map(complex, esp_all_orders(NodeSet(nodes), "proposed"))
         expected = "".join(
-            f"order={k} re={format_float(z.real)} im={format_float(z.imag)} "
-            f"abs={format_float(abs(z))}\n"
+            f"order={k} re={z.real:.17g} im={z.imag:.17g} abs={abs(z):.17g}\n"
             for k, z in enumerate(values)
         )
     assert out == expected
@@ -506,7 +505,7 @@ def test_companion_table_csv_bytes(capsys, tmp_path):
     for n in (5, 10):
         nodes = generate_nodes("roots_of_unity", n)
         cells = [
-            format_float(companion_identity_nmse(nodes, compute_inverse(nodes, inv, esp)))
+            f"{companion_identity_nmse(nodes, compute_inverse(nodes, inv, esp)):.17g}"
             for inv, esp in COMPANION_COMBOS.values()
         ]
         expected += ",".join([str(n), *cells]) + "\r\n"

@@ -568,6 +568,16 @@ def test_dropped_unknown_method():
         esp_dropped(NodeSet([1, 2]), 1, "newton")
 
 
+@pytest.mark.parametrize("method", ["proposed", "traub", "yang", "mikkawy"])
+@pytest.mark.parametrize("drop", [[], range(1, 1), np.array([], dtype=int)],
+                         ids=["list", "range", "array"])
+def test_dropped_refuses_an_empty_drop_sequence(method, drop):
+    ns = NodeSet([1, 2, 3, 4])
+    for nodes in (ns, [ns, roots(4)]):
+        with pytest.raises(ValueError, match="^drop needs at least one 1-based index"):
+            esp_dropped(nodes, drop, method)
+
+
 # ------------------------------------------------------- cross-backend
 
 @st.composite

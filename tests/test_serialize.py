@@ -19,7 +19,6 @@ from vandinv import serialize
 from vandinv.serialize import (
     companion_table_to_csv,
     esp_table_to_csv,
-    format_float,
     interp_report_to_csv,
     interp_summaries_to_csv,
     interp_summary_row,
@@ -37,9 +36,21 @@ def read_rows(path):
         return list(csv.reader(handle))
 
 
-def test_format_float_round_trips():
-    for x in (1 / 3, 5.74e-15, -0.0, 1.7976931348623157e308, 3.0):
-        assert float(format_float(x)) == x
+def test_format_float_round_trips(tmp_path):
+    # the %.17g float cells of the sweep CSV and of the interp summary row
+    values = np.array([1 / 3, 5.74e-15, -0.0, 1.7976931348623157e308, 3.0])
+    grid = SweepGrid(
+        n=5, sigma_shift_axis=np.array([0.0]), sigma_mag_axis=values,
+        log10_nmse=values[None], failed=np.zeros((1, values.size), dtype=bool),
+        trials_per_cell=1, seed=0, esp_backend="proposed", inverse_backend="closed_form",
+    )
+    sweep_to_csv(grid, tmp_path / "sweep.csv")
+    cells = [row[2] for row in read_rows(tmp_path / "sweep.csv")[1:]]
+    report = interp_experiment("cosine", "roots_of_unity", 4)
+    for x, cell in zip(values, cells):
+        t_cell = interp_summary_row(dataclasses.replace(report, t=x))[3]
+        assert cell == t_cell == "%.17g" % x
+        assert float(cell) == x and np.signbit(float(cell)) == np.signbit(x)
 
 
 def test_every_writer_takes_path_second():
@@ -312,7 +323,7 @@ def test_interp_report_csv_keeps_the_per_entry_bytes(tmp_path, fn, family):
 
 def test_summary_row_writes_minus_inf_only_for_a_zero_nmse():
     report = interp_experiment("cosine", "roots_of_unity", 10)
-    assert interp_summary_row(report)[-1] == format_float(np.log10(report.nmse_after_exclusion))
+    assert interp_summary_row(report)[-1] == f"{np.log10(report.nmse_after_exclusion):.17g}"
     zero = dataclasses.replace(report, nmse_after_exclusion=0.0)
     assert interp_summary_row(zero)[-2:] == ["0", "-inf"]
     nan = dataclasses.replace(report, nmse_after_exclusion=float("nan"))
