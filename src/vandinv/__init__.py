@@ -28,7 +28,6 @@ from .interpolation import (
     evaluate_superresolved,
     fit_coefficients,
     interp_experiment,
-    sample_function,
 )
 from .nodes import (
     DISTINCTNESS_RTOL,

@@ -9,13 +9,13 @@ can be regenerated.  A command that fails writes neither.  Seeded commands
 are byte-reproducible on one platform.
 
 Exit codes: 0 success, 2 argument/usage error, 3 numerical failure.
-Relative ``--output`` paths resolve under ``$VANDINV_OUTDIR`` when set.
+``--output`` takes any path; a relative one resolves against the working
+directory.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from datetime import datetime, timezone
 from functools import cache, partial
@@ -65,14 +65,9 @@ DEFAULT_SWEEP_AXIS = "0,0.05,0.1,0.15,0.2,0.25,0.3,0.35"
 DEFAULT_TABLE_NS = "5,10,15,20,25,30,35,40,45,50"
 DEFAULT_INTERP_NS = tuple(range(10, 101, 10))
 
-# companion-table column label -> (inverse route, ESP backend)
-COMPANION_COMBOS = {
-    "closed_form+proposed": ("closed_form", "proposed"),
-    "closed_form+traub": ("closed_form", "traub"),
-    "closed_form+yang": ("closed_form", "yang"),
-    "closed_form+mikkawy": ("closed_form", "mikkawy"),
-    "elimination_baseline": ("elimination_baseline", "proposed"),
-}
+# companion-table column label -> (inverse route, ESP backend), baseline last
+COMPANION_COMBOS = {f"closed_form+{esp}": ("closed_form", esp) for esp in ESP_BACKENDS}
+COMPANION_COMBOS["elimination_baseline"] = ("elimination_baseline", "proposed")
 
 _COMPLEX = "%.17g%+.17gj"  # one complex stdout entry from its (re, im) floats
 
@@ -114,10 +109,6 @@ def _nodes_from_args(args) -> NodeSet:
 
 def _resolve_output(path_text: str) -> Path:
     path = Path(path_text)
-    if not path.is_absolute():
-        base = os.environ.get("VANDINV_OUTDIR")
-        if base:
-            path = Path(base) / path
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 

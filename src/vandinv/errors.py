@@ -45,7 +45,7 @@ class OrderOverflowError(NumericalError):
 
 
 class NodeCollisionError(NumericalError):
-    """Perturbed nodes kept collapsing within tolerance after all retries."""
+    """A perturbed draw collapsed two nodes within the distinctness tolerance."""
 
 
 def check_finite(what: str, *values, error=NumericalError):

@@ -12,8 +12,8 @@ domain counts.
 The test functions sit in one table by name (``FUNCTION_KINDS``), each with
 a default parameter t.  They are evaluated as complex analytic maps so the
 pipeline is well defined on circle nodes as well as interval ones.
-`interp_experiment(fn, node_kind, n, t=None, ...)` checks the name and t
-once; `sample_function(kind, t, nodes)` evaluates one of them.  A non-finite
+`interp_experiment(fn, node_kind, n, t=None, ...)` checks the name and t,
+then samples the function on the fit and dense nodes.  A non-finite
 sample, fit, prediction or NMSE (exp(800 x), say) raises `NumericalError`.
 """
 
@@ -40,12 +40,6 @@ _FUNCTIONS = {
 FUNCTION_KINDS = tuple(_FUNCTIONS)
 
 DEFAULT_EXCLUDE_PER_SIDE = 7
-
-
-def sample_function(kind: str, t: float, nodes: NodeSet) -> np.ndarray:
-    """Evaluate the named function with parameter t at the nodes
-    (complex-capable); `interp_experiment` checks the name and t."""
-    return _FUNCTIONS[kind][1](t, nodes.values)
 
 
 def fit_coefficients(
@@ -99,7 +93,8 @@ def interp_experiment(
     """Full fit / super-resolve / score pipeline on one node family; ``t``
     defaults to the function's own."""
     check_name("function kind", fn, FUNCTION_KINDS)
-    t = _FUNCTIONS[fn][0] if t is None else float(t)
+    default_t, f = _FUNCTIONS[fn]
+    t = default_t if t is None else float(t)
     if not np.isfinite(t):
         raise ValueError("parameter t must be finite")
     check_ints("exclude_per_side", exclude_per_side, 0)
@@ -112,10 +107,10 @@ def interp_experiment(
         )
     included = slice(applied, 2 * n - applied)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        samples = sample_function(fn, t, fit_nodes)
+        samples = f(t, fit_nodes.values)
         coeffs = fit_coefficients(fit_nodes, samples, inverse_backend, esp_backend)
         predictions = evaluate_superresolved(coeffs, dense_nodes)
-        reference = sample_function(fn, t, dense_nodes)
+        reference = f(t, dense_nodes.values)
         score = nmse(predictions[included], reference[included])
     what = f"non-finite result: {fn}, t = {t:g}, {n} {node_kind} nodes"
     check_finite(what, samples, coeffs, predictions, reference, score)

@@ -13,8 +13,8 @@ Five node families are supported on their usual domains:
 ``NODE_FAMILIES`` lists its names.  All generators are deterministic.
 `perturb_roots_of_unity(n, sigma_shift, sigma_mag, seed)` is the only
 randomized operation: phase and magnitude noise on the roots of unity,
-fully determined by its 64-bit seed (numpy PCG64 streams derived through
-SeedSequence), with each draw validated once as it becomes a `NodeSet`.
+one draw fully determined by its 64-bit seed (a numpy PCG64 stream derived
+through SeedSequence) and validated once as it becomes a `NodeSet`.
 
 Everything here is pure and safe to call concurrently.
 """
@@ -49,8 +49,6 @@ _ENDPOINT_FAMILIES = ("equidistant", "gauss_lobatto")
 
 # Identifier recorded in run manifests so seeded experiments are replayable.
 RNG_ALGORITHM = "numpy.PCG64"
-
-_PERTURB_RETRIES = 8
 
 
 def validate_pairwise_distinct(values) -> None:
@@ -114,10 +112,10 @@ def perturb_roots_of_unity(
     ``sigma_mag**2`` (independent real and imaginary parts of variance
     ``sigma_mag**2 / 2``).
 
-    Deterministic per seed.  Each draw is validated once, by building its
-    `NodeSet`; if the noise collapses two nodes within the distinctness
-    tolerance, the draw is retried up to 8 times on sub-seeds derived from
-    ``seed`` before NodeCollisionError is raised.
+    Deterministic per seed: one draw on ``SeedSequence([seed, 0])``,
+    validated once by building its `NodeSet`.  If the noise collapses two
+    nodes within the distinctness tolerance, NodeCollisionError names the
+    pair and the seed.
     """
     for name, sigma in (("sigma_shift", sigma_shift), ("sigma_mag", sigma_mag)):
         if not np.isfinite(sigma) or sigma < 0:
@@ -126,16 +124,12 @@ def perturb_roots_of_unity(
     check_ints("seed", seed, 0)
     base = _FAMILIES["roots_of_unity"](np.arange(1, n + 1), n)
     part_std = sigma_mag / np.sqrt(2.0)
-    for attempt in range(_PERTURB_RETRIES + 1):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
-        eta_s = rng.normal(0.0, sigma_shift, n)
-        eta_m = rng.normal(0.0, part_std, n) + 1j * rng.normal(0.0, part_std, n)
-        # factored exponential keeps the zero-noise case bit-identical to
-        # the clean generator
-        try:
-            return NodeSet(base * np.exp(1j * eta_s) + eta_m)
-        except ValueError as exc:
-            last = exc
-    raise NodeCollisionError(
-        f"{last} on {_PERTURB_RETRIES + 1} consecutive draws (seed {seed})"
-    )
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    eta_s = rng.normal(0.0, sigma_shift, n)
+    eta_m = rng.normal(0.0, part_std, n) + 1j * rng.normal(0.0, part_std, n)
+    # factored exponential keeps the zero-noise case bit-identical to the
+    # clean generator
+    try:
+        return NodeSet(base * np.exp(1j * eta_s) + eta_m)
+    except ValueError as exc:
+        raise NodeCollisionError(f"{exc} (seed {seed})") from None

@@ -28,10 +28,10 @@ lambda_k = prod_{j != k} (v_k - v_j) are the barycentric denominators;
 a |lambda_k| below 1e-300 or of 2^1021 (~2.2e307) or more, past which a
 complex division by it loses the quotient, or an elimination pivot
 below 1e-14 * max |entry|, raises SingularityError (naming the weight's
-index).  Each route, called directly or through `compute_inverse`, returns
-a finite matrix or raises NumericalError: `check_finite` counts any entry
-that overflowed to inf or NaN.  `compute_inverse` starts every failure
-message with the route.
+index).  Each route, called directly or through `compute_inverse`, and
+`build_vandermonde` return a finite matrix or raise NumericalError:
+`check_finite` counts any entry that overflowed to inf or NaN.
+`compute_inverse` starts every failure message with the route.
 
 Rows of the closed-form inverse are independent; everything is pure.
 """
@@ -84,7 +84,9 @@ def build_vandermonde(nodes: NodeSet, num_rows: int | None = None) -> np.ndarray
     or fewer are needed than there are nodes.
     """
     rows = len(nodes) if num_rows is None else check_ints("num_rows", num_rows, 1)
-    return np.vander(nodes.values, rows, increasing=True).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = np.vander(nodes.values, rows, increasing=True).T
+    return check_finite("Vandermonde matrix", matrix)
 
 
 def barycentric_weights(nodes: NodeSet) -> np.ndarray:
@@ -157,10 +159,7 @@ def inverse_wa_product(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndar
 
 def inverse_elimination_baseline(nodes: NodeSet) -> np.ndarray:
     """Row-pivoted elimination inverse of the explicitly built matrix."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        v_matrix = build_vandermonde(nodes)
-    # an inf entry makes the pivot floor inf, and NaN pivots pass its test
-    check_finite("Vandermonde matrix", v_matrix)
+    v_matrix = build_vandermonde(nodes)
     floor = PIVOT_RTOL * np.abs(v_matrix).max()
     try:
         with np.errstate(over="ignore", invalid="ignore"):

@@ -57,9 +57,7 @@ def elimination_reference(nodes: NodeSet):
     `inverse_elimination_baseline`, which reads that diagonal only when its
     inverse cannot prove the floor.  Returns the inverse and the smallest
     pivot over the floor, or raises the route's NumericalError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        v_matrix = build_vandermonde(nodes)
-    check_finite("Vandermonde matrix", v_matrix)
+    v_matrix = build_vandermonde(nodes)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(v_matrix, check_finite=False)

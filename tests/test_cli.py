@@ -280,6 +280,16 @@ def test_bad_list_token_is_named_with_its_type(capsys, argv, token, kind):
     assert err == f"error: {token!r} is not a valid {kind}\n"
 
 
+def test_blank_list_tokens_are_skipped(capsys):
+    assert run(capsys, "invert", "--nodes", " 1,,2, ") == run(capsys, "invert", "--nodes", "1,2")
+
+
+def test_an_all_blank_list_is_refused(capsys):
+    code, out, err = run(capsys, "invert", "--nodes", " , ,")
+    assert (code, out) == (2, "")
+    assert err == "error: no complex values in ' , ,'\n"
+
+
 def test_esp_unknown_backend_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run(capsys, "esp", "--nodes", "1,2", "--order", "1", "--backend", "newton")
@@ -296,6 +306,19 @@ def test_invert_two_nodes_stdout(capsys):
         for line in out.strip().splitlines()
     ]
     np.testing.assert_allclose(rows, [[2, -1], [-1, 1]], atol=1e-12)
+
+
+def test_invert_one_node(capsys):
+    # V = [1] for any node, so its inverse is [1]
+    assert run(capsys, "invert", "--nodes", "5") == (0, "1+0j\n", "")
+
+
+def test_invert_a_family_with_count(capsys):
+    code, out, err = run(capsys, "invert", "--family", "chebyshev", "--count", "3", "--real")
+    assert (code, err) == (0, "")
+    expected = real_part(compute_inverse(generate_nodes("chebyshev", 3)))
+    rows = [[complex(token) for token in line.split(",")] for line in out.splitlines()]
+    np.testing.assert_array_equal(rows, expected)
 
 
 def test_invert_baseline_roots4_conjugate_transpose(capsys, tmp_path):
@@ -492,6 +515,12 @@ def test_companion_table_default(capsys, tmp_path):
     # the yang column at N=25 sits in the e-11/e-12 decade
     yang_25 = float(rows[2][3])
     assert 2.8e-12 < yang_25 < 2.8e-10
+
+
+def test_companion_table_needs_n_of_at_least_2(capsys):
+    assert run(capsys, "companion-table", "--n-list", "1") == (
+        2, "", "error: --n-list needs integers >= 2\n"
+    )
 
 
 def test_companion_table_csv_bytes(capsys, tmp_path):
@@ -762,12 +791,16 @@ def test_esp_single_order_csv_bytes(capsys, tmp_path):
 
 # ---------------------------------------------------------------- misc
 
-def test_output_dir_env_var(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("VANDINV_OUTDIR", str(tmp_path))
+def test_output_dir_env_var_is_ignored(capsys, tmp_path, monkeypatch):
+    # a relative --output resolves against the working directory only
+    elsewhere = tmp_path / "elsewhere"
+    monkeypatch.setenv("VANDINV_OUTDIR", str(elsewhere))
+    monkeypatch.chdir(tmp_path)
     code, _, _ = run(capsys, "invert", "--nodes", "1,2", "--output", "sub/inv.csv")
     assert code == 0
     assert (tmp_path / "sub" / "inv.csv").exists()
     assert (tmp_path / "sub" / "inv.csv.manifest.json").exists()
+    assert not elsewhere.exists()
 
 
 def _call_in_process(argv, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import vandinv.interpolation as interp_mod
 from vandinv import (
     NodeSet,
     evaluate_superresolved,
@@ -8,7 +9,6 @@ from vandinv import (
     generate_nodes,
     interp_experiment,
     nmse,
-    sample_function,
 )
 
 
@@ -18,19 +18,46 @@ def roots(n):
 
 # ---------------------------------------------------------------- sampling
 
-def test_cosine_at_zero():
-    val = sample_function("cosine", 1.0, NodeSet([0.0, 0.5]))
-    assert abs(val[0] - 1.0) < 1e-15
+def sampled(monkeypatch, fn, t, kind, n, formula):
+    """The samples `interp_experiment` fits and its dense reference, each
+    checked bit for bit against ``formula`` on the family's nodes."""
+    seen = []
+
+    def spy(nodes, samples, *args):
+        seen.append(samples)
+        return fit_coefficients(nodes, samples, *args)
+
+    monkeypatch.setattr(interp_mod, "fit_coefficients", spy)
+    report = interp_experiment(fn, kind, n, t)
+    [samples] = seen
+    np.testing.assert_array_equal(samples, formula(generate_nodes(kind, n).values))
+    np.testing.assert_array_equal(report.reference, formula(generate_nodes(kind, 2 * n).values))
+    return samples, report.reference
 
 
-def test_exponential_with_zero_parameter():
-    val = sample_function("exponential", 0.0, NodeSet([0.3, -0.7, 2.0]))
-    np.testing.assert_allclose(val, 1.0, atol=0)
+def test_cosine_at_zero(monkeypatch):
+    # the middle of 9 equidistant nodes is 0
+    samples, _ = sampled(
+        monkeypatch, "cosine", 1.0, "equidistant", 9, lambda z: np.cos(2.0 * np.pi * 1.0 * z)
+    )
+    assert samples[4] == 1.0
 
 
-def test_tanh_is_odd_at_zero():
-    val = sample_function("tanh", 1.0, NodeSet([0.0, 1.0]))
-    assert val[0] == 0.0
+def test_exponential_with_zero_parameter(monkeypatch):
+    samples, reference = sampled(
+        monkeypatch, "exponential", 0.0, "chebyshev", 8, lambda z: np.exp(0.0 * z)
+    )
+    np.testing.assert_array_equal(samples, 1.0)
+    np.testing.assert_array_equal(reference, 1.0)
+
+
+def test_tanh_is_odd_at_zero(monkeypatch):
+    samples, reference = sampled(
+        monkeypatch, "tanh", 1.0, "equidistant", 9, lambda z: np.tanh(1.0 * z)
+    )
+    assert samples[4] == 0.0
+    # the dense equidistant nodes are symmetric about 0, and tanh is odd
+    np.testing.assert_allclose(reference, -reference[::-1], atol=1e-15)
 
 
 def test_function_defaults():
@@ -145,7 +172,7 @@ def test_wa_product_rejects_dropped_only_backend():
 def test_backend_consistency_on_roots():
     n = 30
     ns = roots(n)
-    samples = sample_function("exponential", 1.0, ns)
+    samples = np.exp(ns.values)
     c_closed = fit_coefficients(ns, samples, "closed_form", "proposed")
     c_base = fit_coefficients(ns, samples, "elimination_baseline")
     assert np.abs(c_closed - c_base).max() < 1e-8

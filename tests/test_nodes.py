@@ -95,6 +95,12 @@ def test_nodeset_rejects_near_duplicates():
         NodeSet([1.0, 1.0 + 1e-15, 2.0])
 
 
+@pytest.mark.parametrize("values", [[], [[1, 2], [3, 4]]], ids=["empty", "2-D"])
+def test_nodeset_needs_a_one_dimensional_non_empty_sequence(values):
+    with pytest.raises(ValueError, match="^a NodeSet needs a one-dimensional, non-empty"):
+        NodeSet(values)
+
+
 def test_nodeset_names_a_nan_node():
     with pytest.raises(ValueError, match=r"node 2 is not finite: \(nan"):
         NodeSet([1, np.nan, 3])
@@ -166,7 +172,7 @@ def test_perturbation_negative_sigma_rejected():
         perturb_roots_of_unity(1, 0.0, np.nan, 1)
 
 
-def test_perturbation_gives_up_after_retries(monkeypatch):
+def test_perturbation_collision_names_the_pair_and_the_seed(monkeypatch):
     calls = {"n": 0}
 
     def always_collides(values):
@@ -174,6 +180,7 @@ def test_perturbation_gives_up_after_retries(monkeypatch):
         raise ValueError("nodes 1 and 2 are closer than 1e-12 * max|v|")
 
     monkeypatch.setattr(nodes_mod, "validate_pairwise_distinct", always_collides)
-    with pytest.raises(NodeCollisionError, match=COLLISION[:-1] + " on 9 consecutive draws"):
+    message = "^nodes 1 and 2" + COLLISION[:-1] + r" \(seed 3\)$"
+    with pytest.raises(NodeCollisionError, match=message):
         perturb_roots_of_unity(8, 0.1, 0.1, 3)
-    assert calls["n"] == 9  # first draw plus 8 retries
+    assert calls["n"] == 1  # one draw, validated once, never redrawn

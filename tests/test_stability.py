@@ -94,6 +94,12 @@ def test_companion_rejects_mismatched_inverse():
         companion_identity_nmse(ns, wrong)
 
 
+def test_companion_needs_two_nodes():
+    ns = NodeSet([5])
+    with pytest.raises(ValueError, match="^companion check needs N >= 2$"):
+        companion_identity_nmse(ns, inverse_closed_form(ns))
+
+
 def test_companion_score_past_double_range_raises():
     ns = perturb_roots_of_unity(9, 0.0, 1e30, derive_seed(5, 0, 0, 0))
     with warnings.catch_warnings():

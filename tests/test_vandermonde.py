@@ -1,5 +1,6 @@
 import itertools
 import re
+import warnings
 from unittest import mock
 
 import mpmath
@@ -59,6 +60,21 @@ def test_build_row_recurrence(rng):
     np.testing.assert_allclose(v[0], np.ones(7), atol=0)
     for r in range(1, 7):
         np.testing.assert_allclose(v[r], v[r - 1] * ns.values, rtol=1e-15)
+
+
+def test_build_past_double_range_raises_without_a_warning():
+    # 1e200 squared leaves double range in the last row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            NumericalError, match=r"^Vandermonde matrix: 3 of 9 entries overflowed to inf or NaN$"
+        ):
+            build_vandermonde(NodeSet([1e200, -1e200, 5e199]))
+        with pytest.raises(
+            NumericalError,
+            match=r"^elimination_baseline inverse: Vandermonde matrix: 3 of 9 entries",
+        ):
+            compute_inverse(NodeSet([1e200, -1e200, 5e199]), "elimination_baseline")
 
 
 # ---------------------------------------------------------------- weights
@@ -170,6 +186,14 @@ def test_closed_form_last_column_is_inverse_weights():
 def test_closed_form_three_nodes_first_row():
     inv = inverse_closed_form(NodeSet([1, 2, 3]))
     np.testing.assert_allclose(inv[0], [3, -2.5, 0.5], atol=1e-12)
+
+
+def test_closed_form_one_node():
+    # V = [1], so its inverse is [1] whatever the node; no ESP is swept
+    for esp in ("proposed", "traub", "yang", "mikkawy"):
+        np.testing.assert_array_equal(inverse_closed_form(NodeSet([5]), esp), [[1]])
+        stacked = inverse_closed_form([NodeSet([5]), NodeSet([2j])], esp)
+        np.testing.assert_array_equal(stacked, np.ones((2, 1, 1)))
 
 
 def test_wa_product_two_nodes():
