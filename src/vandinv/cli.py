@@ -107,12 +107,6 @@ def _nodes_from_args(args) -> NodeSet:
     return generate_nodes(CLI_FAMILIES[args.family], args.count)
 
 
-def _resolve_output(path_text: str) -> Path:
-    path = Path(path_text)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _by_format(args, to_csv, to_json):
     """The writer that ``--format`` picks; ``auto`` picks JSON for a
     ``.json`` output and CSV otherwise."""
@@ -185,11 +179,8 @@ def _cmd_invert(args):
 
 
 def _cmd_companion_table(args):
-    n_values = _parse_list(args.n_list, int)
-    if any(n < 2 for n in n_values):
-        raise ValueError("--n-list needs integers >= 2")
     table = []
-    for n in n_values:
+    for n in _parse_list(args.n_list, int):
         nodes = generate_nodes("roots_of_unity", n)
         cells = {
             label: companion_identity_nmse(nodes, compute_inverse(nodes, route, esp))
@@ -322,7 +313,8 @@ def main(argv=None) -> int:
     try:
         write = args.handler(args)
         if args.output:
-            out = _resolve_output(args.output)
+            out = Path(args.output)
+            out.parent.mkdir(parents=True, exist_ok=True)
             write(out)
             _write_manifest(args, out)
         return 0

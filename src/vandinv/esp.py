@@ -146,7 +146,7 @@ def _proposed_lanes(v, run):
     is kept between calls."""
     rows, m = v.shape
     lanes = (run.size + 1) // 2
-    step = max(1, _BLOCK_BYTES // (16 * m))
+    step = max(1, _BLOCK_BYTES // (16 * max(m, 1)))
     work = np.empty(2 * m * min(step, lanes * rows), dtype=np.complex128)
     vt = v.T.copy()  # take gathers from a C-order array in place
     first = np.repeat(run[:lanes], rows)
@@ -278,15 +278,16 @@ def _node_rows(v, drop, method):
         return v
     keep = np.arange(v.shape[1] - 1)
     cols = (keep + 1) * (keep + 1 != drop) if method == "mikkawy" else keep + (keep >= drop)
-    return v[:, cols].reshape(-1, keep.size)
+    return v[:, cols].reshape(len(v) * drop.size, keep.size)  # -1 fails on size 0
 
 
 def _esp(v, method: str, drop, orders) -> np.ndarray:
     """sigma at the ascending ``orders`` for each node set of v (sets x N),
     over the whole set (``drop`` None) or without each 1-based index in
     ``drop``: shape (sets, len(orders)) for None or one index, (sets,
-    len(drop), len(orders)) for a sequence.  The rows of every set go to
-    the kernel in one call; only the returned entries must be finite."""
+    len(drop), len(orders)) for a sequence.  A one-node set drops to the
+    empty set, whose every kernel returns sigma(0, 0) = 1.  The rows of every
+    set go to the kernel in one call; only the returned entries must be finite."""
     check_name("ESP backend", method, ESP_BACKENDS)
     n = v.shape[1]
     if drop is None and method not in FULL_SET_ESP_BACKENDS:
@@ -294,8 +295,6 @@ def _esp(v, method: str, drop, orders) -> np.ndarray:
             f"ESP backend {method!r} computes dropped-node ESPs only, so it needs a "
             f"drop index; full-set ESPs need one of {FULL_SET_ESP_BACKENDS}"
         )
-    if drop is not None and n < 2:
-        raise ValueError("dropping a node needs at least 2 nodes")
     if np.size(drop) == 0:
         raise ValueError("drop needs at least one 1-based index, got an empty sequence")
     rows = None if drop is None else np.reshape(check_ints("drop index", drop, 1, n), (-1, 1)) - 1
@@ -309,8 +308,8 @@ def _esp(v, method: str, drop, orders) -> np.ndarray:
 
 
 def esp_dropped(nodes: NodeSet, drop_index, method: str = "proposed") -> np.ndarray:
-    """Dropped-node sweeps: sigma over the reduced set for orders 0..N-1.
-
+    """Dropped-node sweeps: sigma over the reduced set for orders 0..N-1;
+    a one-node set drops to the empty set, whose sweep is sigma(0, 0) = 1.
     ``drop_index`` is 1-based.  A non-empty sequence of indices returns one sweep per
     index, shape (len, N), from one batched backend call.  ``nodes`` may
     also be a list of node sets of one size: their sweeps stack along a

@@ -49,21 +49,26 @@ def fit_coefficients(
     esp_backend: str = "proposed",
 ) -> np.ndarray:
     """Polynomial coefficients c with V^T c = samples, i.e. c = (V^-1)^T
-    samples, with the chosen inverse route."""
+    samples, with the chosen inverse route; finite, or NumericalError."""
     f = np.atleast_1d(np.asarray(samples, dtype=np.complex128))
     if f.shape != (len(nodes),):
         raise ValueError(f"samples must have length {len(nodes)}, got shape {f.shape}")
-    return compute_inverse(nodes, inverse_backend, esp_backend).T @ f
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = compute_inverse(nodes, inverse_backend, esp_backend).T @ f
+    return check_finite("polynomial coefficients", coeffs)
 
 
 def evaluate_superresolved(coefficients, dense_nodes: NodeSet) -> np.ndarray:
-    """Evaluate sum_m c_m x^m on a dense node set of exactly twice the size."""
+    """Evaluate sum_m c_m x^m on a dense node set of exactly twice the size;
+    finite, or NumericalError."""
     c = np.atleast_1d(np.asarray(coefficients, dtype=np.complex128))
     if len(dense_nodes) != 2 * c.size:
         raise ValueError(
             f"dense node count {len(dense_nodes)} must be exactly 2 x {c.size}"
         )
-    return build_vandermonde(dense_nodes, num_rows=c.size).T @ c
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = build_vandermonde(dense_nodes, num_rows=c.size).T @ c
+    return check_finite("super-resolved values", values)
 
 
 @dataclass
@@ -107,13 +112,11 @@ def interp_experiment(
         )
     included = slice(applied, 2 * n - applied)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        samples = f(t, fit_nodes.values)
-        coeffs = fit_coefficients(fit_nodes, samples, inverse_backend, esp_backend)
-        predictions = evaluate_superresolved(coeffs, dense_nodes)
-        reference = f(t, dense_nodes.values)
-        score = nmse(predictions[included], reference[included])
-    what = f"non-finite result: {fn}, t = {t:g}, {n} {node_kind} nodes"
-    check_finite(what, samples, coeffs, predictions, reference, score)
+        samples, reference = f(t, fit_nodes.values), f(t, dense_nodes.values)
+    check_finite(f"non-finite result: {fn}, t = {t:g}, {n} {node_kind} nodes", samples, reference)
+    coeffs = fit_coefficients(fit_nodes, samples, inverse_backend, esp_backend)
+    predictions = evaluate_superresolved(coeffs, dense_nodes)
+    score = nmse(predictions[included], reference[included])
     return InterpolationReport(
         fn=fn,
         t=t,

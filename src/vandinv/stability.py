@@ -47,15 +47,16 @@ _BATCH_BYTES = 128 * 1024
 
 
 def nmse(estimate, reference) -> float:
-    """||estimate - reference||_F / ||reference||_F."""
+    """||estimate - reference||_F / ||reference||_F; finite, or NumericalError."""
     est = np.asarray(estimate, dtype=np.complex128)
     ref = np.asarray(reference, dtype=np.complex128)
     if est.shape != ref.shape:
         raise ValueError(f"shape mismatch: {est.shape} vs {ref.shape}")
-    denom = np.linalg.norm(ref)
-    if denom == 0.0:
-        raise ValueError("reference norm is zero; NMSE undefined")
-    return float(np.linalg.norm(est - ref) / denom)
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm past double range fails below
+        denom = np.linalg.norm(ref)
+        if denom == 0.0:
+            raise ValueError("reference norm is zero; NMSE undefined")
+        return check_finite("NMSE", float(np.linalg.norm(est - ref) / denom))
 
 
 def companion_identity_nmse(nodes: NodeSet, inverse: np.ndarray) -> float:
@@ -67,11 +68,10 @@ def companion_identity_nmse(nodes: NodeSet, inverse: np.ndarray) -> float:
         )
     if n < 2:
         raise ValueError("companion check needs N >= 2")
-    with np.errstate(over="ignore", invalid="ignore"):  # a score past double range fails below
+    with np.errstate(over="ignore", invalid="ignore"):  # a score past double range fails in nmse
         m = (inverse.T * nodes.values[None, :]) @ build_vandermonde(nodes).T
         # the exact left block is the shifted identity, ones at (r+1, r)
-        score = nmse(m[:, : n - 1], np.eye(n, n - 1, k=-1))
-    return check_finite("companion NMSE", score)
+        return nmse(m[:, : n - 1], np.eye(n, n - 1, k=-1))
 
 
 @dataclass

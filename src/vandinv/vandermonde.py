@@ -127,19 +127,16 @@ def stanley_matrix(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:
 
 
 def inverse_closed_form(nodes, esp_backend: str = "proposed") -> np.ndarray:
-    """Elementwise inverse from dropped-node ESPs and barycentric weights.
-    Of a list of node sets of one size, the inverses stack, (sets, N, N),
-    from one ESP backend call; each has the bits it has alone, and the list
-    raises if and only if one of its sets would."""
-    check_name("ESP backend", esp_backend, ESP_BACKENDS)
+    """Elementwise inverse from dropped-node ESPs and barycentric weights; at
+    N = 1 the empty set's sigma(0, 0) = 1 over lambda = 1 gives [[1]].  Of a
+    list of node sets of one size, the inverses stack, (sets, N, N), from one
+    ESP backend call; each has the bits it has alone, and the list raises if
+    and only if one of its sets would."""
     sets = [nodes] if isinstance(nodes, NodeSet) else nodes
     n = len(sets[0])
     lam = np.array([barycentric_weights(s) for s in sets])
     signs = (-1.0) ** (n - np.arange(1, n + 1))
-    if n == 1:
-        dropped = np.ones((1, 1), dtype=np.complex128)
-    else:
-        dropped = esp_dropped(nodes, range(1, n + 1), esp_backend)
+    dropped = esp_dropped(nodes, range(1, n + 1), esp_backend)
     # row i is the sweep without node i; column j wants its order N - j
     with np.errstate(over="ignore", invalid="ignore"):
         inverse = check_finite("inverse matrix", signs * dropped[..., ::-1] / lam[..., None])
@@ -149,10 +146,9 @@ def inverse_closed_form(nodes, esp_backend: str = "proposed") -> np.ndarray:
 def inverse_wa_product(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:
     """The factored route: descending-power rows over lambda, times the
     signed-ESP Toeplitz matrix.  Mathematically equal to `inverse_closed_form`."""
-    n = len(nodes)
     lam = barycentric_weights(nodes)
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.vander(nodes.values, n, increasing=False)  # row i: v_i^{N-1} .. 1
+        powers = np.vander(nodes.values)  # row i: v_i^{N-1} .. 1
         w = powers / lam[:, None]
     return check_finite("inverse matrix", w @ stanley_matrix(nodes, esp_backend))
 

@@ -177,6 +177,19 @@ def test_esp_dropped_single_order(capsys):
     assert parse_value_lines(out)[1] == 5 + 0j
 
 
+@pytest.mark.parametrize(
+    "what, expected",
+    [
+        (("--all-orders",), (0, "order=0 re=1 im=0 abs=1\n", "")),
+        (("--order", "0"), (0, "order=0 re=1 im=0 abs=1\n", "")),
+        # the empty set has order 0 alone
+        (("--order", "1"), (2, "", "error: order must be an integer in 0..0, got 1\n")),
+    ],
+)
+def test_esp_drops_the_one_node_to_the_empty_set(capsys, what, expected):
+    assert run(capsys, "esp", "--nodes", "5", "--drop", "1", *what) == expected
+
+
 @pytest.mark.parametrize("backend", ["proposed", "traub"])
 def test_esp_overflow_exits_3_with_nothing_on_stdout(capsys, backend):
     code, out, err = run(
@@ -517,10 +530,15 @@ def test_companion_table_default(capsys, tmp_path):
     assert 2.8e-12 < yang_25 < 2.8e-10
 
 
-def test_companion_table_needs_n_of_at_least_2(capsys):
+def test_companion_table_below_n_2_exits_2_with_the_library_message(capsys):
     assert run(capsys, "companion-table", "--n-list", "1") == (
-        2, "", "error: --n-list needs integers >= 2\n"
+        2, "", "error: companion check needs N >= 2\n"
     )
+    assert run(capsys, "companion-table", "--n-list", "0") == (
+        2, "", "error: roots_of_unity node count must be an integer >= 1, got 0\n"
+    )
+    # the whole table is computed before it prints: a bad N leaves stdout empty
+    assert run(capsys, "companion-table", "--n-list", "3,1")[:2] == (2, "")
 
 
 def test_companion_table_csv_bytes(capsys, tmp_path):

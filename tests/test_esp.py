@@ -513,9 +513,15 @@ def test_mikkawy_unit_magnitudes_on_roots():
         np.testing.assert_allclose(mags, 1.0, atol=1e-10)
 
 
-def test_mikkawy_needs_two_nodes():
-    with pytest.raises(ValueError):
-        esp_dropped(NodeSet([5]), 1, "mikkawy")
+@pytest.mark.parametrize("method", ["proposed", "traub", "yang", "mikkawy"])
+def test_one_node_drops_to_the_empty_set(method):
+    # the empty set's only ESP is sigma(0, 0) = 1
+    one = np.ones(1, dtype=np.complex128)
+    assert same_bits(esp_dropped(NodeSet([5]), 1, method), one)
+    assert same_bits(esp_dropped([NodeSet([5]), NodeSet([-2j])], 1, method), [one, one])
+    assert same_bits(esp_single(NodeSet([5]), 0, method, drop_index=1), 1)
+    with pytest.raises(ValueError, match="^drop index must be an integer in 1..1, got 2$"):
+        esp_dropped(NodeSet([5]), 2, method)
 
 
 def test_dropped_proposed_example():

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import vandinv.interpolation as interp_mod
 from vandinv import (
     NodeSet,
+    NumericalError,
     evaluate_superresolved,
     fit_coefficients,
     generate_nodes,
@@ -110,6 +113,13 @@ def test_fit_affine():
     np.testing.assert_allclose(c, [1, 2], atol=1e-12)
 
 
+def test_fit_past_double_range_raises():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning may escape
+        with pytest.raises(NumericalError, match="^polynomial coefficients: 2 of 2 entries"):
+            fit_coefficients(NodeSet([1.0, 2.0]), [1e308, -1e308])
+
+
 # ---------------------------------------------------------------- evaluation
 
 def test_evaluate_constant_polynomial():
@@ -127,6 +137,13 @@ def test_evaluate_identity_polynomial():
 def test_evaluate_requires_doubled_count():
     with pytest.raises(ValueError):
         evaluate_superresolved([1.0, 2.0], NodeSet([0, 1, 2]))
+
+
+def test_evaluate_past_double_range_raises():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning may escape
+        with pytest.raises(NumericalError, match="^super-resolved values: 4 of 4 entries"):
+            evaluate_superresolved([1e308, 1e308], NodeSet([1, 2, 3, 4]))
 
 
 def test_evaluate_quadratic_pointwise():

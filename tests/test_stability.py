@@ -66,6 +66,13 @@ def test_nmse_rejects_shape_mismatch():
         nmse(np.ones((2, 2)), np.ones((3, 2)))
 
 
+def test_nmse_past_double_range_raises():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning may escape
+        with pytest.raises(NumericalError, match="^NMSE: 1 of 1 entries overflowed"):
+            nmse([1e308] * 2, [-1e308] * 2)
+
+
 # ------------------------------------------------------------- companion
 
 def test_companion_exact_two_nodes():
@@ -104,7 +111,7 @@ def test_companion_score_past_double_range_raises():
     ns = perturb_roots_of_unity(9, 0.0, 1e30, derive_seed(5, 0, 0, 0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow warning may escape
-        with pytest.raises(NumericalError, match="^companion NMSE: 1 of 1 entries overflowed"):
+        with pytest.raises(NumericalError, match="^NMSE: 1 of 1 entries overflowed"):
             companion_identity_nmse(ns, inverse_closed_form(ns))
 
 

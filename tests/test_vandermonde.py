@@ -189,11 +189,12 @@ def test_closed_form_three_nodes_first_row():
 
 
 def test_closed_form_one_node():
-    # V = [1], so its inverse is [1] whatever the node; no ESP is swept
+    # V = [1], so its inverse is [1] whatever the node: the dropped sweep is
+    # the empty set's sigma(0, 0) = 1, over lambda = 1
     for esp in ("proposed", "traub", "yang", "mikkawy"):
-        np.testing.assert_array_equal(inverse_closed_form(NodeSet([5]), esp), [[1]])
+        assert same_bits(inverse_closed_form(NodeSet([5]), esp), [[1 + 0j]])
         stacked = inverse_closed_form([NodeSet([5]), NodeSet([2j])], esp)
-        np.testing.assert_array_equal(stacked, np.ones((2, 1, 1)))
+        assert same_bits(stacked, np.ones((2, 1, 1)))
 
 
 def test_wa_product_two_nodes():
