@@ -13,8 +13,8 @@ The test functions sit in one table by name (``FUNCTION_KINDS``), each with
 a default parameter t.  They are evaluated as complex analytic maps so the
 pipeline is well defined on circle nodes as well as interval ones.
 `interp_experiment(fn, node_kind, n, t=None, ...)` checks the name and t,
-then samples the function on the fit and dense nodes.  A non-finite
-sample, fit, prediction or NMSE (exp(800 x), say) raises `NumericalError`.
+then samples the function on the fit and dense nodes.  A non-finite sample,
+fit, prediction or NMSE (exp(800 x)) raises a `NumericalError` naming the run.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_finite, check_ints, check_name
+from .errors import NumericalError, check_finite, check_ints, check_name
 from .nodes import NodeSet, generate_nodes
 from .stability import nmse
 from .vandermonde import build_vandermonde, compute_inverse, inverse_esp_backend
@@ -113,10 +113,14 @@ def interp_experiment(
     included = slice(applied, 2 * n - applied)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         samples, reference = f(t, fit_nodes.values), f(t, dense_nodes.values)
-    check_finite(f"non-finite result: {fn}, t = {t:g}, {n} {node_kind} nodes", samples, reference)
-    coeffs = fit_coefficients(fit_nodes, samples, inverse_backend, esp_backend)
-    predictions = evaluate_superresolved(coeffs, dense_nodes)
-    score = nmse(predictions[included], reference[included])
+    run = f"{fn}, t = {t:g}, {n} {node_kind} nodes"
+    check_finite(f"non-finite result: {run}", samples, reference)
+    try:
+        coeffs = fit_coefficients(fit_nodes, samples, inverse_backend, esp_backend)
+        predictions = evaluate_superresolved(coeffs, dense_nodes)
+        score = nmse(predictions[included], reference[included])
+    except NumericalError as exc:  # name the run, as the samples check does
+        raise type(exc)(f"{run}: {exc}") from exc
     return InterpolationReport(
         fn=fn,
         t=t,

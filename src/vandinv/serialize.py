@@ -10,12 +10,15 @@ per row, and JSON but the inverse through `write_json` (also the CLI's
 manifests).  Every matrix writer and ``invert`` stdout formats rows from one
 bulk conversion, `float_rows`, to the bytes of per-entry cells and of
 json.dumps; the inverse CSV and ``invert`` stdout share `inverse_text_rows`.
+Every file opens in `_overwrite`, which rewrites it in place and cuts it to
+length: an O_TRUNC open of a written file costs ~0.1 ms on ext4 with discard.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -30,16 +33,30 @@ def float_rows(matrix) -> list[list[float]]:
     return np.ascontiguousarray(rows, np.complex128).view(np.float64).tolist()
 
 
+@contextmanager
+def _overwrite(path, newline=None):
+    """A UTF-8 text handle on ``path``, opened as by the builtin but without
+    O_TRUNC; on exit a regular file is cut at the handle's final position."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8",
+              newline=newline) as handle:
+        try:
+            yield handle
+        finally:  # /dev/null and other devices refuse ftruncate
+            if os.path.isfile(handle.fileno()):
+                handle.truncate()
+
+
 def _write_csv(path, header, lines) -> None:
     """The one CSV writer: the header row, then finished CRLF ``lines``."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with _overwrite(path, newline="") as handle:
         handle.write(",".join(header) + "\r\n")
         handle.writelines(lines)
 
 
 def write_json(doc, path) -> None:
     """The one JSON writer: two-space indent and a trailing newline."""
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    with _overwrite(path) as handle:
+        handle.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _re_im_header(names) -> list[str]:
@@ -92,7 +109,7 @@ def inverse_to_json(
     pair = "[\n        %r,\n        %r\n      ]"  # %r: float.__repr__, as json.dumps
     row = "[\n      " + ",\n      ".join([pair] * matrix.shape[1]) + "\n    ]"
     *rows, last = float_rows(matrix)
-    with open(path, "w", encoding="utf-8") as handle:
+    with _overwrite(path) as handle:
         handle.write(f'{head[:-2]},\n  "matrix": [\n    ')
         handle.writelines(row % tuple(values) + ",\n    " for values in rows)
         handle.write(row % tuple(last) + "\n  ]\n}\n")

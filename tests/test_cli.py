@@ -721,6 +721,17 @@ def test_interp_non_finite_result_exits_3_and_writes_nothing(capsys, tmp_path, a
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("n", [[], ["--n", "20"]], ids=["sweep", "n20"])
+def test_interp_numerical_failure_names_its_run(capsys, n):
+    code, out, err = run(capsys, "interp", "--fn", "exp", "--family", "chebyshev", "--t", "700", *n)
+    assert (code, out) == (3, "")
+    first = n[-1] if n else "10"  # the sweep fails at its first N
+    assert err == (
+        f"numerical failure: exponential, t = 700, {first} chebyshev nodes: "
+        "NMSE: 1 of 1 entries overflowed to inf or NaN\n"
+    )
+
+
 def test_interp_unknown_family_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run(capsys, "interp", "--fn", "cos", "--family", "fekete", "--n", "10")
@@ -734,6 +745,24 @@ def test_interp_rerun_byte_identical(capsys, tmp_path):
     assert run(capsys, *args, "--output", str(first))[0] == 0
     assert run(capsys, *args, "--output", str(second))[0] == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["x.json", "x.csv"])
+def test_rewritten_output_matches_a_fresh_write(capsys, tmp_path, monkeypatch, name):
+    # relative paths, so that both manifests record the same output path
+    def invert_into(directory, count):
+        directory.mkdir(exist_ok=True)
+        monkeypatch.chdir(directory)
+        assert run(capsys, "invert", "--roots-of-unity", count, "--output", name)[0] == 0
+        manifest = json.loads(Path(f"{name}.manifest.json").read_text(encoding="utf-8"))
+        del manifest["timestamp"]
+        return Path(name).read_bytes(), manifest
+
+    invert_into(tmp_path / "reused", "40")
+    rewritten = invert_into(tmp_path / "reused", "8")
+    assert rewritten == invert_into(tmp_path / "fresh", "8")
+    if name.endswith(".json"):
+        assert json.loads(rewritten[0])["n"] == 8
 
 
 def test_interp_default_sweep_over_n(capsys, tmp_path):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import inspect
 import json
+import os
 
 import numpy as np
 import pytest
@@ -328,3 +329,44 @@ def test_summary_row_writes_minus_inf_only_for_a_zero_nmse():
     assert interp_summary_row(zero)[-2:] == ["0", "-inf"]
     nan = dataclasses.replace(report, nmse_after_exclusion=float("nan"))
     assert interp_summary_row(nan)[-1] == "nan"
+
+
+# The three writers that open a file, each writing a document of k rows: an
+# existing file is rewritten in place and cut to its new length.
+OPENING_WRITERS = {
+    "csv": lambda k, path: serialize._write_csv(
+        path, ["k", "k2"], ("%d,%d\r\n" % (j, j * j) for j in range(k))
+    ),
+    "json": lambda k, path: serialize.write_json({"k": list(range(k))}, path),
+    "inverse_json": lambda k, path: inverse_to_json(
+        np.arange(k * k).reshape(k, k) / 3 + 1j, path, None, "elimination_baseline"
+    ),
+}
+
+
+@pytest.mark.parametrize("old_rows", [40, 2], ids=["over-longer", "over-shorter"])
+@pytest.mark.parametrize("writer", list(OPENING_WRITERS))
+def test_rewrite_over_an_existing_file_gives_the_fresh_bytes(tmp_path, writer, old_rows):
+    write = OPENING_WRITERS[writer]
+    write(8, tmp_path / "fresh")
+    write(old_rows, tmp_path / "reused")
+    old_size = (tmp_path / "reused").stat().st_size
+    write(8, tmp_path / "reused")
+    fresh = (tmp_path / "fresh").read_bytes()
+    assert (old_size > len(fresh)) == (old_rows > 8)
+    assert (tmp_path / "reused").read_bytes() == fresh
+
+
+@pytest.mark.parametrize("writer", list(OPENING_WRITERS))
+def test_writers_write_to_the_null_device(writer):
+    OPENING_WRITERS[writer](8, os.devnull)  # ftruncate would refuse it
+
+
+@pytest.mark.parametrize("writer", list(OPENING_WRITERS))
+def test_writers_open_without_truncating(tmp_path, monkeypatch, writer):
+    flags = []
+    real_open = os.open
+    monkeypatch.setattr(os, "open", lambda path, flag, *mode: flags.append(flag)
+                        or real_open(path, flag, *mode))
+    OPENING_WRITERS[writer](8, tmp_path / "out")
+    assert len(flags) == 1 and not flags[0] & os.O_TRUNC
