@@ -366,7 +366,11 @@ def test_writers_write_to_the_null_device(writer):
 def test_writers_open_without_truncating(tmp_path, monkeypatch, writer):
     flags = []
     real_open = os.open
-    monkeypatch.setattr(os, "open", lambda path, flag, *mode: flags.append(flag)
-                        or real_open(path, flag, *mode))
+
+    def recording_open(path, flag, *mode):
+        flags.append(flag)
+        return real_open(path, flag, *mode)
+
+    monkeypatch.setattr(os, "open", recording_open)
     OPENING_WRITERS[writer](8, tmp_path / "out")
     assert len(flags) == 1 and not flags[0] & os.O_TRUNC
