@@ -246,6 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"vandinv {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    inverse = dict(choices=sorted(CLI_INVERSES), default="closed-form", help=(
+        "closed-form costs O(N^4) with --esp proposed or yang, O(N^3) with traub or "
+        "mikkawy; wa-product and baseline cost O(N^3): use wa-product for N in the hundreds"))
 
     p_esp = sub.add_parser("esp", help="elementary symmetric polynomials")
     _add_nodes_arguments(p_esp)
@@ -262,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invert", help="invert the Vandermonde matrix of a node set")
     _add_nodes_arguments(p_inv)
     p_inv.add_argument("--esp", choices=ESP_BACKENDS, default="proposed")
-    p_inv.add_argument("--inverse", choices=sorted(CLI_INVERSES), default="closed-form")
+    p_inv.add_argument("--inverse", **inverse)
     p_inv.add_argument("--real", action="store_true",
                        help="strip imaginary parts (real nodes only)")
     p_inv.add_argument("--output", help="write the matrix to a file")
@@ -283,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--trials", type=int, default=16)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--esp", choices=ESP_BACKENDS, default="proposed")
-    p_sweep.add_argument("--inverse", choices=sorted(CLI_INVERSES), default="closed-form")
+    p_sweep.add_argument("--inverse", **inverse)
     p_sweep.add_argument("--sigma-shift-axis", default=DEFAULT_SWEEP_AXIS,
                          help="comma-separated phase-noise standard deviations")
     p_sweep.add_argument("--sigma-mag-axis", default=DEFAULT_SWEEP_AXIS,
@@ -299,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="fit-node count; omit to sweep 10..100 in steps of 10")
     p_interp.add_argument("--t", type=float, help="function parameter (family default otherwise)")
     p_interp.add_argument("--esp", choices=ESP_BACKENDS, default="proposed")
-    p_interp.add_argument("--inverse", choices=sorted(CLI_INVERSES), default="closed-form")
+    p_interp.add_argument("--inverse", **inverse)
     p_interp.add_argument("--exclude", type=int, default=DEFAULT_EXCLUDE_PER_SIDE,
                           help="dense nodes excluded per boundary (interval families)")
     p_interp.add_argument("--output", help="write the per-node report (or sweep summary) as CSV")

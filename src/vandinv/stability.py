@@ -15,12 +15,12 @@ one float, or raises `NumericalError` where it leaves double range.
 The module also packages one experiment: a Monte-Carlo sweep of the
 companion NMSE over phase/magnitude noise on perturbed roots of unity.
 Each trial draws its nodes from a seed derived from the master seed per
-(cell, trial).  The sweep draws every trial's nodes first, then inverts
-them in batches: the closed form runs the dropped rows of a batch's sets
-through one ESP kernel call, under `_BATCH_BYTES` of node rows; the other
-routes take one set at a time.  Each set's inverse has the bits it has
-alone, and a batch that fails runs again set by set, so the grid is the
-one a per-trial loop gives.  A trial fails where its draw, its inverse or
+(cell, trial).  The sweep draws every trial's nodes first, then hands
+them to `compute_inverse` in batches of at most `_BATCH_BYTES` of node
+rows, on every route; the closed form runs a batch's dropped rows through
+one ESP kernel call.  Each set's inverse has the bits it has alone, and a
+batch that fails runs again set by set, so the grid is the one a
+per-trial loop gives.  A trial fails where its draw, its inverse or
 its score raises `NumericalError`, and is left out of its cell's mean.
 """
 
@@ -33,16 +33,11 @@ import numpy as np
 
 from .errors import NumericalError, check_finite, check_ints
 from .nodes import NodeSet, perturb_roots_of_unity
-from .vandermonde import (
-    build_vandermonde,
-    compute_inverse,
-    inverse_closed_form,
-    inverse_esp_backend,
-)
+from .vandermonde import build_vandermonde, compute_inverse, inverse_esp_backend
 
-# Bytes of node rows one batch of closed-form inverses sends to the ESP
-# kernel: 6 sets at N = 37, one from N = 65 on.  Memory then stays flat
-# whatever the count of cells and trials.
+# Bytes of node rows in one batch of inverses, which the closed form sends
+# to the ESP kernel in one call: 6 sets at N = 37, one from N = 65 on.
+# Memory then stays flat whatever the count of cells and trials.
 _BATCH_BYTES = 128 * 1024
 
 
@@ -105,10 +100,7 @@ def _scores(batch, inverse_backend, esp_backend):
     """Companion NMSE of each node set of ``batch``, None where its inverse
     fails numerically; a batch that fails runs again set by set."""
     try:
-        if inverse_backend == "closed_form":  # the batch's rows in one ESP kernel call
-            inverses = inverse_closed_form(batch, esp_backend)
-        else:  # the other routes run in batches of one
-            inverses = [compute_inverse(batch[0], inverse_backend, esp_backend)]
+        inverses = compute_inverse(batch, inverse_backend, esp_backend)
         return [companion_identity_nmse(nodes, inv) for nodes, inv in zip(batch, inverses)]
     except NumericalError:
         if len(batch) == 1:
@@ -141,7 +133,7 @@ def noise_sweep(
             except NumericalError:
                 continue
             drawn.append((a, b))
-    size = max(1, _BATCH_BYTES // (16 * n * (n - 1))) if inverse_backend == "closed_form" else 1
+    size = max(1, _BATCH_BYTES // (16 * n * (n - 1)))
     survived = {}
     for s in range(0, len(sets), size):
         scores = _scores(sets[s : s + size], inverse_backend, esp_backend)

@@ -3,15 +3,15 @@
 The matrix convention keeps nodes along columns and powers along rows:
 entry (r, c) = v_c ** (r - 1); row 1 is all ones.
 
-Three inverse routes, which `compute_inverse` looks up by name:
+Three inverse routes, which `compute_inverse` looks up by name and runs on
+a `NodeSet` or on a list of node sets of one size, one inverse per set:
 
 * ``closed_form``           entry (i, j) = (-1)**(N-j) / lambda_i *
   sigma_dropped(i, N-j), with sigma_dropped(i, 0) = 1 covering j = N.
   Each row performs one full dropped-ESP sweep with the selected ESP
   backend; sweeps are deliberately recomputed per row (no sharing), which
-  is the per-row cost profile being benchmarked.  All rows go to the
-  backend in one batched call, those of every set when
-  `inverse_closed_form` inverts a list of sets of one size.
+  is the per-row cost profile being benchmarked.  The rows of every set
+  go to the backend in one batched call.
 * ``wa_product``            the same inverse factored as W @ A where row i
   of W is (v_i**(N-1), ..., v_i, 1) / lambda_i and A is the unit
   lower-triangular Toeplitz matrix of signed full-set ESPs.
@@ -31,7 +31,8 @@ below 1e-14 * max |entry|, raises SingularityError (naming the weight's
 index).  Each route, called directly or through `compute_inverse`, and
 `build_vandermonde` return a finite matrix or raise NumericalError:
 `check_finite` counts any entry that overflowed to inf or NaN.
-`compute_inverse` starts every failure message with the route.
+`compute_inverse` starts every failure message with the route, and a list
+raises if and only if one of its sets would.
 
 Rows of the closed-form inverse are independent; everything is pure.
 """
@@ -60,8 +61,12 @@ REAL_STRIP_RTOL = 1e-12
 
 def real_part(matrix: np.ndarray) -> np.ndarray:
     """Strip imaginary parts after checking they are rounding noise."""
-    scale = np.linalg.norm(matrix)
+    with np.errstate(over="ignore"):  # squares past double range: taken again below
+        scale = np.linalg.norm(matrix)
     limit = REAL_STRIP_RTOL * scale
+    if scale in (0.0, np.inf):  # scaled first by a power of two of the largest magnitude
+        e = np.frexp(np.abs(matrix).max())[1]
+        limit = np.ldexp(REAL_STRIP_RTOL * np.linalg.norm(np.ldexp(np.abs(matrix), -e)), e)
     worst = np.abs(matrix.imag).max()
     if worst > limit:
         raise ValueError(
@@ -178,29 +183,30 @@ def inverse_elimination_baseline(nodes: NodeSet) -> np.ndarray:
     return check_finite("inverse matrix", np.asfortranarray(inverse))
 
 
-# Each route looks its function up when called, so that a rebinding of the
-# module name (as the benchmark's call tracer makes) is seen.
+# Each route takes a list of node sets (the closed form batches their rows,
+# the others run them one by one) and looks its function up when called, so
+# that a rebinding of the module name (as the benchmark's call tracer
+# makes) is seen.
 _ROUTES = {
-    "closed_form": lambda nodes, esp_backend: inverse_closed_form(nodes, esp_backend),
-    "wa_product": lambda nodes, esp_backend: inverse_wa_product(nodes, esp_backend),
-    "elimination_baseline": lambda nodes, esp_backend: inverse_elimination_baseline(nodes),
+    "closed_form": lambda sets, esp_backend: inverse_closed_form(sets, esp_backend),
+    "wa_product": lambda sets, esp_backend: [inverse_wa_product(s, esp_backend) for s in sets],
+    "elimination_baseline": lambda sets, _: [inverse_elimination_baseline(s) for s in sets],
 }
 
 INVERSE_BACKENDS = tuple(_ROUTES)
 
 
-def compute_inverse(
-    nodes: NodeSet,
-    inverse_backend: str = "closed_form",
-    esp_backend: str = "proposed",
-) -> np.ndarray:
-    """Look up the inverse route by name; a NumericalError of the route
-    gets a message that starts with the route.  An unknown ESP backend is
-    refused for every route, the elimination baseline, which reads none,
-    included."""
+def compute_inverse(nodes, inverse_backend: str = "closed_form", esp_backend: str = "proposed"):
+    """Look up the inverse route by name and invert a `NodeSet`, or a list of
+    node sets of one size into one inverse per set, each with the bits it has
+    alone; a NumericalError of the route gets a message that starts with the
+    route.  An unknown ESP backend is refused for every route, the
+    elimination baseline, which reads none, included."""
     check_name("inverse backend", inverse_backend, INVERSE_BACKENDS)
     check_name("ESP backend", esp_backend, ESP_BACKENDS)
+    sets = [nodes] if isinstance(nodes, NodeSet) else nodes
     try:
-        return _ROUTES[inverse_backend](nodes, esp_backend)
+        inverses = _ROUTES[inverse_backend](sets, esp_backend)
     except NumericalError as exc:
         raise type(exc)(f"{inverse_backend} inverse: {exc}") from None
+    return inverses[0] if isinstance(nodes, NodeSet) else inverses

@@ -395,6 +395,25 @@ def test_invert_real_flag_on_complex_nodes_fails(capsys):
     assert "complex" in err
 
 
+def test_invert_real_flag_on_complex_nodes_past_double_range_fails(capsys):
+    # the inverse's squared entries leave double range; the limit on its
+    # imaginary parts must still be finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "invert", "--nodes", "1e-80j,2e-80,3e-80", "--real")
+    assert code == 2
+    assert err.count("\n") == 1 and "genuinely complex" in err
+
+
+@pytest.mark.parametrize("command", ["invert", "noise-sweep", "interp"])
+def test_inverse_help_states_the_cost_law_and_the_large_n_route(capsys, command):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "closed-form costs O(N^4) with --esp proposed" in text
+    assert "use wa-product for N in the hundreds" in text
+
+
 def test_invert_mismatched_backend_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run(capsys, "invert", "--nodes", "1,2", "--inverse", "qr")

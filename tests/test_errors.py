@@ -3,6 +3,7 @@ non-integer, out-of-range count, order, index or seed with a ValueError that
 names the argument, and never truncates a float.  The result policy: every
 public numerical result is finite, or the call raises a NumericalError."""
 
+import itertools
 import warnings
 from unittest import mock
 
@@ -251,19 +252,23 @@ def check_finite_or_typed_errors(ns):
             assert np.isfinite(companion_identity_nmse(ns, matrix))
         except NumericalError:
             pass
-    # a set batched beside a benign one fails as it does alone, and each
-    # inverse of the batch keeps the bits it has alone
+    # a set listed beside a benign one fails as it does alone, on every route
+    # and ESP backend, and each inverse of the list keeps the bits and the
+    # memory order it has alone
     benign = generate_nodes("roots_of_unity", n)
-    for method in ESP_BACKENDS:
+    for route, method in itertools.product(INVERSE_BACKENDS, ESP_BACKENDS):
         try:
-            alone = inverse_closed_form(ns, method)
-        except NumericalError:
-            with pytest.raises(NumericalError):
-                inverse_closed_form([ns, benign], method)
+            alone = compute_inverse(ns, route, method)
+        except (NumericalError, ValueError) as exc:  # wa_product refuses mikkawy
+            start = f"^{route} inverse: " if isinstance(exc, NumericalError) else None
+            with pytest.raises(type(exc), match=start):
+                compute_inverse([ns, benign], route, method)
             continue
-        both = inverse_closed_form([ns, benign], method)
-        assert same_bits(both[0], alone)
-        assert same_bits(both[1], inverse_closed_form(benign, method))
+        both = compute_inverse([ns, benign], route, method)
+        assert len(both) == 2
+        for got, single in zip(both, (alone, compute_inverse(benign, route, method))):
+            assert same_bits(got, single)
+            assert got.flags.f_contiguous == single.flags.f_contiguous
 
 
 def test_elimination_refuses_a_vandermonde_matrix_past_double_range():

@@ -7,6 +7,7 @@ import pytest
 import vandinv.esp as esp_module
 import vandinv.stability as stability_mod
 from vandinv import (
+    INVERSE_BACKENDS,
     NodeCollisionError,
     NodeSet,
     NumericalError,
@@ -251,6 +252,25 @@ def test_sweep_is_bit_identical_to_the_per_set_loop(
     np.testing.assert_array_equal(grid.failed, failed)
     assert not failed.all()
     assert failed.any() or n == 2
+
+
+@pytest.mark.parametrize("inverse_backend", INVERSE_BACKENDS)
+def test_sweep_inverts_each_batch_in_one_compute_inverse_call(monkeypatch, inverse_backend):
+    calls = []
+
+    def spy(batch, *args):
+        calls.append(len(batch))
+        return compute_inverse(batch, *args)
+
+    monkeypatch.setattr(stability_mod, "compute_inverse", spy)
+    noise_sweep(37, [0.0, 0.1], [0.0, 0.1, 0.2], 3, 4, "traub", inverse_backend)
+    # 18 draws of 21 KB of node rows each, 6 under the 128 KB budget
+    assert calls == [6, 6, 6]
+    calls.clear()
+    # at N = 9 the 6 draws fit one batch, which the three 1e100 draws fail,
+    # so it runs again set by set
+    noise_sweep(9, [0.0], [1e100, 0.1], 3, 4, "traub", inverse_backend)
+    assert calls == [6, 1, 1, 1, 1, 1, 1]
 
 
 def kernel_spy(monkeypatch, method):

@@ -406,3 +406,21 @@ def test_as_real_rejects_genuinely_complex():
     with pytest.raises(ValueError):
         real_part(inv)
 
+
+def test_as_real_takes_a_norm_that_leaves_double_range_again_scaled():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning may escape
+        # entries near 4e159 square past double range, so the plain norm is
+        # inf; the limit must stay finite and refuse imaginary parts of 2e159
+        inv = inverse_closed_form(NodeSet([1e-80j, 2e-80, 3e-80]))
+        with pytest.raises(ValueError, match="up to 2.000e\\+159 exceed 5.657e\\+147"):
+            real_part(inv)
+        inv = inverse_closed_form(NodeSet([1e-80, 2e-80, 3e-80]))
+        assert same_bits(real_part(inv), inv.real)
+        # entries near 1e-170 square to 0, so the plain norm is 0; the limit
+        # must stay nonzero and pass an imaginary part 1e-30 times the real one
+        tiny = np.array([[1e-170 + 1e-200j, 2e-170]])
+        assert same_bits(real_part(tiny), tiny.real)
+        with pytest.raises(ValueError, match="up to 1.000e-170 exceed"):
+            real_part(np.array([[1e-170 + 1e-170j, 2e-170]]))
+
