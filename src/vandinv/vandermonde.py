@@ -131,21 +131,26 @@ def stanley_matrix(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(vals, n)[:, ::-1].copy()
 
 
+def _each(function, nodes, *args):
+    """``function`` of a `NodeSet`, or a list of its results, one per set of a list."""
+    if isinstance(nodes, NodeSet):
+        return function(nodes, *args)
+    return [function(s, *args) for s in nodes]
+
+
 def inverse_closed_form(nodes, esp_backend: str = "proposed") -> np.ndarray:
     """Elementwise inverse from dropped-node ESPs and barycentric weights; at
     N = 1 the empty set's sigma(0, 0) = 1 over lambda = 1 gives [[1]].  Of a
     list of node sets of one size, the inverses stack, (sets, N, N), from one
     ESP backend call; each has the bits it has alone, and the list raises if
     and only if one of its sets would."""
-    sets = [nodes] if isinstance(nodes, NodeSet) else nodes
-    n = len(sets[0])
-    lam = np.array([barycentric_weights(s) for s in sets])
+    lam = np.array(_each(barycentric_weights, nodes))
+    n = lam.shape[-1]
     signs = (-1.0) ** (n - np.arange(1, n + 1))
     dropped = esp_dropped(nodes, range(1, n + 1), esp_backend)
     # row i is the sweep without node i; column j wants its order N - j
     with np.errstate(over="ignore", invalid="ignore"):
-        inverse = check_finite("inverse matrix", signs * dropped[..., ::-1] / lam[..., None])
-    return inverse[0] if isinstance(nodes, NodeSet) else inverse
+        return check_finite("inverse matrix", signs * dropped[..., ::-1] / lam[..., None])
 
 
 def inverse_wa_product(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:
@@ -183,30 +188,26 @@ def inverse_elimination_baseline(nodes: NodeSet) -> np.ndarray:
     return check_finite("inverse matrix", np.asfortranarray(inverse))
 
 
-# Each route takes a list of node sets (the closed form batches their rows,
-# the others run them one by one) and looks its function up when called, so
-# that a rebinding of the module name (as the benchmark's call tracer
-# makes) is seen.
+# Each route takes a `NodeSet` or a list of node sets (the closed form
+# batches their rows, the others run them one by one) and looks its function
+# up when called, so that a rebinding (as the benchmark's tracer makes) is seen.
 _ROUTES = {
-    "closed_form": lambda sets, esp_backend: inverse_closed_form(sets, esp_backend),
-    "wa_product": lambda sets, esp_backend: [inverse_wa_product(s, esp_backend) for s in sets],
-    "elimination_baseline": lambda sets, _: [inverse_elimination_baseline(s) for s in sets],
+    "closed_form": lambda nodes, esp_backend: inverse_closed_form(nodes, esp_backend),
+    "wa_product": lambda nodes, esp_backend: _each(inverse_wa_product, nodes, esp_backend),
+    "elimination_baseline": lambda nodes, _: _each(inverse_elimination_baseline, nodes),
 }
 
 INVERSE_BACKENDS = tuple(_ROUTES)
 
 
 def compute_inverse(nodes, inverse_backend: str = "closed_form", esp_backend: str = "proposed"):
-    """Look up the inverse route by name and invert a `NodeSet`, or a list of
-    node sets of one size into one inverse per set, each with the bits it has
-    alone; a NumericalError of the route gets a message that starts with the
-    route.  An unknown ESP backend is refused for every route, the
-    elimination baseline, which reads none, included."""
+    """Invert a `NodeSet` by the named route, or each set of a list of node
+    sets of one size with the bits it has alone; a NumericalError's message
+    starts with the route.  An unknown ESP backend is refused on every route,
+    the elimination baseline, which reads none, included."""
     check_name("inverse backend", inverse_backend, INVERSE_BACKENDS)
     check_name("ESP backend", esp_backend, ESP_BACKENDS)
-    sets = [nodes] if isinstance(nodes, NodeSet) else nodes
     try:
-        inverses = _ROUTES[inverse_backend](sets, esp_backend)
+        return _ROUTES[inverse_backend](nodes, esp_backend)
     except NumericalError as exc:
         raise type(exc)(f"{inverse_backend} inverse: {exc}") from None
-    return inverses[0] if isinstance(nodes, NodeSet) else inverses
