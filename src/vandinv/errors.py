@@ -22,9 +22,10 @@ def check_name(what: str, name, names) -> None:
 def check_ints(what: str, value, lo: int, hi: int | None = None):
     """``value``, if it is an integer, or a sequence of integers, in lo..hi
     (no upper bound when hi is None); else ValueError naming ``what`` and the
-    first bad value.  Python ints, numpy ints and ranges pass."""
+    first bad value.  Python ints, numpy ints and ranges pass; bools do not."""
     for x in value if np.ndim(value) else (value,):
-        if not isinstance(x, (int, np.integer)) or x < lo or (hi is not None and x > hi):
+        if (isinstance(x, bool) or not isinstance(x, (int, np.integer))
+                or x < lo or (hi is not None and x > hi)):
             bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
             raise ValueError(f"{what} must be an integer {bounds}, got {x!r}")
     return value

@@ -11,12 +11,12 @@ range); `_node_rows` builds its rows, for each node set of the request
 the whole set or one row per drop index without that node.  Nodes are
 validated once, as a `NodeSet`.  The public functions are `esp_single`
 (one order, run alone by ``proposed``), `esp_all_orders`, `esp_dropped`
-(of one set, or of a list of sets in one kernel call) and `esp_table`
-(traub or yang; (N+1) x (N+1), lower triangular).  Results are plain
-complex arrays, and every public result is finite: `_esp` and `esp_table`
-pass the entries they return through `check_finite`, which raises
-`OrderOverflowError` on one that overflowed to inf or NaN.  All functions
-are pure.
+(of one set, or stacked for a batch of `nodes._each`, in one kernel call)
+and `esp_table` (traub or yang; (N+1) x (N+1), lower triangular).  Results
+are plain complex arrays, and every public result is finite: `_esp` and
+`esp_table` pass the entries they return through `check_finite`, which
+raises `OrderOverflowError` on one that overflowed to inf or NaN.  All
+functions are pure.
 
 * ``proposed`` - a per-order balanced recursion.  For a target order n the
   paper iterates f_i(v_d) = v_d * (C_{i-1} - (n - i) * f_{i-1}(v_d)) with
@@ -57,7 +57,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OrderOverflowError, check_finite, check_ints, check_name
-from .nodes import NodeSet
+from .nodes import NodeSet, _each
 
 # Bytes of the (nodes x columns) complex array one proposed chunk holds: the
 # 666 columns of a closed-form inverse at N = 37 (375 KB) go in one chunk.
@@ -311,13 +311,13 @@ def esp_dropped(nodes: NodeSet, drop_index, method: str = "proposed") -> np.ndar
     """Dropped-node sweeps: sigma over the reduced set for orders 0..N-1;
     a one-node set drops to the empty set, whose sweep is sigma(0, 0) = 1.
     ``drop_index`` is 1-based.  A non-empty sequence of indices returns one sweep per
-    index, shape (len, N), from one batched backend call.  ``nodes`` may
-    also be a list of node sets of one size: their sweeps stack along a
-    leading axis, and the rows of every set go to that one call.
+    index, shape (len, N), from one batched backend call.  Of a batch of node
+    sets (see `nodes._each`) the sweeps stack along a leading axis, and the
+    rows of every set go to that one call.
     """
-    if isinstance(nodes, NodeSet):
-        return _esp(nodes.values[None], method, drop_index, np.arange(len(nodes)))[0]
-    return _esp(np.array([s.values for s in nodes]), method, drop_index, np.arange(len(nodes[0])))
+    v = np.asarray(_each(lambda s: s.values, nodes))  # (N,) of a set, (sets, N) of a batch
+    out = _esp(np.atleast_2d(v), method, drop_index, np.arange(v.shape[-1]))
+    return out[0] if v.ndim == 1 else out
 
 
 def esp_single(

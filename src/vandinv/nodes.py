@@ -9,14 +9,16 @@ Five node families are supported on their usual domains:
 * ``gauss_lobatto``      x_k = cos((k-1) pi / (N-1))          (Chebyshev extrema)
 * ``roots_of_unity``     v_k = exp(2 pi i k / N), k = 1..N
 
-`generate_nodes(kind, n)` looks the formula up by name in one table, and
-``NODE_FAMILIES`` lists its names.  All generators are deterministic.
-`perturb_roots_of_unity(n, sigma_shift, sigma_mag, seed)` is the only
-randomized operation: phase and magnitude noise on the roots of unity,
-one draw fully determined by its 64-bit seed (a numpy PCG64 stream derived
-through SeedSequence) and validated once as it becomes a `NodeSet`.
+`generate_nodes(kind, n)` looks the formula up by name in one table and is
+deterministic; ``NODE_FAMILIES`` lists the names.  `perturb_roots_of_unity(n,
+sigma_shift, sigma_mag, seed)` is the only randomized operation: phase and
+magnitude noise on the roots of unity, one draw fully determined by its
+64-bit seed (a numpy PCG64 stream through SeedSequence), validated once.
 
-Everything here is pure and safe to call concurrently.
+`_each` holds the one rule for a batch of node sets: a non-empty list or
+tuple of `NodeSet`s of one size, else one ValueError.  `esp_dropped` and
+`inverse_closed_form` stack a batch's results; `compute_inverse` returns a
+list for it on every route.  Everything here is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -92,6 +94,17 @@ class NodeSet:
 
     def __len__(self):
         return int(self.values.size)
+
+
+def _each(function, nodes, *args):
+    """``function`` of a `NodeSet`, or the list of its results on each set of a
+    batch: a non-empty list or tuple of `NodeSet`s of one size, else ValueError."""
+    if isinstance(nodes, NodeSet):
+        return function(nodes, *args)
+    if (isinstance(nodes, (list, tuple)) and all(isinstance(s, NodeSet) for s in nodes)
+            and len({len(s) for s in nodes}) == 1):
+        return [function(s, *args) for s in nodes]
+    raise ValueError("nodes must be a NodeSet or a non-empty list or tuple of same-size NodeSets")
 
 
 def generate_nodes(kind: str, n: int) -> NodeSet:

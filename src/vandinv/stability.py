@@ -16,12 +16,12 @@ The module also packages one experiment: a Monte-Carlo sweep of the
 companion NMSE over phase/magnitude noise on perturbed roots of unity.
 Each trial draws its nodes from a seed derived from the master seed per
 (cell, trial).  The sweep draws every trial's nodes first, then hands
-them to `compute_inverse` in batches of at most `_BATCH_BYTES` of node
-rows, on every route; the closed form runs a batch's dropped rows through
-one ESP kernel call.  Each set's inverse has the bits it has alone, and a
-batch that fails runs again set by set, so the grid is the one a
-per-trial loop gives.  A trial fails where its draw, its inverse or
-its score raises `NumericalError`, and is left out of its cell's mean.
+them to `compute_inverse` as lists of at most `_BATCH_BYTES` of node rows
+and gets a list of inverses back on every route; the closed form runs a
+batch's dropped rows in one ESP kernel call.  Each set's inverse has the
+bits it has alone, and a batch that fails runs again set by set, so the
+grid is the one a per-trial loop gives.  A trial whose draw, inverse or
+score raises `NumericalError` fails and is left out of its cell's mean.
 """
 
 from __future__ import annotations

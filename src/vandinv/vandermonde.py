@@ -4,7 +4,7 @@ The matrix convention keeps nodes along columns and powers along rows:
 entry (r, c) = v_c ** (r - 1); row 1 is all ones.
 
 Three inverse routes, which `compute_inverse` looks up by name and runs on
-a `NodeSet` or on a list of node sets of one size, one inverse per set:
+a `NodeSet` or on a batch of them (`nodes._each`), one inverse per set:
 
 * ``closed_form``           entry (i, j) = (-1)**(N-j) / lambda_i *
   sigma_dropped(i, N-j), with sigma_dropped(i, 0) = 1 covering j = N.
@@ -20,9 +20,10 @@ a `NodeSet` or on a list of node sets of one size, one inverse per set:
   is loaded only where the inverse cannot prove the pivot floor.
 
 Every route returns the N x N complex inverse as a plain array, as do
-`build_vandermonde` and `stanley_matrix`.  `real_part` strips the imaginary
-parts of an inverse built from real nodes, and `inverse_esp_backend` names
-the ESP backend a route reads: none for the elimination baseline.
+`build_vandermonde` and `stanley_matrix`; for a batch, `compute_inverse`
+returns a list of them on every route, `inverse_closed_form` a stack.
+`real_part` strips the imaginary parts of an inverse of real nodes, and
+`inverse_esp_backend` names the ESP backend a route reads, None for the baseline.
 
 lambda_k = prod_{j != k} (v_k - v_j) are the barycentric denominators;
 a |lambda_k| below 1e-300 or of 2^1021 (~2.2e307) or more, past which a
@@ -31,10 +32,8 @@ below 1e-14 * max |entry|, raises SingularityError (naming the weight's
 index).  Each route, called directly or through `compute_inverse`, and
 `build_vandermonde` return a finite matrix or raise NumericalError:
 `check_finite` counts any entry that overflowed to inf or NaN.
-`compute_inverse` starts every failure message with the route, and a list
-raises if and only if one of its sets would.
-
-Rows of the closed-form inverse are independent; everything is pure.
+`compute_inverse` starts every failure message with the route, and a batch
+raises if and only if one of its sets would.  Everything is pure.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ import numpy as np
 
 from .errors import NumericalError, SingularityError, check_finite, check_ints, check_name
 from .esp import ESP_BACKENDS, _esp, esp_dropped
-from .nodes import NodeSet
+from .nodes import NodeSet, _each
 
 LAMBDA_FLOOR = 1e-300
 PIVOT_RTOL = 1e-14
@@ -131,19 +130,12 @@ def stanley_matrix(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(vals, n)[:, ::-1].copy()
 
 
-def _each(function, nodes, *args):
-    """``function`` of a `NodeSet`, or a list of its results, one per set of a list."""
-    if isinstance(nodes, NodeSet):
-        return function(nodes, *args)
-    return [function(s, *args) for s in nodes]
-
-
 def inverse_closed_form(nodes, esp_backend: str = "proposed") -> np.ndarray:
     """Elementwise inverse from dropped-node ESPs and barycentric weights; at
     N = 1 the empty set's sigma(0, 0) = 1 over lambda = 1 gives [[1]].  Of a
-    list of node sets of one size, the inverses stack, (sets, N, N), from one
-    ESP backend call; each has the bits it has alone, and the list raises if
-    and only if one of its sets would."""
+    batch of node sets (see `nodes._each`), the inverses stack, (sets, N, N),
+    from one ESP backend call; each has the bits it has alone, and the batch
+    raises if and only if one of its sets would."""
     lam = np.array(_each(barycentric_weights, nodes))
     n = lam.shape[-1]
     signs = (-1.0) ** (n - np.arange(1, n + 1))
@@ -188,9 +180,8 @@ def inverse_elimination_baseline(nodes: NodeSet) -> np.ndarray:
     return check_finite("inverse matrix", np.asfortranarray(inverse))
 
 
-# Each route takes a `NodeSet` or a list of node sets (the closed form
-# batches their rows, the others run them one by one) and looks its function
-# up when called, so that a rebinding (as the benchmark's tracer makes) is seen.
+# Each route takes a `NodeSet` or a batch as given and looks its function up
+# when called, so that a rebinding (as the benchmark's tracer makes) is seen.
 _ROUTES = {
     "closed_form": lambda nodes, esp_backend: inverse_closed_form(nodes, esp_backend),
     "wa_product": lambda nodes, esp_backend: _each(inverse_wa_product, nodes, esp_backend),
@@ -201,13 +192,14 @@ INVERSE_BACKENDS = tuple(_ROUTES)
 
 
 def compute_inverse(nodes, inverse_backend: str = "closed_form", esp_backend: str = "proposed"):
-    """Invert a `NodeSet` by the named route, or each set of a list of node
-    sets of one size with the bits it has alone; a NumericalError's message
-    starts with the route.  An unknown ESP backend is refused on every route,
-    the elimination baseline, which reads none, included."""
+    """Invert a `NodeSet` by the named route, or each set of a batch into a
+    list, each with the bits and memory order it has alone; a NumericalError's
+    message starts with the route.  An unknown ESP backend is refused on every
+    route, the elimination baseline, which reads none, included."""
     check_name("inverse backend", inverse_backend, INVERSE_BACKENDS)
     check_name("ESP backend", esp_backend, ESP_BACKENDS)
     try:
-        return _ROUTES[inverse_backend](nodes, esp_backend)
+        inverse = _ROUTES[inverse_backend](nodes, esp_backend)
+        return inverse if isinstance(nodes, NodeSet) else list(inverse)  # the closed form stacks
     except NumericalError as exc:
         raise type(exc)(f"{inverse_backend} inverse: {exc}") from None

@@ -73,7 +73,8 @@ INTEGER_ENTRIES = {
 @pytest.mark.parametrize("entry", sorted(INTEGER_ENTRIES))
 def test_integer_arguments_refuse_floats_and_out_of_range_values(entry):
     name, out_of_range, call = INTEGER_ENTRIES[entry]
-    for bad in (2.5, 2.0, out_of_range):
+    # a bool is an int to Python, but no count, order, index or seed
+    for bad in (2.5, 2.0, out_of_range, True, False, np.True_):
         with pytest.raises(ValueError, match=f"{name} must be an integer .*got {bad!r}$"):
             call(bad)
 
@@ -268,10 +269,48 @@ def check_finite_or_typed_errors(ns):
                 compute_inverse([ns, benign], route, method)
             continue
         both = compute_inverse([ns, benign], route, method)
-        assert len(both) == 2
+        assert type(both) is list and len(both) == 2
         for got, single in zip(both, (alone, compute_inverse(benign, route, method))):
             assert same_bits(got, single)
             assert got.flags.f_contiguous == single.flags.f_contiguous
+
+
+BATCH_RULE = "^nodes must be a NodeSet or a non-empty list or tuple of same-size NodeSets$"
+
+BAD_BATCHES = {
+    "empty-list": [],
+    "empty-tuple": (),
+    "array": NODES.values,
+    "array-beside-a-set": [NODES.values, NODES],
+    "mixed-sizes": [NODES, NodeSet([1, 2, 3, 4, 5])],
+}
+
+
+@pytest.mark.parametrize("batch", list(BAD_BATCHES.values()), ids=list(BAD_BATCHES))
+def test_a_malformed_batch_raises_the_one_batch_error(batch):
+    # on every route and ESP backend, wa_product's refusal of mikkawy
+    # included, with no route prefix: that is for a NumericalError
+    for route, method in itertools.product(INVERSE_BACKENDS, ESP_BACKENDS):
+        with pytest.raises(ValueError, match=BATCH_RULE):
+            compute_inverse(batch, route, method)
+    for method in ESP_BACKENDS:
+        with pytest.raises(ValueError, match=BATCH_RULE):
+            esp_dropped(batch, 1, method)
+        with pytest.raises(ValueError, match=BATCH_RULE):
+            inverse_closed_form(batch, method)
+
+
+def test_a_tuple_batch_gives_the_results_of_the_list():
+    sets = [NODES, generate_nodes("chebyshev", 4)]
+    pair = tuple(sets)
+    for route, method in itertools.product(INVERSE_BACKENDS, esp_module.FULL_SET_ESP_BACKENDS):
+        got = compute_inverse(pair, route, method)
+        assert type(got) is list
+        for a, b in zip(got, compute_inverse(sets, route, method), strict=True):
+            assert same_bits(a, b) and a.flags.f_contiguous == b.flags.f_contiguous
+    for method in ESP_BACKENDS:
+        assert same_bits(esp_dropped(pair, [1, 3], method), esp_dropped(sets, [1, 3], method))
+        assert same_bits(inverse_closed_form(pair, method), inverse_closed_form(sets, method))
 
 
 def test_elimination_refuses_a_vandermonde_matrix_past_double_range():

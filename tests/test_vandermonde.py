@@ -15,6 +15,7 @@ from vandinv import (
     barycentric_weights,
     build_vandermonde,
     compute_inverse,
+    esp_dropped,
     generate_nodes,
     inverse_closed_form,
     inverse_elimination_baseline,
@@ -22,6 +23,7 @@ from vandinv import (
     perturb_roots_of_unity,
     stanley_matrix,
 )
+from vandinv import vandermonde as vandermonde_module
 from vandinv.vandermonde import real_part
 
 from conftest import elimination_reference, matrix_rel_gap, random_node_set
@@ -384,6 +386,25 @@ def test_compute_inverse_dispatch_and_validation():
         compute_inverse(ns, "lu")
     with pytest.raises(ValueError):
         compute_inverse(ns, "closed_form", "newton")
+
+
+@pytest.mark.parametrize("method", ["proposed", "traub", "yang", "mikkawy"])
+def test_compute_inverse_hands_esp_dropped_the_callers_own_argument(method):
+    # the benchmark tracer tags each esp_dropped call by its first argument
+    seen = []
+
+    def spy(nodes, *args):
+        seen.append(nodes)
+        return esp_dropped(nodes, *args)
+
+    ns = NodeSet([0.5, 1.5, 2.5, 4.0])
+    batch = [ns, generate_nodes("chebyshev", 4)]
+    with mock.patch.object(vandermonde_module, "esp_dropped", spy):
+        single = compute_inverse(ns, "closed_form", method)
+        listed = compute_inverse(batch, "closed_form", method)
+    assert seen[0] is ns and seen[1] is batch and len(seen) == 2
+    assert same_bits(single, inverse_closed_form(ns, method))
+    assert same_bits(listed[0], single)
 
 
 @pytest.mark.parametrize("route", ["closed_form", "elimination_baseline"])
