@@ -1,16 +1,19 @@
 """Command-line front end.
 
 Subcommands: ``esp``, ``invert``, ``companion-table``, ``noise-sweep``,
-``interp``.  Each subcommand handler prints its stdout and returns a
-one-argument writer; `main` alone resolves ``--output``, calls the writer
-and writes the ``<file>.manifest.json`` sidecar recording the command,
-resolved parameters, seed, library version, and timestamp, so any output
-can be regenerated.  A command that fails writes neither.  Seeded commands
-are byte-reproducible on one platform.
+``interp``.  Each subcommand handler returns its stdout lines, its CSV
+writer and its JSON writer (None without ``--format``) and prints nothing.
+`main` alone picks the writer, writes ``--output`` and, beside a regular
+file only (not ``/dev/null``), the ``<file>.manifest.json`` sidecar
+recording the command, resolved parameters, seed, library version, and
+timestamp, so any output can be regenerated; it prints the lines last,
+after every file is written.  A command that fails prints nothing and
+writes no manifest; a write that fails part-way can leave a partial file,
+as a crash can.  Seeded commands are byte-reproducible on one platform.
 
-Exit codes: 0 success, 2 argument/usage error, 3 numerical failure.
-``--output`` takes any path; a relative one resolves against the working
-directory.
+Exit codes: 0 success, 2 argument/usage error or an output that cannot be
+written, 3 numerical failure.  ``--output`` takes any path; a relative one
+resolves against the working directory.
 """
 
 from __future__ import annotations
@@ -107,17 +110,6 @@ def _nodes_from_args(args) -> NodeSet:
     return generate_nodes(CLI_FAMILIES[args.family], args.count)
 
 
-def _by_format(args, to_csv, to_json):
-    """The writer that ``--format`` picks; ``auto`` picks JSON for a
-    ``.json`` output and CSV otherwise."""
-
-    def write(out):
-        auto_json = args.format == "auto" and out.suffix.lower() == ".json"
-        (to_json if auto_json or args.format == "json" else to_csv)(out)
-
-    return write
-
-
 def _write_manifest(args, out) -> None:
     seed = getattr(args, "seed", None)
     # every parsed option is a str, int, float, bool or None
@@ -142,10 +134,9 @@ def _cmd_esp(args):
         if args.drop is not None:
             raise ValueError("--table shows the full-set table; it cannot combine with --drop")
         table = esp_table(nodes, args.backend)
-        for row_n, values in enumerate(float_rows(table[1:]), 1):
-            cells = " ".join([_COMPLEX] * (row_n + 1)) % tuple(values[: 2 * row_n + 2])
-            print(f"n={row_n}: {cells}")
-        return partial(esp_table_to_csv, table)
+        lines = [f"n={n}: " + " ".join([_COMPLEX] * (n + 1)) % tuple(values[: 2 * n + 2])
+                 for n, values in enumerate(float_rows(table[1:]), 1)]
+        return lines, partial(esp_table_to_csv, table), None
 
     if args.all_orders:
         first = 0
@@ -156,9 +147,9 @@ def _cmd_esp(args):
     else:  # a single order is a one-value sweep that starts at that order
         first = args.order
         values = [esp_single(nodes, args.order, args.backend, drop_index=args.drop)]
-    for order, (re, im) in enumerate(float_rows(values), first):
-        print("order=%d re=%.17g im=%.17g abs=%.17g" % (order, re, im, abs(complex(re, im))))
-    return partial(order_values_to_csv, values, first_order=first)
+    lines = ["order=%d re=%.17g im=%.17g abs=%.17g" % (order, re, im, abs(complex(re, im)))
+             for order, (re, im) in enumerate(float_rows(values), first)]
+    return lines, partial(order_values_to_csv, values, first_order=first), None
 
 
 def _cmd_invert(args):
@@ -169,13 +160,12 @@ def _cmd_invert(args):
         matrix = real_part(matrix)
     rows = inverse_text_rows(matrix)
     # an entry prints as re, im with its sign, j: the bytes of _COMPLEX
-    print("\n".join(row.replace(",", "j,").replace(";-", "-").replace(";", "+") + "j"
-                    for row in rows))
+    lines = [row.replace(",", "j,").replace(";-", "-").replace(";", "+") + "j" for row in rows]
     esp_backend = inverse_esp_backend(inverse_backend, args.esp)
     to_json = partial(
         inverse_to_json, matrix, esp_backend=esp_backend, inverse_backend=inverse_backend
     )
-    return _by_format(args, partial(inverse_to_csv, rows), to_json)
+    return lines, partial(inverse_to_csv, rows), to_json
 
 
 def _cmd_companion_table(args):
@@ -188,10 +178,10 @@ def _cmd_companion_table(args):
         }
         table.append((n, cells))
     width = max(map(len, COMPANION_COMBOS)) + 2
-    print("n".rjust(4) + "".join(label.rjust(width) for label in COMPANION_COMBOS))
-    for n, cells in table:
-        print(str(n).rjust(4) + "".join(f"{x:.3e}".rjust(width) for x in cells.values()))
-    return partial(companion_table_to_csv, table)
+    lines = ["n".rjust(4) + "".join(label.rjust(width) for label in COMPANION_COMBOS)]
+    lines += [str(n).rjust(4) + "".join(f"{x:.3e}".rjust(width) for x in cells.values())
+              for n, cells in table]
+    return lines, partial(companion_table_to_csv, table), None
 
 
 def _cmd_noise_sweep(args):
@@ -206,23 +196,17 @@ def _cmd_noise_sweep(args):
         esp_backend=args.esp,
         inverse_backend=CLI_INVERSES[args.inverse],
     )
-    print(
+    lines = [
         f"log10 companion NMSE, n={args.n}, esp={grid.esp_backend or 'none'}, "
-        f"inverse={CLI_INVERSES[args.inverse]}, trials={args.trials}, seed={args.seed}"
-    )
-    header = "sS\\sM".rjust(8) + "".join(f"{m:8.3g}" for m in mag_axis)
-    print(header)
-    for a, s in enumerate(shift_axis):
-        cells = "".join(
-            "  failed" if grid.failed[a, b] else f"{grid.log10_nmse[a, b]:8.2f}"
-            for b in range(len(mag_axis))
-        )
-        print(f"{s:8.3g}" + cells)
-    return _by_format(args, partial(sweep_to_csv, grid), partial(sweep_to_json, grid))
+        f"inverse={CLI_INVERSES[args.inverse]}, trials={args.trials}, seed={args.seed}",
+        "sS\\sM".rjust(8) + "".join(f"{m:8.3g}" for m in mag_axis),
+    ]
+    lines += [f"{s:8.3g}" + "".join("  failed" if bad else f"{x:8.2f}" for x, bad in zip(row, bads))
+              for s, row, bads in zip(shift_axis, grid.log10_nmse, grid.failed)]
+    return lines, partial(sweep_to_csv, grid), partial(sweep_to_json, grid)
 
 
 def _cmd_interp(args):
-    # run every fit before printing, so that a failing one leaves stdout empty
     reports = [
         interp_experiment(
             CLI_FUNCTIONS[args.fn], CLI_FAMILIES[args.family], n, args.t,
@@ -230,12 +214,11 @@ def _cmd_interp(args):
         )
         for n in (DEFAULT_INTERP_NS if args.n is None else (args.n,))
     ]
-    print(",".join(INTERP_SUMMARY_HEADER))
-    for report in reports:
-        print(",".join(str(cell) for cell in interp_summary_row(report)))
+    lines = [",".join(INTERP_SUMMARY_HEADER)]
+    lines += [",".join(str(cell) for cell in interp_summary_row(r)) for r in reports]
     if args.n is None:
-        return partial(interp_summaries_to_csv, reports)
-    return partial(interp_report_to_csv, reports[0])
+        return lines, partial(interp_summaries_to_csv, reports), None
+    return lines, partial(interp_report_to_csv, reports[0]), None
 
 
 @cache  # one per process; parse_args returns a fresh Namespace and changes no parser
@@ -314,19 +297,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        write = args.handler(args)
+        lines, to_csv, to_json = args.handler(args)
         if args.output:
             out = Path(args.output)
+            fmt = getattr(args, "format", "csv")  # auto: JSON for a .json output only
+            json_out = fmt == "json" or fmt == "auto" and out.suffix.lower() == ".json"
             out.parent.mkdir(parents=True, exist_ok=True)
-            write(out)
-            _write_manifest(args, out)
-        return 0
+            (to_json if json_out else to_csv)(out)
+            if out.is_file():  # no manifest beside a device such as /dev/null
+                _write_manifest(args, out)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # last and outside the try: a failure leaves stdout empty, a closed pipe is no usage error
+    print("\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

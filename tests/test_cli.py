@@ -1,4 +1,5 @@
 import csv
+import errno
 import itertools
 import json
 import os
@@ -17,6 +18,7 @@ from vandinv import (
     INVERSE_BACKENDS,
     NODE_FAMILIES,
     NodeSet,
+    NumericalError,
     build_vandermonde,
     companion_identity_nmse,
     compute_inverse,
@@ -627,14 +629,15 @@ def test_noise_sweep_json_format(capsys, tmp_path):
     assert doc["trials_per_cell"] == 2
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_noise_sweep_auto_format_follows_the_suffix(capsys, tmp_path, fmt):
+@pytest.mark.parametrize("suffix", ["csv", "json", "JSON"])
+def test_noise_sweep_auto_format_follows_the_suffix(capsys, tmp_path, suffix):
+    fmt = suffix.lower()
     args = [
         "noise-sweep", "--n", "8", "--trials", "2", "--seed", "4",
         "--sigma-shift-axis", "0,0.1", "--sigma-mag-axis", "0.1",
     ]
-    auto = tmp_path / f"auto.{fmt}"
-    explicit = tmp_path / f"explicit.{fmt}"
+    auto = tmp_path / f"auto.{suffix}"
+    explicit = tmp_path / f"explicit.{suffix}"
     assert run(capsys, *args, "--output", str(auto))[0] == 0
     assert run(capsys, *args, "--format", fmt, "--output", str(explicit))[0] == 0
     assert auto.read_bytes() == explicit.read_bytes()
@@ -867,6 +870,81 @@ def test_output_dir_env_var_is_ignored(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "sub" / "inv.csv").exists()
     assert (tmp_path / "sub" / "inv.csv.manifest.json").exists()
     assert not elsewhere.exists()
+
+
+FORMAT_COMMANDS = {
+    "invert": ("invert", "--roots-of-unity", "4"),
+    "noise-sweep": ("noise-sweep", "--n", "8", "--trials", "2", "--seed", "4",
+                    "--sigma-shift-axis", "0,0.1", "--sigma-mag-axis", "0.1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FORMAT_COMMANDS))
+@pytest.mark.parametrize("fmt, name, reference", [
+    ("json", "out.txt", "ref.json"),
+    ("csv", "out.json", "ref.csv"),
+    ("auto", "out.JSON", "ref.json"),
+])
+def test_format_picks_the_writer_whatever_the_suffix(capsys, tmp_path, command, fmt, name,
+                                                     reference):
+    # the reference file is written by --format auto on a lower-case suffix
+    args = FORMAT_COMMANDS[command]
+    assert run(capsys, *args, "--format", fmt, "--output", str(tmp_path / name))[0] == 0
+    assert run(capsys, *args, "--output", str(tmp_path / reference))[0] == 0
+    assert (tmp_path / name).read_bytes() == (tmp_path / reference).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ("esp", "--nodes", "1,2,3", "--all-orders"),
+    ("companion-table", "--n-list", "5"),
+    ("interp", "--fn", "cos", "--family", "chebyshev", "--n", "10"),
+])
+def test_a_command_without_format_writes_csv_to_a_json_path(capsys, tmp_path, argv):
+    assert run(capsys, *argv, "--output", str(tmp_path / "out.json"))[0] == 0
+    assert run(capsys, *argv, "--output", str(tmp_path / "out.csv"))[0] == 0
+    assert (tmp_path / "out.json").read_bytes() == (tmp_path / "out.csv").read_bytes()
+
+
+def _no_space(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("case", ["directory", "under a file", "disk full"])
+def test_an_unwritable_output_exits_2_with_empty_stdout(capsys, tmp_path, monkeypatch, case):
+    (tmp_path / "file").write_text("x")
+    out = {"directory": tmp_path, "under a file": tmp_path / "file" / "y.csv",
+           "disk full": tmp_path / "inv.csv"}[case]
+    if case == "disk full":
+        monkeypatch.setattr("vandinv.cli.inverse_to_csv", _no_space)
+    code, stdout, err = run(capsys, "invert", "--nodes", "1,2", "--output", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.rglob("*.manifest.json"))
+
+
+def test_a_device_output_gets_no_manifest(capsys):
+    manifest = Path(os.devnull + ".manifest.json")
+    before = manifest.stat().st_mtime_ns if manifest.exists() else None
+    try:
+        result = run(capsys, "invert", "--nodes", "1,2", "--output", os.devnull)
+        after = manifest.stat().st_mtime_ns if manifest.exists() else None
+    finally:
+        if before is None:  # remove only a manifest this test made
+            manifest.unlink(missing_ok=True)
+    assert result == (0, run(capsys, "invert", "--nodes", "1,2")[1], "")
+    assert after == before
+
+
+def test_a_failing_writer_leaves_stdout_empty_and_no_manifest(capsys, tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise NumericalError("matrix to write as JSON: 1 of 16 entries overflowed")
+
+    monkeypatch.setattr("vandinv.cli.inverse_to_json", fail)
+    out = tmp_path / "x.json"
+    code, stdout, err = run(capsys, "invert", "--roots-of-unity", "4", "--output", str(out))
+    assert (code, stdout) == (3, "")
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 def _call_in_process(argv, capsys):
