@@ -11,14 +11,15 @@ after every file is written.  A command that fails prints nothing and
 writes no manifest; a write that fails part-way can leave a partial file,
 as a crash can.  Seeded commands are byte-reproducible on one platform.
 
-Exit codes: 0 success, 2 argument/usage error or an output that cannot be
-written, 3 numerical failure.  ``--output`` takes any path; a relative one
-resolves against the working directory.
+Exit codes: 0 success, 2 argument/usage error or an empty or unwritable
+``--output`` (relative to the working directory), 3 numerical failure, 141
+(128 + SIGPIPE, stderr empty) when stdout's reader closes early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from datetime import datetime, timezone
 from functools import cache, partial
@@ -298,12 +299,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         lines, to_csv, to_json = args.handler(args)
-        if args.output:
+        if args.output is not None:  # "" too, which the open below refuses by name
             out = Path(args.output)
             fmt = getattr(args, "format", "csv")  # auto: JSON for a .json output only
             json_out = fmt == "json" or fmt == "auto" and out.suffix.lower() == ".json"
             out.parent.mkdir(parents=True, exist_ok=True)
-            (to_json if json_out else to_csv)(out)
+            (to_json if json_out else to_csv)(args.output and out)  # Path("") is "."
             if out.is_file():  # no manifest beside a device such as /dev/null
                 _write_manifest(args, out)
     except NumericalError as exc:
@@ -312,8 +313,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # last and outside the try: a failure leaves stdout empty, a closed pipe is no usage error
-    print("\n".join(lines))
+    # last, outside the try (a failure leaves stdout empty); flushed, so a closed pipe raises here
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:  # a reader that stopped early, as `head` does: exit as SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so exit's flush is quiet
+        return 141
     return 0
 
 

@@ -5,8 +5,8 @@ two checks that every public entry calls: `check_name` for a name looked up
 in a registry, and `check_ints` for counts, orders, indices and seeds, where
 a float is refused, never truncated.  NumericalError and its subclasses
 signal failures of the computation itself.  Every public numerical result
-is finite: `check_finite` passes each one on, or raises a NumericalError
-that counts the entries that overflowed to inf or NaN.  The CLI maps
+is finite: `check_finite` passes one value on, or raises a NumericalError
+that counts its entries that overflowed to inf or NaN.  The CLI maps
 ValueError to exit code 2 and NumericalError to 3.
 """
 
@@ -49,12 +49,10 @@ class NodeCollisionError(NumericalError):
     """A perturbed draw collapsed two nodes within the distinctness tolerance."""
 
 
-def check_finite(what: str, *values, error=NumericalError):
-    """The one value passed (all of them, if several), unless an entry is inf
-    or NaN: then ``error`` naming ``what``, the count of such entries and the
-    total."""
-    bad = sum(np.count_nonzero(~np.isfinite(x)) for x in values)
+def check_finite(what: str, value, *, error=NumericalError):
+    """``value``, unless an entry is inf or NaN: then ``error`` naming
+    ``what``, the count of such entries and the total."""
+    bad = np.count_nonzero(~np.isfinite(value))
     if bad:
-        total = sum(np.size(x) for x in values)
-        raise error(f"{what}: {bad} of {total} entries overflowed to inf or NaN")
-    return values[0] if len(values) == 1 else values
+        raise error(f"{what}: {bad} of {np.size(value)} entries overflowed to inf or NaN")
+    return value

@@ -114,7 +114,7 @@ def interp_experiment(
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         samples, reference = f(t, fit_nodes.values), f(t, dense_nodes.values)
     run = f"{fn}, t = {t:g}, {n} {node_kind} nodes"
-    check_finite(f"non-finite result: {run}", samples, reference)
+    check_finite(f"non-finite result: {run}", np.concatenate((samples, reference)))
     try:
         coeffs = fit_coefficients(fit_nodes, samples, inverse_backend, esp_backend)
         predictions = evaluate_superresolved(coeffs, dense_nodes)

@@ -16,9 +16,9 @@ magnitude noise on the roots of unity, one draw fully determined by its
 64-bit seed (a numpy PCG64 stream through SeedSequence), validated once.
 
 `_each` holds the one rule for a batch of node sets: a non-empty list or
-tuple of `NodeSet`s of one size, else one ValueError.  `esp_dropped` and
-`inverse_closed_form` stack a batch's results; `compute_inverse` returns a
-list for it on every route.  Everything here is pure and thread-safe.
+tuple of `NodeSet`s of one size, else one ValueError.  `compute_inverse`, on
+every route, and `inverse_closed_form` return a list for it; only
+`esp_dropped` stacks a batch's results.  Everything here is pure and thread-safe.
 """
 
 from __future__ import annotations

@@ -123,8 +123,8 @@ def companion_table_to_csv(table, path) -> None:
     _write_csv(path, ["n", *labels], lines)
 
 
-def sweep_to_csv(grid: SweepGrid, path) -> None:
-    """Long format: one row per cell, row-major over (shift, mag)."""
+def sweep_to_csv(grid, path) -> None:
+    """A `SweepGrid` in long format: one row per cell, row-major over (shift, mag)."""
     lines = (
         "%.17g,%.17g,%s,%d\r\n" % (s_shift, s_mag, "" if bad else "%.17g" % x, bad)
         for s_shift, row, failed in zip(grid.sigma_shift_axis, grid.log10_nmse, grid.failed)
@@ -134,8 +134,8 @@ def sweep_to_csv(grid: SweepGrid, path) -> None:
     _write_csv(path, header, lines)
 
 
-def sweep_to_json(grid: SweepGrid, path) -> None:
-    """The counts and seed may be numpy ints; they write as JSON numbers."""
+def sweep_to_json(grid, path) -> None:
+    """A `SweepGrid`, whose counts and seed may be numpy ints, as JSON numbers."""
     doc = {
         "n": int(grid.n),
         "esp_backend": grid.esp_backend,
@@ -151,8 +151,8 @@ def sweep_to_json(grid: SweepGrid, path) -> None:
     write_json(doc, path)
 
 
-def interp_report_to_csv(report: InterpolationReport, path) -> None:
-    """Per dense node: prediction, reference, absolute residual, exclusion flag."""
+def interp_report_to_csv(report, path) -> None:
+    """An `InterpolationReport` per dense node: prediction, reference, residual, excluded."""
     total = report.evaluations.size
     e = report.excluded_count_per_side
     values = float_rows(np.column_stack([report.evaluations, report.reference]))
@@ -178,7 +178,7 @@ INTERP_SUMMARY_HEADER = [
 ]
 
 
-def interp_summary_row(report: InterpolationReport) -> list:
+def interp_summary_row(report) -> list:
     val = report.nmse_after_exclusion
     return [
         report.fn,

@@ -21,7 +21,7 @@ a `NodeSet` or on a batch of them (`nodes._each`), one inverse per set:
 
 Every route returns the N x N complex inverse as a plain array, as do
 `build_vandermonde` and `stanley_matrix`; for a batch, `compute_inverse`
-returns a list of them on every route, `inverse_closed_form` a stack.
+returns a list of them on every route, as `inverse_closed_form` does.
 `real_part` strips the imaginary parts of an inverse of real nodes, and
 `inverse_esp_backend` names the ESP backend a route reads, None for the baseline.
 
@@ -60,12 +60,10 @@ REAL_STRIP_RTOL = 1e-12
 
 def real_part(matrix: np.ndarray) -> np.ndarray:
     """Strip imaginary parts after checking they are rounding noise."""
-    with np.errstate(over="ignore"):  # squares past double range: taken again below
-        scale = np.linalg.norm(matrix)
-    limit = REAL_STRIP_RTOL * scale
-    if scale in (0.0, np.inf):  # scaled first by a power of two of the largest magnitude
-        e = np.frexp(np.abs(matrix).max())[1]
-        limit = np.ldexp(REAL_STRIP_RTOL * np.linalg.norm(np.ldexp(np.abs(matrix), -e)), e)
+    # times 2^-e, e the largest magnitude's exponent (>= -1021: 2^-e finite), the
+    # squares stay in range; exact, so the plain norm's bits where its squares did
+    e = max(np.frexp(np.abs(matrix).max())[1], -1021)
+    limit = np.ldexp(REAL_STRIP_RTOL * np.linalg.norm(matrix * np.ldexp(1.0, -e)), e)
     worst = np.abs(matrix.imag).max()
     if worst > limit:
         raise ValueError(
@@ -130,19 +128,20 @@ def stanley_matrix(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(vals, n)[:, ::-1].copy()
 
 
-def inverse_closed_form(nodes, esp_backend: str = "proposed") -> np.ndarray:
+def inverse_closed_form(nodes, esp_backend: str = "proposed"):
     """Elementwise inverse from dropped-node ESPs and barycentric weights; at
     N = 1 the empty set's sigma(0, 0) = 1 over lambda = 1 gives [[1]].  Of a
-    batch of node sets (see `nodes._each`), the inverses stack, (sets, N, N),
-    from one ESP backend call; each has the bits it has alone, and the batch
-    raises if and only if one of its sets would."""
+    batch of node sets (see `nodes._each`), the list of inverses, slices of
+    one stack from one ESP backend call; each has the bits it has alone, and
+    the batch raises if and only if one of its sets would."""
     lam = np.array(_each(barycentric_weights, nodes))
     n = lam.shape[-1]
     signs = (-1.0) ** (n - np.arange(1, n + 1))
     dropped = esp_dropped(nodes, range(1, n + 1), esp_backend)
     # row i is the sweep without node i; column j wants its order N - j
     with np.errstate(over="ignore", invalid="ignore"):
-        return check_finite("inverse matrix", signs * dropped[..., ::-1] / lam[..., None])
+        inverse = check_finite("inverse matrix", signs * dropped[..., ::-1] / lam[..., None])
+    return inverse if lam.ndim == 1 else list(inverse)
 
 
 def inverse_wa_product(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:
@@ -199,7 +198,6 @@ def compute_inverse(nodes, inverse_backend: str = "closed_form", esp_backend: st
     check_name("inverse backend", inverse_backend, INVERSE_BACKENDS)
     check_name("ESP backend", esp_backend, ESP_BACKENDS)
     try:
-        inverse = _ROUTES[inverse_backend](nodes, esp_backend)
-        return inverse if isinstance(nodes, NodeSet) else list(inverse)  # the closed form stacks
+        return _ROUTES[inverse_backend](nodes, esp_backend)
     except NumericalError as exc:
         raise type(exc)(f"{inverse_backend} inverse: {exc}") from None

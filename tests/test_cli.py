@@ -754,6 +754,16 @@ def test_interp_numerical_failure_names_its_run(capsys, n):
     )
 
 
+def test_interp_overflowing_samples_are_counted_with_the_reference(capsys):
+    # 20 fit samples and 40 dense ones, checked as one array: exp(800 x)
+    # passes double range on 9 of the 60
+    code, out, err = run(capsys, "interp", "--fn", "exp", "--family", "chebyshev", "--n", "20",
+                         "--t", "800")
+    assert (code, out) == (3, "")
+    assert err == ("numerical failure: non-finite result: exponential, t = 800, 20 chebyshev "
+                   "nodes: 9 of 60 entries overflowed to inf or NaN\n")
+
+
 def test_interp_unknown_family_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run(capsys, "interp", "--fn", "cos", "--family", "fekete", "--n", "10")
@@ -945,6 +955,32 @@ def test_a_failing_writer_leaves_stdout_empty_and_no_manifest(capsys, tmp_path, 
     assert (code, stdout) == (3, "")
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
     assert not list(tmp_path.iterdir())
+
+
+def test_an_empty_output_exits_2_naming_it_with_empty_stdout(capsys, tmp_path, monkeypatch):
+    # Path("") is Path("."): the refusal must name the empty path, not "."
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, "invert", "--nodes", "1,2", "--output", "")
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and err.endswith(": ''\n") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("nodes, taken", [(("--roots-of-unity", "150"), 10),
+                                          (("--nodes", "1,2"), 0)], ids=["big", "small"])
+def test_a_closed_stdout_pipe_exits_141_with_an_empty_stderr(nodes, taken):
+    # the ~1.4 MB inverse overfills the pipe buffer, so the writer blocks
+    # until the reader has taken its 10 bytes and closed; the small one is
+    # written, and flushed, only after the reader has closed at once: no
+    # timing is needed either way
+    env = dict(os.environ, PYTHONPATH=str(Path(vandinv.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "vandinv.cli", "invert", *nodes],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    with proc:
+        assert len(proc.stdout.read(taken)) == taken
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (141, b"")
 
 
 def _call_in_process(argv, capsys):

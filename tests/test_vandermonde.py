@@ -7,6 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vandinv import (
     NodeSet,
@@ -24,7 +26,7 @@ from vandinv import (
     stanley_matrix,
 )
 from vandinv import vandermonde as vandermonde_module
-from vandinv.vandermonde import real_part
+from vandinv.vandermonde import REAL_STRIP_RTOL, real_part
 
 from conftest import elimination_reference, matrix_rel_gap, random_node_set
 from test_esp import same_bits
@@ -195,8 +197,23 @@ def test_closed_form_one_node():
     # the empty set's sigma(0, 0) = 1, over lambda = 1
     for esp in ("proposed", "traub", "yang", "mikkawy"):
         assert same_bits(inverse_closed_form(NodeSet([5]), esp), [[1 + 0j]])
-        stacked = inverse_closed_form([NodeSet([5]), NodeSet([2j])], esp)
-        assert same_bits(stacked, np.ones((2, 1, 1)))
+        listed = inverse_closed_form([NodeSet([5]), NodeSet([2j])], esp)
+        assert type(listed) is list and len(listed) == 2
+        assert all(same_bits(inv, [[1 + 0j]]) for inv in listed)
+
+
+@pytest.mark.parametrize("method", ["proposed", "traub", "yang", "mikkawy"])
+def test_a_closed_form_batch_is_the_list_of_its_single_inverses(method):
+    # one container rule: a batch gives a list on the direct call as through
+    # compute_inverse, each inverse with the bits and memory order it has alone
+    batch = [NodeSet([0.5, 1.5, 2.5, 4.0]), generate_nodes("chebyshev", 4), roots(4)]
+    listed = inverse_closed_form(batch, method)
+    routed = compute_inverse(batch, "closed_form", method)
+    assert type(listed) is list and type(routed) is list
+    for ns, inv, via in zip(batch, listed, routed, strict=True):
+        single = inverse_closed_form(ns, method)
+        for other in (via, single):
+            assert same_bits(inv, other) and inv.flags.f_contiguous == other.flags.f_contiguous
 
 
 def test_wa_product_two_nodes():
@@ -444,4 +461,52 @@ def test_as_real_takes_a_norm_that_leaves_double_range_again_scaled():
         assert same_bits(real_part(tiny), tiny.real)
         with pytest.raises(ValueError, match="up to 1.000e-170 exceed"):
             real_part(np.array([[1e-170 + 1e-170j, 2e-170]]))
+        # an all-zero matrix: a zero limit, and nothing to strip
+        assert same_bits(real_part(np.zeros((3, 3), np.complex128)), np.zeros((3, 3)))
 
+
+@st.composite
+def real_matrices(draw):
+    """Real matrices of up to 6 x 6 entries of either sign, magnitudes
+    1e-150..1e150 (mixed in one matrix), and one entry's index."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    exponents = draw(st.lists(st.floats(-150, 150), min_size=rows * cols,
+                              max_size=rows * cols))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=rows * cols,
+                          max_size=rows * cols))
+    matrix = (np.array(signs) * 10.0 ** np.array(exponents)).reshape(rows, cols)
+    return matrix, draw(st.integers(0, rows * cols - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(real_matrices())
+def test_real_part_limit_has_the_bits_of_the_plain_norm(case):
+    # the limit is taken on the matrix scaled by a power of two; where the
+    # plain norm's squares are normal doubles, as on 1e-150..1e150, it must
+    # keep that norm's bits. An imaginary part exactly at the plain limit
+    # strips, and one the next double past it raises: so the two limits are
+    # the same double. Its square, ~1e-24 of the norm's, leaves the norm alone.
+    matrix, k = case
+    at_limit = matrix.astype(np.complex128)  # a real array's norm sums in another order
+    limit = REAL_STRIP_RTOL * np.linalg.norm(at_limit)
+    assert np.isfinite(limit) and limit > 0
+    at_limit.flat[k] += 1j * limit
+    assert same_bits(real_part(at_limit), matrix)
+    at_limit.flat[k] = complex(matrix.flat[k], np.nextafter(limit, np.inf))
+    with pytest.raises(ValueError, match="genuinely complex"):
+        real_part(at_limit)
+
+
+def test_real_part_limit_is_exact_where_the_plain_squares_go_subnormal():
+    # 3e-160 squares to a subnormal, so the plain norm read 2.99998e-160 and
+    # refused an imaginary part of exactly 1e-12 times the entry; the scaled
+    # norm is the entry itself
+    limit = REAL_STRIP_RTOL * 3e-160
+    assert REAL_STRIP_RTOL * np.linalg.norm([3e-160]) < limit
+    assert same_bits(real_part(np.array([[complex(3e-160, limit)]])), [[3e-160]])
+    with pytest.raises(ValueError, match="genuinely complex"):
+        real_part(np.array([[complex(3e-160, np.nextafter(limit, 1.0))]]))
+    # a subnormal largest magnitude: 2^-e would overflow, so e stops at -1021
+    assert same_bits(real_part(np.array([[1e-310 + 0j, 2e-310]])), [[1e-310, 2e-310]])
+    with pytest.raises(ValueError, match="up to 1.000e-311 exceed 9.881e-323"):
+        real_part(np.array([[1e-310 + 1e-311j]]))
