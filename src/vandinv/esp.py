@@ -39,9 +39,10 @@ functions are pure.
   out of the recursion, so the full product of a set holding one is
   returned as exactly 0 rather than as the recursion's rounding residue.
 * ``traub``    - the classic triangular table sigma(n, j) =
-  sigma(n-1, j) + v_n * sigma(n-1, j-1) over node prefixes; O(N^2).  Laid
-  out orders-major, each step updates one contiguous (orders x rows) block:
-  37 dropped rows at N = 37 take ~0.11 ms, 100 at N = 100 ~1.1 ms (2-vCPU Xeon).
+  sigma(n-1, j) + v_n * sigma(n-1, j-1) over node prefixes; O(N^2).  Its
+  one orders-major (orders x rows) array is yielded after each step: the
+  kernel keeps the last, the table stacks copies of all.  37 dropped rows
+  at N = 37 take ~0.11 ms, 100 at N = 100 ~1.1 ms (2-vCPU Xeon).
 * ``yang``     - a prefix-block expansion of the same table: group each
   subset by its run of trailing consecutive nodes, giving
   sigma(n, j) = sum_k (v_n * ... * v_{n-k+1}) * sigma(n-k-1, j-k) where the
@@ -185,28 +186,19 @@ def _proposed(v, orders):
     return out
 
 
-def _traub_steps(w, table=None):
-    """sigma(m, 0..m) of every row of w (rows x m), orders-major, as (m+1, rows);
-    table[n], if given, gets it after step n, over the first n nodes."""
+def _traub_steps(w):
+    """sigma(n, 0..m) of every row of w (rows x m) over its first n nodes, as
+    one orders-major (m+1, rows) array, yielded after each step n = 0..m."""
     wt, col = w.T.copy(), np.zeros((w.shape[1] + 1, w.shape[0]), dtype=np.complex128)
     col[0] = 1.0
-    for n in range(w.shape[1] + 1):
-        if n:
-            col[1 : n + 1] += wt[n - 1] * col[0:n]  # node first: products round by operand order
-        if table is not None:
-            table[n] = col
-    return col
+    yield col
+    for n in range(1, w.shape[1] + 1):
+        col[1 : n + 1] += wt[n - 1] * col[0:n]  # node first: products round by operand order
+        yield col
 
 
 def _traub(w, orders):
-    return _traub_steps(w)[orders].T.copy()  # C order, as _KERNELS says
-
-
-def _traub_tables(w):
-    """The traub table of every row of w (rows x m), a (rows, m+1, m+1) view."""
-    table = np.empty((w.shape[1] + 1, w.shape[1] + 1, w.shape[0]), dtype=np.complex128)
-    _traub_steps(w, table)
-    return table.transpose(2, 0, 1)
+    return list(_traub_steps(w))[-1][orders].T.copy()  # the last step, in C order as _KERNELS says
 
 
 def _yang_tables(w):
@@ -255,7 +247,8 @@ ESP_BACKENDS = tuple(_KERNELS)
 # Backends that can produce full-set ESPs (mikkawy only drops).
 FULL_SET_ESP_BACKENDS = tuple(name for name in _KERNELS if name != "mikkawy")
 
-_TABLES = {"traub": _traub_tables, "yang": _yang_tables}
+_TABLES = {"traub": lambda w: np.stack([c.copy() for c in _traub_steps(w)]).transpose(2, 0, 1),
+           "yang": _yang_tables}  # (rows, m+1, m+1) tables
 
 
 def esp_table(nodes: NodeSet, method: str) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NodeCollisionError, check_ints, check_name
+from .errors import NodeCollisionError, check_finite, check_ints, check_name
 
 # Relative pairwise-distinctness floor: min gap must exceed this times max |v|.
 DISTINCTNESS_RTOL = 1e-12
@@ -128,7 +128,7 @@ def perturb_roots_of_unity(
     Deterministic per seed: one draw on ``SeedSequence([seed, 0])``,
     validated once by building its `NodeSet`.  If the noise collapses two
     nodes within the distinctness tolerance, NodeCollisionError names the
-    pair and the seed.
+    pair and the seed; a node past double range is a plain NumericalError.
     """
     for name, sigma in (("sigma_shift", sigma_shift), ("sigma_mag", sigma_mag)):
         if not np.isfinite(sigma) or sigma < 0:
@@ -138,11 +138,13 @@ def perturb_roots_of_unity(
     base = _FAMILIES["roots_of_unity"](np.arange(1, n + 1), n)
     part_std = sigma_mag / np.sqrt(2.0)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    eta_s = rng.normal(0.0, sigma_shift, n)
-    eta_m = rng.normal(0.0, part_std, n) + 1j * rng.normal(0.0, part_std, n)
     # factored exponential keeps the zero-noise case bit-identical to the
-    # clean generator
+    # clean generator; a draw past double range fails in check_finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta_s = rng.normal(0.0, sigma_shift, n)
+        eta_m = rng.normal(0.0, part_std, n) + 1j * rng.normal(0.0, part_std, n)
+        values = base * np.exp(1j * eta_s) + eta_m
     try:
-        return NodeSet(base * np.exp(1j * eta_s) + eta_m)
+        return NodeSet(check_finite(f"perturbed nodes (seed {seed})", values))
     except ValueError as exc:
         raise NodeCollisionError(f"{exc} (seed {seed})") from None

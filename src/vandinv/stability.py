@@ -15,9 +15,8 @@ one float, or raises `NumericalError` where it leaves double range.
 The module also packages one experiment: a Monte-Carlo sweep of the
 companion NMSE over phase/magnitude noise on perturbed roots of unity.
 Each trial draws its nodes from a seed derived from the master seed per
-(cell, trial).  The sweep draws every trial's nodes first, then hands
-them to `compute_inverse` as lists of at most `_BATCH_BYTES` of node rows
-and gets a list of inverses back on every route; the closed form runs a
+(cell, trial).  The sweep draws each batch of at most `_BATCH_BYTES` of
+node rows just before `compute_inverse` inverts it; the closed form runs a
 batch's dropped rows in one ESP kernel call.  Each set's inverse has the
 bits it has alone, and a batch that fails runs again set by set, so the
 grid is the one a per-trial loop gives.  A trial whose draw, inverse or
@@ -26,6 +25,7 @@ score raises `NumericalError` fails and is left out of its cell's mean.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,8 +36,9 @@ from .nodes import NodeSet, perturb_roots_of_unity
 from .vandermonde import build_vandermonde, compute_inverse, inverse_esp_backend
 
 # Bytes of node rows in one batch of inverses, which the closed form sends
-# to the ESP kernel in one call: 6 sets at N = 37, one from N = 65 on.
-# Memory then stays flat whatever the count of cells and trials.
+# to the ESP kernel in one call: 6 sets at N = 37, one from N = 65 on.  One
+# batch of draws and its inverses are alive at a time; beyond them the sweep
+# keeps one score per surviving trial.
 _BATCH_BYTES = 128 * 1024
 
 
@@ -56,7 +57,7 @@ def nmse(estimate, reference) -> float:
 
 def companion_identity_nmse(nodes: NodeSet, inverse: np.ndarray) -> float:
     """Score a candidate inverse matrix through the companion identity block."""
-    n = len(nodes)
+    n, inverse = len(nodes), np.asarray(inverse)
     if inverse.shape != (n, n):
         raise ValueError(
             f"inverse shape {inverse.shape} does not match {n} nodes"
@@ -118,26 +119,27 @@ def noise_sweep(
     inverse_backend: str = "closed_form",
 ) -> SweepGrid:
     """Mean companion NMSE per noise cell, averaged over seeded trials."""
-    shift_axis = np.atleast_1d(np.asarray(sigma_shift_axis, dtype=float))
-    mag_axis = np.atleast_1d(np.asarray(sigma_mag_axis, dtype=float))
-    if shift_axis.size == 0 or mag_axis.size == 0:
-        raise ValueError("sweep axes must be non-empty")
+    shifts, mags = (np.atleast_1d(np.asarray(a, float)) for a in (sigma_shift_axis, sigma_mag_axis))
+    for name, axis in (("sigma_shift", shifts), ("sigma_mag", mags)):
+        if axis.ndim != 1 or axis.size == 0 or not np.all(np.isfinite(axis) & (axis >= 0)):
+            raise ValueError(f"{name} axis must be a non-empty 1-D sequence of finite, "
+                             f"non-negative sigmas, got {axis.tolist()}")
+    check_ints("node count", n, 2)  # as perturb does, before the batch size divides by n - 1
     check_ints("trials", trials, 1)  # derive_seed checks the seed
-    cells = np.full((shift_axis.size, mag_axis.size), np.nan)  # NaN: every trial failed
-    drawn, sets = [], []  # cell and nodes of each trial whose draw did not collide
-    for a, b in np.ndindex(cells.shape):
-        sigmas = float(shift_axis[a]), float(mag_axis[b])
-        for trial in range(trials):
+    cells = np.full((shifts.size, mags.size), np.nan)  # NaN: every trial failed
+
+    def draws():  # (cell, nodes) of each trial whose draw does not fail
+        for a, b, t in np.ndindex(*cells.shape, trials):  # cell (a, b), trial t
             try:
-                sets.append(perturb_roots_of_unity(n, *sigmas, derive_seed(seed, a, b, trial)))
+                nodes = perturb_roots_of_unity(n, shifts[a], mags[b], derive_seed(seed, a, b, t))
             except NumericalError:
                 continue
-            drawn.append((a, b))
-    size = max(1, _BATCH_BYTES // (16 * n * (n - 1)))
-    survived = {}
-    for s in range(0, len(sets), size):
-        scores = _scores(sets[s : s + size], inverse_backend, esp_backend)
-        for cell, score in zip(drawn[s : s + size], scores):
+            yield (a, b), nodes
+
+    size, stream, survived = max(1, _BATCH_BYTES // (16 * n * (n - 1))), draws(), {}
+    while batch := list(itertools.islice(stream, size)):  # drawn just before it is inverted
+        drawn, sets = zip(*batch)
+        for cell, score in zip(drawn, _scores(sets, inverse_backend, esp_backend)):
             if score is not None:
                 survived.setdefault(cell, []).append(score)
     for cell, kept in survived.items():
@@ -145,8 +147,8 @@ def noise_sweep(
         cells[cell] = math.log10(mean) if mean > 0 else -math.inf
     return SweepGrid(
         n=n,
-        sigma_shift_axis=shift_axis,
-        sigma_mag_axis=mag_axis,
+        sigma_shift_axis=shifts,
+        sigma_mag_axis=mags,
         log10_nmse=cells,
         failed=np.isnan(cells),
         trials_per_cell=trials,

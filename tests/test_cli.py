@@ -683,6 +683,16 @@ def test_noise_sweep_prints_failed_for_scores_past_double_range(capsys):
     assert out.splitlines()[-1] == "       0  failed  -15.44"
 
 
+def test_noise_sweep_prints_failed_for_draws_past_double_range(capsys):
+    # trial 2's draw leaves double range, the other trials' inverses do
+    code, out, err = run(
+        capsys, "noise-sweep", "--n", "6", "--trials", "4", "--seed", "6",
+        "--sigma-shift-axis", "0", "--sigma-mag-axis", "1e308",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "       0  failed"
+
+
 # ---------------------------------------------------------------- interp
 
 def test_interp_exclude_default_is_the_library_default():

@@ -477,6 +477,43 @@ def test_table_kernels_are_bit_identical_to_the_row_major_recursions(monkeypatch
         assert same_bits(got, table_reference(rows, "yang")[:, -1])
 
 
+@st.composite
+def prefix_table_values(draw):
+    """1..30 complex nodes with parts in (-2, 2), one of them zero or none,
+    the real and imaginary parts each scaled by 2^-500, 1 or 2^500."""
+    n = draw(st.integers(1, 30))
+    parts = draw(st.lists(st.floats(-2, 2, exclude_min=True, exclude_max=True),
+                          min_size=2 * n, max_size=2 * n))
+    re_scale, im_scale = (2.0 ** draw(st.sampled_from([-500, 0, 500])) for _ in range(2))
+    values = np.array(parts[:n]) * re_scale + 1j * np.array(parts[n:]) * im_scale
+    zero = draw(st.integers(-1, n - 1))  # -1: no zero node
+    if zero >= 0:
+        values[zero] = 0
+    return values
+
+
+@settings(max_examples=80, deadline=None)
+@given(prefix_table_values(), st.sampled_from(["traub", "yang"]))
+def test_table_rows_are_the_prefix_sweeps_bit_for_bit(values, method):
+    # row n of the table is the full-set sweep of the first n nodes, or the
+    # table raises where one of those sweeps does
+    try:
+        ns = NodeSet(values)
+    except ValueError:
+        return
+    sweeps = []
+    for n in range(1, len(ns) + 1):
+        try:
+            sweeps.append(esp_all_orders(NodeSet(values[:n]), method))
+        except OrderOverflowError:
+            with pytest.raises(OrderOverflowError):
+                esp_table(ns, method)
+            return
+    table = esp_table(ns, method)
+    for n, sweep in enumerate(sweeps, 1):
+        assert same_bits(table[n, : n + 1], sweep)
+
+
 @pytest.mark.parametrize("method", ["proposed", "mikkawy", "newton"])
 def test_table_rejects_other_backends(method):
     with pytest.raises(ValueError, match=method):

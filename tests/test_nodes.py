@@ -7,6 +7,7 @@ import vandinv.nodes as nodes_mod
 from vandinv import (
     NodeCollisionError,
     NodeSet,
+    NumericalError,
     generate_nodes,
     perturb_roots_of_unity,
     validate_pairwise_distinct,
@@ -184,3 +185,18 @@ def test_perturbation_collision_names_the_pair_and_the_seed(monkeypatch):
     with pytest.raises(NodeCollisionError, match=message):
         perturb_roots_of_unity(8, 0.1, 0.1, 3)
     assert calls["n"] == 1  # one draw, validated once, never redrawn
+
+
+@pytest.mark.parametrize(
+    "sigma_shift, sigma_mag, seed",
+    # the third is trial 2 of `noise-sweep --n 6 --seed 6 --sigma-mag-axis 1e308`
+    [(0.0, 1e308, 3), (1e308, 0.0, 2), (0.0, 1e308, 5123204308243685402)],
+)
+def test_perturbation_past_double_range_is_a_numerical_error_not_a_collision(
+    sigma_shift, sigma_mag, seed
+):
+    # pytest turns every RuntimeWarning into an error here
+    message = rf"^perturbed nodes \(seed {seed}\): \d of 6 entries overflowed"
+    with pytest.raises(NumericalError, match=message) as info:
+        perturb_roots_of_unity(6, sigma_shift, sigma_mag, seed)
+    assert not isinstance(info.value, NodeCollisionError)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -95,6 +96,12 @@ def test_companion_roots50_backend_split():
     assert traub > 1e-7
 
 
+def test_companion_takes_an_inverse_as_nested_lists():
+    ns = roots(6)
+    inverse = inverse_closed_form(ns)
+    assert companion_identity_nmse(ns, inverse.tolist()) == companion_identity_nmse(ns, inverse)
+
+
 def test_companion_rejects_mismatched_inverse():
     ns = NodeSet([1, 2, 3])
     wrong = inverse_elimination_baseline(NodeSet([1, 2]))
@@ -162,11 +169,20 @@ def test_sweep_is_deterministic():
     np.testing.assert_array_equal(a.failed, b.failed)
 
 
-def test_sweep_validates_arguments():
-    with pytest.raises(ValueError):
-        noise_sweep(8, [], [0.1], trials=2, seed=0)
-    with pytest.raises(ValueError):
-        noise_sweep(8, [0.1], [0.1], trials=0, seed=0)
+def test_sweep_validates_arguments(monkeypatch):
+    monkeypatch.setattr(stability_mod, "compute_inverse", None)  # nothing is inverted
+    for args, message in [
+        ((8, [], [0.1], 2, 0), r"^sigma_shift axis must be a non-empty 1-D .*, got \[\]$"),
+        ((5, [[0.1, 0.2]], [0.1], 1, 0), r"^sigma_shift axis .*, got \[\[0\.1, 0\.2\]\]$"),
+        # the sigmas of a late cell are checked before the first batch runs
+        ((5, [0.1], [0.1, 0.2, -1e-3], 1, 0), r"^sigma_mag axis .*, got \[0\.1, 0\.2, -0\.001\]$"),
+        ((5, [0.1, np.nan], [0.1], 1, 0), r"^sigma_shift axis .*, got \[0\.1, nan\]$"),
+        ((5, [0.1], [np.inf], 1, 0), r"^sigma_mag axis .*, got \[inf\]$"),
+        ((1, [0.1], [0.1], 1, 0), "^node count must be an integer >= 2, got 1$"),
+        ((8, [0.1], [0.1], 0, 0), "^trials must be an integer >= 1, got 0$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            noise_sweep(*args)
 
 
 def test_sweep_marks_cells_failed_when_all_trials_collapse(monkeypatch):
@@ -208,6 +224,21 @@ def test_sweep_fails_the_trials_whose_score_overflows():
         ns = perturb_roots_of_unity(2, 0.0, 1e200, derive_seed(5, 0, 0, 2))
         score = companion_identity_nmse(ns, inverse_closed_form(ns))
         assert grid.log10_nmse[0, 0] == math.log10(score)
+
+
+def test_sweep_memory_does_not_grow_with_the_trials():
+    # one batch of draws is alive at a time: holding all 3000 draws at N = 37
+    # would add ~2.4 MB to the peak at 300
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            noise_sweep(37, [0.1], [0.1], trials=trials, seed=0, esp_backend="traub")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(300)  # warm-up
+    assert peak(3000) - peak(300) < 0.5 * 2**20
 
 
 def test_derive_seed_is_stable_and_distinct():
