@@ -4,19 +4,18 @@ The j'th ESP over nodes v_1..v_N is the sum over all size-j index subsets
 of the product of the selected nodes, written sigma(N, j) below.  All
 public outputs use this unordered convention (sigma(N, 0) = 1).
 
-Every ESP result is one request to one kernel table, `_KERNELS`: node
-rows (R x m) and ascending orders in 0..m in, an R x len(orders) array
-out.  `_esp` checks a request once (backend name, full-set use, drop
-range); `_node_rows` builds its rows, for each node set of the request
-the whole set or one row per drop index without that node.  Nodes are
-validated once, as a `NodeSet`.  The public functions are `esp_single`
-(one order, run alone by ``proposed``), `esp_all_orders`, `esp_dropped`
-(of one set, or stacked for a batch of `nodes._each`, in one kernel call)
-and `esp_table` (traub or yang; (N+1) x (N+1), lower triangular).  Results
-are plain complex arrays, and every public result is finite: `_esp` and
-`esp_table` pass the entries they return through `check_finite`, which
-raises `OrderOverflowError` on one that overflowed to inf or NaN.  All
-functions are pure.
+Every ESP result is one request to one backend of `_KERNELS`, a row rule
+and a kernel: node rows (R x m) and ascending orders in 0..m in, an R x
+len(orders) array out.  `_esp` checks a request once (backend name,
+full-set use, drop range) and runs the kernel on each whole node set, or on
+the rows its rule gathers, one per drop index.  Nodes are validated once,
+as a `NodeSet`.  The public functions are `esp_single` (one order),
+`esp_all_orders`, `esp_dropped` (of one set, or stacked for a batch of
+`nodes._each`, in one kernel call) and `esp_table` (traub or yang; (N+1) x
+(N+1), lower triangular).  Results are plain complex arrays, and every
+public result is finite: `_esp` and `esp_table` pass the entries they
+return through `check_finite`, which raises `OrderOverflowError` on one
+that overflowed to inf or NaN.  All functions are pure.
 
 * ``proposed`` - a per-order balanced recursion.  For a target order n the
   paper iterates f_i(v_d) = v_d * (C_{i-1} - (n - i) * f_{i-1}(v_d)) with
@@ -49,8 +48,8 @@ functions are pure.
   k = j = n term contributes the bare product of all n nodes; O(N^3),
   orders-major too, the tables of dropped rows built in batches of
   `_YANG_BATCH_BYTES`: 37 at N = 37 take ~2.8 ms, one table ~1.6 ms.
-* ``mikkawy``  - a dropped-node recursion: traub's kernel over slots 2..N
-  once the node to remove is swapped into slot 1, ESPs of the other N-1; O(N^2).
+* ``mikkawy``  - traub's kernel on its own dropped rows, slots 2..N once the
+  node to remove is swapped into slot 1: ESPs of the other N-1; O(N^2).
 """
 
 from __future__ import annotations
@@ -198,7 +197,9 @@ def _traub_steps(w):
 
 
 def _traub(w, orders):
-    return list(_traub_steps(w))[-1][orders].T.copy()  # the last step, in C order as _KERNELS says
+    for col in _traub_steps(w):  # the last step, in C order as _KERNELS says
+        pass
+    return col[orders].T.copy()
 
 
 def _yang_tables(w):
@@ -230,22 +231,30 @@ def _yang(w, orders):
     return np.concatenate(rows).take(orders, axis=1)
 
 
-# Each kernel maps node rows (R x m) and ascending orders in 0..m to sigma,
-# shape (R, len(orders)), in C order: BLAS products of the closed-form
-# inverse built on it round by layout.  The orders >= 1 of a request are one
-# run lo..hi (one order, 1..N or 1..N-1), which ``proposed`` pairs into
-# lanes.  mikkawy is traub on its own rows.
+def _without(keep, drop):  # the others, in order
+    return keep + (keep >= drop)
+
+
+def _swapped(keep, drop):  # v_1 swapped into the dropped node's slot, the first left out
+    return (keep + 1) * (keep + 1 != drop)
+
+
+# Each backend is a row rule and a kernel.  The rule maps slots 0..N-2 and a
+# column of 0-based drop indices to the node columns of one row per index; a
+# set is its own row, except under mikkawy's swap.  The kernel maps node rows
+# (R x m) and ascending orders in 0..m to sigma, shape (R, len(orders)), in C
+# order: BLAS products of the closed-form inverse built on it round by
+# layout.  The orders >= 1 of a request are one run lo..hi (one order, 1..N
+# or 1..N-1), which ``proposed`` pairs into lanes.
 _KERNELS = {
-    "proposed": _proposed,
-    "traub": _traub,
-    "yang": _yang,
-    "mikkawy": _traub,
+    "proposed": (_without, _proposed),
+    "traub": (_without, _traub),
+    "yang": (_without, _yang),
+    "mikkawy": (_swapped, _traub),
 }
 
 ESP_BACKENDS = tuple(_KERNELS)
-
-# Backends that can produce full-set ESPs (mikkawy only drops).
-FULL_SET_ESP_BACKENDS = tuple(name for name in _KERNELS if name != "mikkawy")
+FULL_SET_ESP_BACKENDS = tuple(name for name, (rule, _) in _KERNELS.items() if rule is not _swapped)
 
 _TABLES = {"traub": lambda w: np.stack([c.copy() for c in _traub_steps(w)]).transpose(2, 0, 1),
            "yang": _yang_tables}  # (rows, m+1, m+1) tables
@@ -260,18 +269,6 @@ def esp_table(nodes: NodeSet, method: str) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         table = _TABLES[method](nodes.values[None, :])[0]
     return check_finite(f"{method} table", table, error=OrderOverflowError)
-
-
-def _node_rows(v, drop, method):
-    """The rows a kernel runs on, set by set for the sets of v (sets x N):
-    a whole set as one row when ``drop`` is None, else, in one gather, one
-    row per 0-based index in the column ``drop`` that lacks that node.  A
-    mikkawy row swaps v_1 into the dropped node's slot and leaves out the first."""
-    if drop is None:
-        return v
-    keep = np.arange(v.shape[1] - 1)
-    cols = (keep + 1) * (keep + 1 != drop) if method == "mikkawy" else keep + (keep >= drop)
-    return v[:, cols].reshape(len(v) * drop.size, keep.size)  # -1 fails on size 0
 
 
 def _esp(v, method: str, drop, orders) -> np.ndarray:
@@ -290,13 +287,16 @@ def _esp(v, method: str, drop, orders) -> np.ndarray:
         )
     if np.size(drop) == 0:
         raise ValueError("drop needs at least one 1-based index, got an empty sequence")
-    rows = None if drop is None else np.reshape(check_ints("drop index", drop, 1, n), (-1, 1)) - 1
+    rule, kernel = _KERNELS[method]
+    if drop is not None:  # the rows of every set, in one gather
+        at = np.reshape(check_ints("drop index", drop, 1, n), (-1, 1)) - 1
+        v = v[:, rule(np.arange(n - 1), at)].reshape(len(v) * at.size, n - 1)  # -1 fails on size 0
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _KERNELS[method](_node_rows(v, rows, method), orders)
+        out = kernel(v, orders)
     span = orders[0] if orders.size == 1 else f"{orders[0]}..{orders[-1]}"
     what = f"{method} sigma({n - (drop is not None)}, {span})"
     if np.ndim(drop):
-        out = out.reshape(len(v), -1, orders.size)
+        out = out.reshape(-1, at.size, orders.size)
     return check_finite(what, out, error=OrderOverflowError)
 
 

@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from vandinv import (
+    ESP_BACKENDS,
     NodeSet,
     companion_identity_nmse,
     esp_dropped,
@@ -21,6 +22,7 @@ from vandinv import (
     noise_sweep,
 )
 from vandinv.cli import main
+from vandinv.esp import FULL_SET_ESP_BACKENDS
 
 from conftest import (
     esp_bruteforce_oracle,
@@ -67,18 +69,20 @@ def test_criterion_1_oracle_suite():
         ns = random_node_set(rng, n)
         oracle = [esp_bruteforce_oracle(ns, k) for k in range(n + 1)]
         for order in range(1, n + 1):
-            for method in ("proposed", "traub", "yang"):
+            for method in FULL_SET_ESP_BACKENDS:
                 value = esp_single(ns, order, method)
                 checked += 1
                 if not _within(value, oracle[order]):
                     ok = False
         drop = int(rng.integers(1, n + 1))
         reduced = NodeSet(np.delete(ns.values, drop - 1))
-        dropped = esp_dropped(ns, drop, "mikkawy")
-        for order in range(n):
-            checked += 1
-            if not _within(dropped[order], esp_bruteforce_oracle(reduced, order)):
-                ok = False
+        reduced_oracle = [esp_bruteforce_oracle(reduced, k) for k in range(n)]
+        for method in ESP_BACKENDS:
+            dropped = esp_dropped(ns, drop, method)
+            for order in range(n):
+                checked += 1
+                if not _within(dropped[order], reduced_oracle[order]):
+                    ok = False
     crit.finish(ok, f"200 node sets, {checked} oracle comparisons at rel 1e-10")
 
 

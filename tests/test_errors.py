@@ -131,11 +131,11 @@ def test_numpy_ints_and_ranges_give_the_results_of_plain_ints():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.floats(), st.sampled_from(["proposed", "traub", "yang", "mikkawy"]))
+@given(st.floats(), st.sampled_from(ESP_BACKENDS))
 def test_float_orders_and_drop_indices_raise_value_error(x, method):
     # never a TypeError, an IndexError or a truncated index
     with pytest.raises(ValueError):
-        esp_single(NODES, x, "traub" if method == "mikkawy" else method)
+        esp_single(NODES, x, method if method in esp_module.FULL_SET_ESP_BACKENDS else "traub")
     with pytest.raises(ValueError):
         esp_single(NODES, 1, method, drop_index=x)
     with pytest.raises(ValueError):
@@ -260,8 +260,8 @@ def check_finite_or_typed_errors(ns):
     # memory order it has alone
     benign = generate_nodes("roots_of_unity", n)
     for route, method in itertools.product(INVERSE_BACKENDS, ESP_BACKENDS):
-        if (route, method) == ("wa_product", "mikkawy"):  # needs a full-set backend
-            with pytest.raises(ValueError, match="mikkawy"):
+        if route == "wa_product" and method not in esp_module.FULL_SET_ESP_BACKENDS:
+            with pytest.raises(ValueError, match=method):
                 compute_inverse([benign, benign], route, method)
             continue
         try:

@@ -1,5 +1,6 @@
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import vandinv
 from vandinv import (
+    ESP_BACKENDS,
     NodeSet,
     OrderOverflowError,
     barycentric_weights,
@@ -327,7 +329,7 @@ def test_proposed_keeps_negative_zero_sums():
 
 def test_dropped_sequence_matches_single_drops(rng):
     ns = random_node_set(rng, 9)
-    for method in ("proposed", "traub", "yang", "mikkawy"):
+    for method in ESP_BACKENDS:
         batch = esp_dropped(ns, [3, 1, 9], method)
         assert batch.shape == (3, 9)
         for row, drop in zip(batch, (3, 1, 9)):
@@ -338,7 +340,7 @@ def test_dropped_sweeps_are_c_ordered(rng):
     # the closed-form inverse builds on these rows, and BLAS products of it
     # round differently in Fortran order
     ns = random_node_set(rng, 9)
-    for method in ("proposed", "traub", "yang", "mikkawy"):
+    for method in ESP_BACKENDS:
         assert esp_dropped(ns, range(1, 10), method).flags.c_contiguous
 
 
@@ -514,7 +516,9 @@ def test_table_rows_are_the_prefix_sweeps_bit_for_bit(values, method):
         assert same_bits(table[n, : n + 1], sweep)
 
 
-@pytest.mark.parametrize("method", ["proposed", "mikkawy", "newton"])
+@pytest.mark.parametrize(
+    "method", [m for m in ESP_BACKENDS if m not in esp_module._TABLES] + ["newton"]
+)
 def test_table_rejects_other_backends(method):
     with pytest.raises(ValueError, match=method):
         esp_table(NodeSet([1, 2, 3]), method)
@@ -550,7 +554,7 @@ def test_mikkawy_unit_magnitudes_on_roots():
         np.testing.assert_allclose(mags, 1.0, atol=1e-10)
 
 
-@pytest.mark.parametrize("method", ["proposed", "traub", "yang", "mikkawy"])
+@pytest.mark.parametrize("method", ESP_BACKENDS)
 def test_one_node_drops_to_the_empty_set(method):
     # the empty set's only ESP is sigma(0, 0) = 1
     one = np.ones(1, dtype=np.complex128)
@@ -567,13 +571,13 @@ def test_dropped_proposed_example():
     )
 
 
-@pytest.mark.parametrize("method", ["proposed", "traub", "yang", "mikkawy"])
+@pytest.mark.parametrize("method", ESP_BACKENDS)
 def test_dropped_order_zero_is_one(method):
     seq = esp_dropped(NodeSet([2, 5, 7]), 1, method)
     assert seq[0] == 1
 
 
-@pytest.mark.parametrize("method", ["proposed", "traub", "yang", "mikkawy"])
+@pytest.mark.parametrize("method", ESP_BACKENDS)
 def test_dropped_matches_oracle_on_reduced_set(rng, method):
     for n in (2, 5, 9, 12):
         ns = random_node_set(rng, n)
@@ -593,12 +597,12 @@ def test_dropped_roots50_magnitudes_near_one():
 def test_overflow_raises_instead_of_returning_nan():
     # sigma(59, j) over 1e6, 2e6, ..., 59e6 passes the double range near j = 40
     ns = NodeSet(np.arange(1, 60) * 1e6)
-    for method in ("proposed", "traub", "yang"):
+    for method in esp_module.FULL_SET_ESP_BACKENDS:
         with pytest.raises(OrderOverflowError):
             esp_all_orders(ns, method)
         with pytest.raises(OrderOverflowError):
             esp_single(ns, 59, method)
-    for method in ("proposed", "traub", "yang", "mikkawy"):
+    for method in ESP_BACKENDS:
         with pytest.raises(OrderOverflowError):
             esp_dropped(ns, [1, 59], method)
     for method in ("traub", "yang"):
@@ -611,7 +615,7 @@ def test_dropped_unknown_method():
         esp_dropped(NodeSet([1, 2]), 1, "newton")
 
 
-@pytest.mark.parametrize("method", ["proposed", "traub", "yang", "mikkawy"])
+@pytest.mark.parametrize("method", ESP_BACKENDS)
 @pytest.mark.parametrize("drop", [[], range(1, 1), np.array([], dtype=int)],
                          ids=["list", "range", "array"])
 def test_dropped_refuses_an_empty_drop_sequence(method, drop):
@@ -700,6 +704,16 @@ def test_vieta_closure(rng):
 
 def test_esp_single_order_zero():
     assert esp_single(NodeSet([1, 2, 3]), 0) == 1
+
+
+def test_the_backend_registry_keeps_its_order():
+    # the CLI choices and the companion-table columns follow registry order,
+    # and the full-set backends are derived from it
+    assert ESP_BACKENDS == ("proposed", "traub", "yang", "mikkawy")
+    refusal = ("ESP backend 'mikkawy' computes dropped-node ESPs only, so it needs a drop "
+               "index; full-set ESPs need one of ('proposed', 'traub', 'yang')")
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        esp_all_orders(NodeSet([1, 2, 3]), "mikkawy")
 
 
 def test_esp_single_rejects_mikkawy():

@@ -5,6 +5,7 @@ import pytest
 
 import vandinv.interpolation as interp_mod
 from vandinv import (
+    ESP_BACKENDS,
     NodeSet,
     NumericalError,
     evaluate_superresolved,
@@ -13,6 +14,7 @@ from vandinv import (
     interp_experiment,
     nmse,
 )
+from vandinv.esp import FULL_SET_ESP_BACKENDS
 
 
 def roots(n):
@@ -156,16 +158,11 @@ def test_evaluate_quadratic_pointwise():
 
 # ---------------------------------------------------------------- pipeline
 
-BACKEND_COMBOS = [
-    ("closed_form", "proposed"),
-    ("closed_form", "traub"),
-    ("closed_form", "yang"),
-    ("closed_form", "mikkawy"),
-    ("wa_product", "proposed"),
-    ("wa_product", "traub"),
-    ("wa_product", "yang"),
-    ("elimination_baseline", "proposed"),
-]
+BACKEND_COMBOS = (
+    [("closed_form", esp) for esp in ESP_BACKENDS]
+    + [("wa_product", esp) for esp in FULL_SET_ESP_BACKENDS]
+    + [("elimination_baseline", "proposed")]
+)
 
 
 @pytest.mark.parametrize("inverse_backend,esp_backend", BACKEND_COMBOS)

@@ -8,6 +8,7 @@ import pytest
 import vandinv.esp as esp_module
 import vandinv.stability as stability_mod
 from vandinv import (
+    ESP_BACKENDS,
     INVERSE_BACKENDS,
     NodeCollisionError,
     NodeSet,
@@ -269,7 +270,7 @@ SWEEP_MAGS = [0.0, 1e100, 0.1]
 @pytest.mark.parametrize("n", [2, 9, 37])
 @pytest.mark.parametrize(
     "esp_backend, inverse_backend",
-    [(esp, "closed_form") for esp in ("proposed", "traub", "yang", "mikkawy")]
+    [(esp, "closed_form") for esp in ESP_BACKENDS]
     + [("traub", "wa_product"), ("proposed", "elimination_baseline")],
 )
 def test_sweep_is_bit_identical_to_the_per_set_loop(
@@ -307,13 +308,13 @@ def test_sweep_inverts_each_batch_in_one_compute_inverse_call(monkeypatch, inver
 def kernel_spy(monkeypatch, method):
     """Record the node-row bytes and row count of every call of a kernel."""
     calls = []
-    kernel = esp_module._KERNELS[method]
+    rule, kernel = esp_module._KERNELS[method]
 
     def spy(w, orders):
         calls.append((w.nbytes, w.shape[0]))
         return kernel(w, orders)
 
-    monkeypatch.setitem(esp_module._KERNELS, method, spy)
+    monkeypatch.setitem(esp_module._KERNELS, method, (rule, spy))
     return calls
 
 

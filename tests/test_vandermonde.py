@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vandinv import (
+    ESP_BACKENDS,
     NodeSet,
     NumericalError,
     SingularityError,
@@ -195,14 +196,14 @@ def test_closed_form_three_nodes_first_row():
 def test_closed_form_one_node():
     # V = [1], so its inverse is [1] whatever the node: the dropped sweep is
     # the empty set's sigma(0, 0) = 1, over lambda = 1
-    for esp in ("proposed", "traub", "yang", "mikkawy"):
+    for esp in ESP_BACKENDS:
         assert same_bits(inverse_closed_form(NodeSet([5]), esp), [[1 + 0j]])
         listed = inverse_closed_form([NodeSet([5]), NodeSet([2j])], esp)
         assert type(listed) is list and len(listed) == 2
         assert all(same_bits(inv, [[1 + 0j]]) for inv in listed)
 
 
-@pytest.mark.parametrize("method", ["proposed", "traub", "yang", "mikkawy"])
+@pytest.mark.parametrize("method", ESP_BACKENDS)
 def test_a_closed_form_batch_is_the_list_of_its_single_inverses(method):
     # one container rule: a batch gives a list on the direct call as through
     # compute_inverse, each inverse with the bits and memory order it has alone
@@ -405,7 +406,7 @@ def test_compute_inverse_dispatch_and_validation():
         compute_inverse(ns, "closed_form", "newton")
 
 
-@pytest.mark.parametrize("method", ["proposed", "traub", "yang", "mikkawy"])
+@pytest.mark.parametrize("method", ESP_BACKENDS)
 def test_compute_inverse_hands_esp_dropped_the_callers_own_argument(method):
     # the benchmark tracer tags each esp_dropped call by its first argument
     seen = []
