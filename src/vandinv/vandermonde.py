@@ -17,7 +17,8 @@ a `NodeSet` or on a batch of them (`nodes._each`), one inverse per set:
   lower-triangular Toeplitz matrix of signed full-set ESPs.
 * ``elimination_baseline``  row-pivoted Gaussian elimination (LAPACK gesv)
   of the explicitly built matrix; the method-independent reference.  scipy
-  is loaded only where the inverse cannot prove the pivot floor.
+  is loaded, for getrf's U diagonal, only where neither the inverse nor a
+  QR of the matrix proves the pivot floor.
 
 Every route returns the N x N complex inverse as a plain array, as do
 `build_vandermonde` and `stanley_matrix`; for a batch, `compute_inverse`
@@ -48,9 +49,12 @@ from .nodes import NodeSet, _each
 
 LAMBDA_FLOOR = 1e-300
 PIVOT_RTOL = 1e-14
-# Pivoting on |re| + |im| keeps multipliers within sqrt(2), so every pivot
-# is >= 1 / (sqrt(2) ||V^-1||_inf); where that clears the floor by this
-# factor (for the inverse's rounding), getrf's U diagonal need not be read.
+# Pivoting on |re| + |im| keeps multipliers within sqrt(2) and takes an entry
+# of modulus >= 1/sqrt(2) of its column's largest, so every pivot is both
+# >= 1 / (sqrt(2) ||V^-1||_inf) and, as step k's column is column k of V less
+# an oblique projection onto columns 1..k-1, >= |R_kk| / sqrt(2 (N - k + 1))
+# for R of a QR of V; where either clears the floor by this factor (for
+# rounding), getrf's U diagonal need not be read.
 PIVOT_PROOF_FACTOR = 2.0
 
 # Imaginary parts of an inverse built from real nodes must stay below this
@@ -159,9 +163,12 @@ def inverse_elimination_baseline(nodes: NodeSet) -> np.ndarray:
     v_matrix = build_vandermonde(nodes)
     floor = PIVOT_RTOL * np.abs(v_matrix).max()
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             inverse = np.linalg.inv(v_matrix)  # LAPACK gesv: getrf, then getrs on I
             bound = np.sqrt(2) * np.abs(inverse).sum(axis=1).max() * floor
+            if not bound * PIVOT_PROOF_FACTOR <= 1:  # NaN included: try a QR's bound
+                r_diag = np.abs(np.linalg.qr(v_matrix, mode="r").diagonal())
+                bound = floor / (r_diag / np.sqrt(2.0 * np.arange(len(r_diag), 0, -1))).min()
     except np.linalg.LinAlgError:  # an exactly zero pivot, which the check refuses
         bound = np.inf
     if not bound * PIVOT_PROOF_FACTOR <= 1:  # NaN included

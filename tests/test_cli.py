@@ -1035,18 +1035,20 @@ def test_one_parser_serves_many_calls_without_leaking_options(capsys, tmp_path):
     assert in_process[3][2]["real"] is False and in_process[3][2]["format"] == "auto"
 
 
-def test_cli_loads_scipy_only_where_the_inverse_cannot_prove_the_pivot_floor():
+def test_cli_loads_scipy_only_where_no_proof_clears_the_pivot_floor():
     # importing scipy roughly doubles start-up; the baseline loads it for
-    # getrf's U diagonal, which it reads only where its inverse cannot prove
-    # the pivot floor, as on 40 equidistant nodes
+    # getrf's U diagonal, which it reads only where neither its inverse nor a
+    # QR of V proves the pivot floor, as on 50 Chebyshev nodes, whose
+    # smallest pivot is at the floor; on 40 equidistant nodes the QR proves it
     check = """
 import sys
 import vandinv.cli
 assert "scipy" not in sys.modules
-for nodes in (["--nodes", "1,2"], ["--roots-of-unity", "150"]):
+for nodes in (["--nodes", "1,2"], ["--roots-of-unity", "150"],
+              ["--family", "equidistant", "--count", "40"]):
     assert vandinv.cli.main(["invert", *nodes, "--inverse", "baseline"]) == 0
 assert "scipy" not in sys.modules
-argv = ["invert", "--family", "equidistant", "--count", "40", "--inverse", "baseline"]
+argv = ["invert", "--family", "chebyshev", "--count", "50", "--inverse", "baseline"]
 assert vandinv.cli.main(argv) == 0
 assert "scipy" in sys.modules
 """
@@ -1054,7 +1056,7 @@ assert "scipy" in sys.modules
     run = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
                          env=env, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert len(run.stdout.splitlines()) == 2 + 150 + 40  # the printed inverses
+    assert len(run.stdout.splitlines()) == 2 + 150 + 40 + 50  # the printed inverses
 
 
 def test_cli_spellings_cover_each_registry_exactly():

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vandinv import (
@@ -311,34 +311,77 @@ def elimination_cases():
     yield "[0, 1e-170, 2e-170] (exactly singular)", NodeSet([0.0, 1e-170, 2e-170])
 
 
+def baseline_against_reference(ns, label):
+    """Run the baseline with scipy's lu_factor watched and check it against
+    `elimination_reference`: the same error, or the same inverse bits in
+    Fortran order.  Where it returns without reading getrf's U diagonal, the
+    reference's pivots must clear the floor.  Returns the outcome's name and,
+    for an inverse, whether getrf was skipped."""
+    try:
+        want, pivot_over_floor = elimination_reference(ns)
+    except NumericalError as exc:
+        want = exc
+    with mock.patch("scipy.linalg.lu_factor", wraps=scipy.linalg.lu_factor) as lu_factor:
+        try:
+            got = inverse_elimination_baseline(ns)
+        except NumericalError as exc:
+            got = exc
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want)), label
+        return type(want).__name__, False
+    assert isinstance(got, np.ndarray), f"{label}: {got}"
+    assert got.flags.f_contiguous, label
+    assert same_bits(got, want), label
+    if not lu_factor.called:
+        assert pivot_over_floor >= 1, label
+    return "inverse", not lu_factor.called
+
+
 def test_baseline_matches_the_scipy_route_and_proves_its_floor():
     # np.linalg.inv runs the getrf and getrs of scipy's lu_factor and
-    # lu_solve; where the inverse proves the pivot floor, getrf's U
-    # diagonal is not read, and the reference's pivots must clear the floor
-    outcomes, skipped = set(), 0
+    # lu_solve; where the inverse or a QR of V proves the pivot floor,
+    # getrf's U diagonal is not read, and the reference's pivots must clear
+    # the floor
+    outcomes, skipped = set(), set()
     for label, ns in elimination_cases():
-        try:
-            want, pivot_over_floor = elimination_reference(ns)
-        except NumericalError as exc:
-            want = exc
-        with mock.patch("scipy.linalg.lu_factor", wraps=scipy.linalg.lu_factor) as lu_factor:
-            try:
-                got = inverse_elimination_baseline(ns)
-            except NumericalError as exc:
-                got = exc
-        if isinstance(want, Exception):
-            assert (type(got), str(got)) == (type(want), str(want)), label
-            outcomes.add(type(want).__name__)
-            continue
-        assert isinstance(got, np.ndarray), f"{label}: {got}"
-        assert got.flags.f_contiguous, label
-        assert same_bits(got, want), label
-        if not lu_factor.called:
-            skipped += 1
-            assert pivot_over_floor >= 1, label
-        outcomes.add("inverse")
+        outcome, skips = baseline_against_reference(ns, label)
+        outcomes.add(outcome)
+        if skips:
+            skipped.add(label)
     assert outcomes == {"inverse", "SingularityError"}
-    assert skipped >= 5 * 20
+    # the inverse alone proves 230 of these sets; the QR proves equidistant
+    # nodes to N = 60 (their inverse, to N = 32)
+    assert len(skipped) >= 260
+    assert {f"equidistant {n}" for n in range(2, 61)} <= skipped
+
+
+@st.composite
+def pivot_floor_sets(draw):
+    """Real, complex-disk and clustered node sets of N = 2..80, on both sides
+    of the pivot floor and of its proofs; a clustered set is a real one whose
+    first half lies 1e-8..1e-2 above its second."""
+    n = draw(st.integers(2, 80))
+    kind = draw(st.sampled_from(["real", "disk", "clustered"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "disk":
+        values = np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+    else:
+        values = rng.uniform(-1, 1, n)
+    if kind == "clustered":
+        half = n // 2
+        values[:half] = values[half:2 * half] + 10.0 ** rng.uniform(-8, -2, half)
+    try:
+        return f"{kind} {n}", NodeSet(values)
+    except ValueError:  # a draw below the distinctness floor
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pivot_floor_sets())
+def test_baseline_skips_getrf_only_where_the_pivots_clear_the_floor(case):
+    # neither proof may skip getrf on a set whose pivots fall below the
+    # floor: there the baseline must raise the reference's SingularityError
+    baseline_against_reference(case[1], case[0])
 
 
 @pytest.mark.parametrize("kind", ["equidistant", "chebyshev", "extended_chebyshev", "gauss_lobatto", "roots_of_unity"])
