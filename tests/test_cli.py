@@ -64,6 +64,14 @@ def read_rows(path):
         return list(csv.reader(handle))
 
 
+def fresh_process_env():
+    """The environment for a fresh `vandinv` process: it imports the package
+    these tests import, and a numpy RuntimeWarning it leaks is an error, as
+    the suite's filterwarnings make it in process."""
+    return dict(os.environ, PYTHONPATH=str(Path(vandinv.__file__).parents[1]),
+                PYTHONWARNINGS="error::RuntimeWarning")
+
+
 # ---------------------------------------------------------------- esp
 
 def test_esp_single_order(capsys):
@@ -156,6 +164,7 @@ def test_full_set_use_of_mikkawy_names_the_drop_index(capsys, argv):
     assert code == 2
     assert out == ""
     assert "dropped-node ESPs only" in err and "drop index" in err
+    assert err.count("\n") == 1
 
 
 def test_esp_table_rejects_a_backend_without_a_table(capsys):
@@ -171,6 +180,16 @@ def test_esp_table_rejects_drop(capsys):
     )
     assert code == 2
     assert "--table" in err
+
+
+@pytest.mark.parametrize("backend", ESP_BACKENDS)
+def test_esp_dropped_all_orders_on_every_backend(capsys, backend):
+    # without node 2, the set 1, 3 has sigma 1, 4, 3
+    code, out, err = run(
+        capsys, "esp", "--nodes", "1,2,3", "--drop", "2", "--all-orders", "--backend", backend
+    )
+    assert (code, err) == (0, "")
+    assert parse_value_lines(out) == {0: 1, 1: 4, 2: 3}
 
 
 def test_esp_dropped_single_order(capsys):
@@ -983,9 +1002,9 @@ def test_a_closed_stdout_pipe_exits_141_with_an_empty_stderr(nodes, taken):
     # until the reader has taken its 10 bytes and closed; the small one is
     # written, and flushed, only after the reader has closed at once: no
     # timing is needed either way
-    env = dict(os.environ, PYTHONPATH=str(Path(vandinv.__file__).parents[1]))
     proc = subprocess.Popen([sys.executable, "-m", "vandinv.cli", "invert", *nodes],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=fresh_process_env())
     with proc:
         assert len(proc.stdout.read(taken)) == taken
         proc.stdout.close()
@@ -1025,10 +1044,9 @@ def test_one_parser_serves_many_calls_without_leaking_options(capsys, tmp_path):
     ]
     in_process = [(*_call_in_process(argv, capsys), _manifest_parameters(argv))
                   for argv in calls]
-    env = dict(os.environ, PYTHONPATH=str(Path(vandinv.__file__).parents[1]))
     for argv, got in zip(calls, in_process):
-        fresh = subprocess.run([sys.executable, "-m", "vandinv.cli", *argv],
-                               capture_output=True, text=True, env=env, timeout=120)
+        fresh = subprocess.run([sys.executable, "-m", "vandinv.cli", *argv], capture_output=True,
+                               text=True, env=fresh_process_env(), timeout=120)
         assert got == (fresh.returncode, fresh.stdout, _manifest_parameters(argv)), argv
     assert [code for code, _, _ in in_process] == [0, 0, 0, 0, 2, 0]
     assert in_process[1][2]["n"] is None and in_process[1][2]["exclude"] == 7
@@ -1039,7 +1057,8 @@ def test_cli_loads_scipy_only_where_no_proof_clears_the_pivot_floor():
     # importing scipy roughly doubles start-up; the baseline loads it for
     # getrf's U diagonal, which it reads only where neither its inverse nor a
     # QR of V proves the pivot floor, as on 50 Chebyshev nodes, whose
-    # smallest pivot is at the floor; on 40 equidistant nodes the QR proves it
+    # smallest pivot is at the floor; on 40 equidistant nodes the QR proves
+    # it, for the inverse and for the interp fit (interp-io's baseline fits)
     check = """
 import sys
 import vandinv.cli
@@ -1047,16 +1066,18 @@ assert "scipy" not in sys.modules
 for nodes in (["--nodes", "1,2"], ["--roots-of-unity", "150"],
               ["--family", "equidistant", "--count", "40"]):
     assert vandinv.cli.main(["invert", *nodes, "--inverse", "baseline"]) == 0
+argv = ["interp", "--fn", "cos", "--family", "equidistant", "--n", "40", "--inverse", "baseline"]
+assert vandinv.cli.main(argv) == 0
 assert "scipy" not in sys.modules
 argv = ["invert", "--family", "chebyshev", "--count", "50", "--inverse", "baseline"]
 assert vandinv.cli.main(argv) == 0
 assert "scipy" in sys.modules
 """
-    env = dict(os.environ, PYTHONPATH=str(Path(vandinv.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
-                         env=env, timeout=120)
+                         env=fresh_process_env(), timeout=120)
     assert run.returncode == 0, run.stderr
-    assert len(run.stdout.splitlines()) == 2 + 150 + 40 + 50  # the printed inverses
+    # the printed inverses, and the interp fit's header and summary line
+    assert len(run.stdout.splitlines()) == 2 + 150 + 40 + 2 + 50
 
 
 def test_cli_spellings_cover_each_registry_exactly():
