@@ -154,16 +154,14 @@ def _proposed_lanes(v, run):
     col_rows = np.tile(np.arange(rows), lanes)
     low = np.empty(first.size, dtype=np.complex128)
     high = np.empty_like(low)
-    bufsize = np.setbufsize(_UFUNC_BUFSIZE)
-    try:
+    with np.errstate():  # whose exit restores the buffer size
+        np.setbufsize(_UFUNC_BUFSIZE)
         for s in range(0, first.size, step):
             chunk = slice(s, s + step)
             cols = col_rows[chunk]
             vp, g = work[: 2 * m * cols.size].reshape(2, m, cols.size)
             np.take(vt, cols, axis=1, out=vp, mode="clip")  # "raise" fills a copy
             low[chunk], high[chunk] = _proposed_kernel(vp, g, first[chunk], second[chunk])
-    finally:
-        np.setbufsize(bufsize)
     return low.reshape(lanes, rows), high.reshape(lanes, rows)
 
 

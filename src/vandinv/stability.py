@@ -50,8 +50,9 @@ def nmse(estimate, reference) -> float:
         raise ValueError(f"shape mismatch: {est.shape} vs {ref.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # a norm past double range fails below
         denom = np.linalg.norm(ref)
-        if denom == 0.0:
-            raise ValueError("reference norm is zero; NMSE undefined")
+        if denom == 0.0:  # of a nonzero reference, its squares underflowed
+            raise (NumericalError("NMSE: the nonzero reference's norm underflowed to 0")
+                   if ref.any() else ValueError("reference norm is zero; NMSE undefined"))
         return check_finite("NMSE", float(np.linalg.norm(est - ref) / denom))
 
 

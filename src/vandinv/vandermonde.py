@@ -28,9 +28,9 @@ returns a list of them on every route, as `inverse_closed_form` does.
 
 lambda_k = prod_{j != k} (v_k - v_j) are the barycentric denominators;
 a |lambda_k| below 1e-300 or of 2^1021 (~2.2e307) or more, past which a
-complex division by it loses the quotient, or an elimination pivot
-below 1e-14 * max |entry|, raises SingularityError (naming the weight's
-index).  Each route, called directly or through `compute_inverse`, and
+complex division by it loses the quotient, raises SingularityError naming
+k; an elimination pivot below 1e-14 * max |entry| raises one naming the
+pivot.  Each route, called directly or through `compute_inverse`, and
 `build_vandermonde` return a finite matrix or raise NumericalError:
 `check_finite` counts any entry that overflowed to inf or NaN.
 `compute_inverse` starts every failure message with the route, and a batch
@@ -38,8 +38,6 @@ raises if and only if one of its sets would.  Everything is pure.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -172,11 +170,8 @@ def inverse_elimination_baseline(nodes: NodeSet) -> np.ndarray:
     except np.linalg.LinAlgError:  # an exactly zero pivot, which the check refuses
         bound = np.inf
     if not bound * PIVOT_PROOF_FACTOR <= 1:  # NaN included
-        import scipy.linalg  # loaded only for getrf's U diagonal
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, _ = scipy.linalg.lu_factor(v_matrix, check_finite=False)
-        pivots = np.abs(np.diag(lu))
+        from scipy.linalg import lapack  # loaded only for getrf's U diagonal
+        pivots = np.abs(np.diag(lapack.zgetrf(v_matrix)[0]))  # V is complex128
         if pivots.min() < floor:
             raise SingularityError(
                 f"elimination pivot {pivots.min():.3e} below {floor:.3e}; "

@@ -60,8 +60,17 @@ def test_nmse_scale_invariant(rng):
 
 
 def test_nmse_rejects_zero_reference():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^reference norm is zero"):
         nmse(np.ones((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="^reference norm is zero"):
+        nmse([1e-170, 0], [0, 0])
+
+
+def test_nmse_of_a_nonzero_reference_whose_norm_underflows_is_a_numerical_error():
+    # the squares of 1e-170 underflow to 0: the reference is not zero, and
+    # the NMSE (~0.707) is not undefined, so this is no caller error
+    with pytest.raises(NumericalError, match="^NMSE: the nonzero reference's norm underflowed"):
+        nmse([1e-170, 0], [1e-170, 1e-170])
 
 
 def test_nmse_rejects_shape_mismatch():

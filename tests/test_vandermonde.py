@@ -312,7 +312,7 @@ def elimination_cases():
 
 
 def baseline_against_reference(ns, label):
-    """Run the baseline with scipy's lu_factor watched and check it against
+    """Run the baseline with LAPACK's zgetrf watched and check it against
     `elimination_reference`: the same error, or the same inverse bits in
     Fortran order.  Where it returns without reading getrf's U diagonal, the
     reference's pivots must clear the floor.  Returns the outcome's name and,
@@ -321,7 +321,7 @@ def baseline_against_reference(ns, label):
         want, pivot_over_floor = elimination_reference(ns)
     except NumericalError as exc:
         want = exc
-    with mock.patch("scipy.linalg.lu_factor", wraps=scipy.linalg.lu_factor) as lu_factor:
+    with mock.patch("scipy.linalg.lapack.zgetrf", wraps=scipy.linalg.lapack.zgetrf) as getrf:
         try:
             got = inverse_elimination_baseline(ns)
         except NumericalError as exc:
@@ -332,9 +332,9 @@ def baseline_against_reference(ns, label):
     assert isinstance(got, np.ndarray), f"{label}: {got}"
     assert got.flags.f_contiguous, label
     assert same_bits(got, want), label
-    if not lu_factor.called:
+    if not getrf.called:
         assert pivot_over_floor >= 1, label
-    return "inverse", not lu_factor.called
+    return "inverse", not getrf.called
 
 
 def test_baseline_matches_the_scipy_route_and_proves_its_floor():
@@ -353,6 +353,22 @@ def test_baseline_matches_the_scipy_route_and_proves_its_floor():
     # nodes to N = 60 (their inverse, to N = 32)
     assert len(skipped) >= 260
     assert {f"equidistant {n}" for n in range(2, 61)} <= skipped
+
+
+def test_baseline_reads_getrf_without_touching_the_warning_filters():
+    # the warning filters are process-wide state; getrf's U diagonal is read
+    # straight from LAPACK, which warns of no zero pivot
+    def refuse(*args, **kwargs):
+        raise AssertionError("the baseline touched the warning filters")
+
+    with (mock.patch("warnings.catch_warnings", refuse),
+          mock.patch("warnings.simplefilter", refuse),
+          mock.patch("scipy.linalg.lapack.zgetrf", wraps=scipy.linalg.lapack.zgetrf) as getrf):
+        inverse = inverse_elimination_baseline(generate_nodes("chebyshev", 50))
+        assert inverse.shape == (50, 50)
+        with pytest.raises(SingularityError, match="^elimination pivot 0.000e\\+00 below"):
+            inverse_elimination_baseline(NodeSet([0.0, 1e-170, 2e-170]))
+    assert getrf.call_count == 2
 
 
 @st.composite
