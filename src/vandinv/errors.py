@@ -1,13 +1,13 @@
 """Typed runtime failures, the argument checks and the result check.
 
 Argument misuse raises plain ValueError everywhere in this package, through
-two checks that every public entry calls: `check_name` for a name looked up
-in a registry, and `check_ints` for counts, orders, indices and seeds, where
-a float is refused, never truncated.  NumericalError and its subclasses
-signal failures of the computation itself.  Every public numerical result
-is finite: `check_finite` passes one value on, or raises a NumericalError
-that counts its entries that overflowed to inf or NaN.  The CLI maps
-ValueError to exit code 2 and NumericalError to 3.
+the checks public entries call: `check_name` for a registry name,
+`check_ints` for counts, orders, indices and seeds (a float is refused,
+never truncated) and `check_given` for input arrays, which must be finite.
+NumericalError and its subclasses signal failures of the computation itself.
+Every public numerical result is finite: `check_finite` passes one value on,
+or raises a NumericalError that counts its entries that overflowed to inf or
+NaN.  The CLI maps ValueError to exit code 2 and NumericalError to 3.
 """
 
 import numpy as np
@@ -28,6 +28,15 @@ def check_ints(what: str, value, lo: int, hi: int | None = None):
                 or x < lo or (hi is not None and x > hi)):
             bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
             raise ValueError(f"{what} must be an integer {bounds}, got {x!r}")
+    return value
+
+
+def check_given(what: str, value):
+    """``value``, an argument array, unless an entry is inf or NaN: then
+    ValueError naming ``what`` and the first such entry by its 1-based index."""
+    if not np.isfinite(value).all():
+        at = np.unravel_index(np.argmin(np.isfinite(value)), np.shape(value))
+        raise ValueError(f"{what} {', '.join(str(i + 1) for i in at)} is not finite: {value[at]}")
     return value
 
 

@@ -6,13 +6,13 @@ public outputs use this unordered convention (sigma(N, 0) = 1).
 
 Every ESP result is one request to one backend of `_KERNELS`, a row rule
 and a kernel: node rows (R x m) and ascending orders in 0..m in, an R x
-len(orders) array out.  `_esp` checks a request once (backend name,
-full-set use, drop range) and runs the kernel on each whole node set, or on
-the rows its rule gathers, one per drop index.  Nodes are validated once,
-as a `NodeSet`.  The public functions are `esp_single` (one order),
-`esp_all_orders`, `esp_dropped` (of one set, or stacked for a batch of
-`nodes._each`, in one kernel call) and `esp_table` (traub or yang; (N+1) x
-(N+1), lower triangular).  Results are plain complex arrays, and every
+len(orders) array out.  `_esp` checks a request once (backend name, drop
+range) and runs the kernel on the rows its rule gathers, one per drop index;
+a whole set is the row that drops index N+1, which names no node.  Nodes are
+validated once, as a `NodeSet`.  The public functions are `esp_single` (one
+order), `esp_all_orders`, `esp_dropped` (of one set, or stacked for a batch
+of `nodes._each`, in one kernel call) and `esp_table` (traub or yang; (N+1)
+x (N+1), lower triangular).  Results are plain complex arrays, and every
 public result is finite: `_esp` and `esp_table` pass the entries they
 return through `check_finite`, which raises `OrderOverflowError` on one
 that overflowed to inf or NaN.  All functions are pure.
@@ -49,7 +49,8 @@ that overflowed to inf or NaN.  All functions are pure.
   orders-major too, the tables of dropped rows built in batches of
   `_YANG_BATCH_BYTES`: 37 at N = 37 take ~2.8 ms, one table ~1.6 ms.
 * ``mikkawy``  - traub's kernel on its own dropped rows, slots 2..N once the
-  node to remove is swapped into slot 1: ESPs of the other N-1; O(N^2).
+  node to remove is swapped into slot 1: ESPs of the other N-1; O(N^2).  A
+  whole set's slot N+1 is past the end, so its row is v_2..v_N, v_1.
 """
 
 from __future__ import annotations
@@ -237,13 +238,13 @@ def _swapped(keep, drop):  # v_1 swapped into the dropped node's slot, the first
     return (keep + 1) * (keep + 1 != drop)
 
 
-# Each backend is a row rule and a kernel.  The rule maps slots 0..N-2 and a
-# column of 0-based drop indices to the node columns of one row per index; a
-# set is its own row, except under mikkawy's swap.  The kernel maps node rows
-# (R x m) and ascending orders in 0..m to sigma, shape (R, len(orders)), in C
-# order: BLAS products of the closed-form inverse built on it round by
-# layout.  The orders >= 1 of a request are one run lo..hi (one order, 1..N
-# or 1..N-1), which ``proposed`` pairs into lanes.
+# Each backend is a row rule and a kernel.  The rule maps slots 0..m-1 and a
+# column of 0-based drop indices to the node columns of one row per index: m
+# = N-1, or m = N for a whole set, whose index N names no node.  The kernel
+# maps node rows (R x m) and ascending orders in 0..m to sigma, shape (R,
+# len(orders)), in C order: BLAS products of the closed-form inverse built on
+# it round by layout.  The orders >= 1 of a request are one run lo..hi (one
+# order, 1..N or 1..N-1), which ``proposed`` pairs into lanes.
 _KERNELS = {
     "proposed": (_without, _proposed),
     "traub": (_without, _traub),
@@ -252,7 +253,6 @@ _KERNELS = {
 }
 
 ESP_BACKENDS = tuple(_KERNELS)
-FULL_SET_ESP_BACKENDS = tuple(name for name, (rule, _) in _KERNELS.items() if rule is not _swapped)
 
 _TABLES = {"traub": lambda w: np.stack([c.copy() for c in _traub_steps(w)]).transpose(2, 0, 1),
            "yang": _yang_tables}  # (rows, m+1, m+1) tables
@@ -271,28 +271,23 @@ def esp_table(nodes: NodeSet, method: str) -> np.ndarray:
 
 def _esp(v, method: str, drop, orders) -> np.ndarray:
     """sigma at the ascending ``orders`` for each node set of v (sets x N),
-    over the whole set (``drop`` None) or without each 1-based index in
-    ``drop``: shape (sets, len(orders)) for None or one index, (sets,
-    len(drop), len(orders)) for a sequence.  A one-node set drops to the
-    empty set, whose every kernel returns sigma(0, 0) = 1.  The rows of every
-    set go to the kernel in one call; only the returned entries must be finite."""
+    over the whole set (``drop`` None, the row rule's index N+1) or without
+    each 1-based index in ``drop``: shape (sets, len(orders)) for None or one
+    index, (sets, len(drop), len(orders)) for a sequence.  A one-node set
+    drops to the empty set, whose every kernel returns sigma(0, 0) = 1.  All
+    rows go to the kernel in one call; only the returned entries must be finite."""
     check_name("ESP backend", method, ESP_BACKENDS)
     n = v.shape[1]
-    if drop is None and method not in FULL_SET_ESP_BACKENDS:
-        raise ValueError(
-            f"ESP backend {method!r} computes dropped-node ESPs only, so it needs a "
-            f"drop index; full-set ESPs need one of {FULL_SET_ESP_BACKENDS}"
-        )
     if np.size(drop) == 0:
         raise ValueError("drop needs at least one 1-based index, got an empty sequence")
     rule, kernel = _KERNELS[method]
-    if drop is not None:  # the rows of every set, in one gather
-        at = np.reshape(check_ints("drop index", drop, 1, n), (-1, 1)) - 1
-        v = v[:, rule(np.arange(n - 1), at)].reshape(len(v) * at.size, n - 1)  # -1 fails on size 0
+    m = n - (drop is not None)  # the nodes of each row
+    at = np.reshape(n + 1 if drop is None else check_ints("drop index", drop, 1, n), (-1, 1)) - 1
+    v = v[:, rule(np.arange(m), at)].reshape(len(v) * at.size, m)  # -1 fails on size 0
     with np.errstate(over="ignore", invalid="ignore"):
         out = kernel(v, orders)
     span = orders[0] if orders.size == 1 else f"{orders[0]}..{orders[-1]}"
-    what = f"{method} sigma({n - (drop is not None)}, {span})"
+    what = f"{method} sigma({m}, {span})"
     if np.ndim(drop):
         out = out.reshape(-1, at.size, orders.size)
     return check_finite(what, out, error=OrderOverflowError)
@@ -314,12 +309,11 @@ def esp_dropped(nodes: NodeSet, drop_index, method: str = "proposed") -> np.ndar
 def esp_single(
     nodes: NodeSet, order: int, method: str = "proposed", drop_index: int | None = None
 ) -> complex:
-    """Full-set sigma(N, order) via a full-set backend; with a 1-based
-    ``drop_index``, sigma of order ``order`` over the other N - 1 nodes via
-    any backend.  Order 0 returns 1.  ``proposed`` runs this order alone.
-
-    Only the returned entry must be finite: the other orders of a traub or
-    yang sweep it is read from may overflow.
+    """Full-set sigma(N, order); with a 1-based ``drop_index``, sigma of
+    order ``order`` over the other N - 1 nodes.  Order 0 returns 1.
+    ``proposed`` runs this order alone.  Only the returned entry must be
+    finite: the other orders of a traub or yang sweep it is read from may
+    overflow.
     """
     check_ints("order", order, 0, len(nodes) - (drop_index is not None))
     return complex(_esp(nodes.values[None], method, drop_index, np.array([order]))[0, 0])

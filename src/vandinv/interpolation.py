@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, check_finite, check_ints, check_name
+from .errors import NumericalError, check_finite, check_given, check_ints, check_name
 from .nodes import NodeSet, generate_nodes
 from .stability import nmse
 from .vandermonde import build_vandermonde, compute_inverse, inverse_esp_backend
@@ -49,10 +49,12 @@ def fit_coefficients(
     esp_backend: str = "proposed",
 ) -> np.ndarray:
     """Polynomial coefficients c with V^T c = samples, i.e. c = (V^-1)^T
-    samples, with the chosen inverse route; finite, or NumericalError."""
+    samples, with the chosen inverse route; finite, or NumericalError.  A
+    sample that is inf or NaN is a ValueError."""
     f = np.atleast_1d(np.asarray(samples, dtype=np.complex128))
     if f.shape != (len(nodes),):
         raise ValueError(f"samples must have length {len(nodes)}, got shape {f.shape}")
+    check_given("sample", f)
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = compute_inverse(nodes, inverse_backend, esp_backend).T @ f
     return check_finite("polynomial coefficients", coeffs)
@@ -60,14 +62,12 @@ def fit_coefficients(
 
 def evaluate_superresolved(coefficients, dense_nodes: NodeSet) -> np.ndarray:
     """Evaluate sum_m c_m x^m on a dense node set of exactly twice the size;
-    finite, or NumericalError."""
+    finite, or NumericalError.  A coefficient that is inf or NaN is a ValueError."""
     c = np.atleast_1d(np.asarray(coefficients, dtype=np.complex128))
     if len(dense_nodes) != 2 * c.size:
-        raise ValueError(
-            f"dense node count {len(dense_nodes)} must be exactly 2 x {c.size}"
-        )
+        raise ValueError(f"dense node count {len(dense_nodes)} must be exactly 2 x {c.size}")
     with np.errstate(over="ignore", invalid="ignore"):
-        values = build_vandermonde(dense_nodes, num_rows=c.size).T @ c
+        values = build_vandermonde(dense_nodes, num_rows=c.size).T @ check_given("coefficient", c)
     return check_finite("super-resolved values", values)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NodeCollisionError, check_finite, check_ints, check_name
+from .errors import NodeCollisionError, check_finite, check_given, check_ints, check_name
 
 # Relative pairwise-distinctness floor: min gap must exceed this times max |v|.
 DISTINCTNESS_RTOL = 1e-12
@@ -60,10 +60,7 @@ def validate_pairwise_distinct(values) -> None:
     the minimum pairwise gap exceeds ``DISTINCTNESS_RTOL * max |v|``, and
     ValueError naming a non-finite value.
     """
-    v = np.atleast_1d(np.asarray(values, dtype=np.complex128))
-    if not np.isfinite(v).all():
-        k = int(np.argmin(np.isfinite(v)))
-        raise ValueError(f"node {k + 1} is not finite: {v[k]}")
+    v = check_given("node", np.atleast_1d(np.asarray(values, dtype=np.complex128)))
     if v.size < 2:
         return
     with np.errstate(over="ignore"):  # a gap past double range is inf, and distinct

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, check_finite, check_ints
+from .errors import NumericalError, check_finite, check_given, check_ints
 from .nodes import NodeSet, perturb_roots_of_unity
 from .vandermonde import build_vandermonde, compute_inverse, inverse_esp_backend
 
@@ -57,14 +57,13 @@ def nmse(estimate, reference) -> float:
 
 
 def companion_identity_nmse(nodes: NodeSet, inverse: np.ndarray) -> float:
-    """Score a candidate inverse matrix through the companion identity block."""
+    """Score a candidate inverse (finite, else ValueError) through the companion identity block."""
     n, inverse = len(nodes), np.asarray(inverse)
     if inverse.shape != (n, n):
-        raise ValueError(
-            f"inverse shape {inverse.shape} does not match {n} nodes"
-        )
+        raise ValueError(f"inverse shape {inverse.shape} does not match {n} nodes")
     if n < 2:
         raise ValueError("companion check needs N >= 2")
+    check_given("inverse entry", inverse)
     with np.errstate(over="ignore", invalid="ignore"):  # a score past double range fails in nmse
         m = (inverse.T * nodes.values[None, :]) @ build_vandermonde(nodes).T
         # the exact left block is the shifted identity, ones at (r+1, r)

@@ -120,8 +120,8 @@ def barycentric_weights(nodes: NodeSet) -> np.ndarray:
 def stanley_matrix(nodes: NodeSet, esp_backend: str = "proposed") -> np.ndarray:
     """Unit lower-triangular Toeplitz factor of the inverse: entry (r, c) is
     a_{r-c} = (-1)**(r-c) * sigma(N, r-c) on and below the diagonal, so
-    column 0 holds 1, a_1..a_{N-1}.  Needs a full-set backend; sigma(N, N)
-    is not asked for, so it need not be finite."""
+    column 0 holds 1, a_1..a_{N-1}.  sigma(N, N) is not asked for, so it
+    need not be finite."""
     n = len(nodes)
     sig = _esp(nodes.values[None], esp_backend, None, np.arange(n))[0]
     col = ((-1.0) ** np.arange(n)) * sig

@@ -22,7 +22,6 @@ from vandinv import (
     noise_sweep,
 )
 from vandinv.cli import main
-from vandinv.esp import FULL_SET_ESP_BACKENDS
 
 from conftest import (
     esp_bruteforce_oracle,
@@ -69,7 +68,7 @@ def test_criterion_1_oracle_suite():
         ns = random_node_set(rng, n)
         oracle = [esp_bruteforce_oracle(ns, k) for k in range(n + 1)]
         for order in range(1, n + 1):
-            for method in FULL_SET_ESP_BACKENDS:
+            for method in ESP_BACKENDS:
                 value = esp_single(ns, order, method)
                 checked += 1
                 if not _within(value, oracle[order]):

@@ -142,29 +142,13 @@ def test_esp_overflow_writes_no_file_and_no_manifest(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_esp_mikkawy_without_drop_is_usage_error(capsys):
-    code, _, err = run(capsys, "esp", "--nodes", "1,2,3", "--order", "1", "--backend", "mikkawy")
-    assert code == 2
-    assert "drop" in err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("esp", "--nodes", "1,2,3", "--all-orders"),
-        ("invert", "--nodes", "1,2,3", "--inverse", "wa-product"),
-        ("interp", "--fn", "cos", "--family", "chebyshev", "--n", "10",
-         "--inverse", "wa-product"),
-    ],
-    ids=["esp-all-orders", "invert", "interp"],
-)
-def test_full_set_use_of_mikkawy_names_the_drop_index(capsys, argv):
-    backend = ("--backend" if argv[0] == "esp" else "--esp", "mikkawy")
-    code, out, err = run(capsys, *argv, *backend)
-    assert code == 2
-    assert out == ""
-    assert "dropped-node ESPs only" in err and "drop index" in err
-    assert err.count("\n") == 1
+def test_esp_mikkawy_all_orders_without_drop(capsys):
+    code, out, err = run(
+        capsys, "esp", "--nodes", "1,2,3", "--all-orders", "--backend", "mikkawy"
+    )
+    assert code == 0
+    assert err == ""
+    assert parse_value_lines(out) == {0: 1, 1: 6, 2: 11, 3: 6}
 
 
 def test_esp_table_rejects_a_backend_without_a_table(capsys):

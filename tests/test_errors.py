@@ -135,7 +135,7 @@ def test_numpy_ints_and_ranges_give_the_results_of_plain_ints():
 def test_float_orders_and_drop_indices_raise_value_error(x, method):
     # never a TypeError, an IndexError or a truncated index
     with pytest.raises(ValueError):
-        esp_single(NODES, x, method if method in esp_module.FULL_SET_ESP_BACKENDS else "traub")
+        esp_single(NODES, x, method)
     with pytest.raises(ValueError):
         esp_single(NODES, 1, method, drop_index=x)
     with pytest.raises(ValueError):
@@ -260,10 +260,6 @@ def check_finite_or_typed_errors(ns):
     # memory order it has alone
     benign = generate_nodes("roots_of_unity", n)
     for route, method in itertools.product(INVERSE_BACKENDS, ESP_BACKENDS):
-        if route == "wa_product" and method not in esp_module.FULL_SET_ESP_BACKENDS:
-            with pytest.raises(ValueError, match=method):
-                compute_inverse([benign, benign], route, method)
-            continue
         try:
             alone = compute_inverse(ns, route, method)
         except NumericalError:
@@ -290,8 +286,8 @@ BAD_BATCHES = {
 
 @pytest.mark.parametrize("batch", list(BAD_BATCHES.values()), ids=list(BAD_BATCHES))
 def test_a_malformed_batch_raises_the_one_batch_error(batch):
-    # on every route and ESP backend, wa_product's refusal of mikkawy
-    # included, with no route prefix: that is for a NumericalError
+    # on every route and ESP backend, with no route prefix: that is for a
+    # NumericalError
     for route, method in itertools.product(INVERSE_BACKENDS, ESP_BACKENDS):
         with pytest.raises(ValueError, match=BATCH_RULE):
             compute_inverse(batch, route, method)
@@ -305,7 +301,7 @@ def test_a_malformed_batch_raises_the_one_batch_error(batch):
 def test_a_tuple_batch_gives_the_results_of_the_list():
     sets = [NODES, generate_nodes("chebyshev", 4)]
     pair = tuple(sets)
-    for route, method in itertools.product(INVERSE_BACKENDS, esp_module.FULL_SET_ESP_BACKENDS):
+    for route, method in itertools.product(INVERSE_BACKENDS, ESP_BACKENDS):
         got = compute_inverse(pair, route, method)
         assert type(got) is list
         for a, b in zip(got, compute_inverse(sets, route, method), strict=True):

@@ -1,6 +1,5 @@
 import os
 import platform
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -554,6 +553,16 @@ def test_mikkawy_unit_magnitudes_on_roots():
         np.testing.assert_allclose(mags, 1.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("values", [[2 - 1j, 0, 3, 0.5j, -4], [5]], ids=["zero-node", "one-node"])
+def test_mikkawy_full_set_is_traub_with_the_first_node_last(values):
+    # a whole set drops index N+1, past the end, so v_1 takes that slot
+    v = np.asarray(values, dtype=np.complex128)
+    rolled = esp_all_orders(NodeSet(np.roll(v, -1)), "traub")
+    assert same_bits(esp_all_orders(NodeSet(v), "mikkawy"), rolled)
+    for order in range(len(v) + 1):
+        assert same_bits(esp_single(NodeSet(v), order, "mikkawy"), rolled[order])
+
+
 @pytest.mark.parametrize("method", ESP_BACKENDS)
 def test_one_node_drops_to_the_empty_set(method):
     # the empty set's only ESP is sigma(0, 0) = 1
@@ -597,7 +606,7 @@ def test_dropped_roots50_magnitudes_near_one():
 def test_overflow_raises_instead_of_returning_nan():
     # sigma(59, j) over 1e6, 2e6, ..., 59e6 passes the double range near j = 40
     ns = NodeSet(np.arange(1, 60) * 1e6)
-    for method in esp_module.FULL_SET_ESP_BACKENDS:
+    for method in ESP_BACKENDS:
         with pytest.raises(OrderOverflowError):
             esp_all_orders(ns, method)
         with pytest.raises(OrderOverflowError):
@@ -707,18 +716,8 @@ def test_esp_single_order_zero():
 
 
 def test_the_backend_registry_keeps_its_order():
-    # the CLI choices and the companion-table columns follow registry order,
-    # and the full-set backends are derived from it
+    # the CLI choices and the companion-table columns follow registry order
     assert ESP_BACKENDS == ("proposed", "traub", "yang", "mikkawy")
-    refusal = ("ESP backend 'mikkawy' computes dropped-node ESPs only, so it needs a drop "
-               "index; full-set ESPs need one of ('proposed', 'traub', 'yang')")
-    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
-        esp_all_orders(NodeSet([1, 2, 3]), "mikkawy")
-
-
-def test_esp_single_rejects_mikkawy():
-    with pytest.raises(ValueError):
-        esp_single(NodeSet([1, 2, 3]), 1, "mikkawy")
 
 
 def test_esp_all_orders_consistency(rng):

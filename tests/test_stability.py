@@ -119,6 +119,17 @@ def test_companion_rejects_mismatched_inverse():
         companion_identity_nmse(ns, wrong)
 
 
+def test_companion_names_a_non_finite_inverse_entry():
+    # argument misuse, not a score that left double range
+    ns = NodeSet([1, 2, 3])
+    with pytest.raises(ValueError, match=r"^inverse entry 1, 1 is not finite: nan$"):
+        companion_identity_nmse(ns, np.full((3, 3), np.nan))
+    inverse = inverse_elimination_baseline(ns)
+    inverse[1, 2] = np.inf
+    with pytest.raises(ValueError, match=r"^inverse entry 2, 3 is not finite: \(inf"):
+        companion_identity_nmse(ns, inverse)
+
+
 def test_companion_needs_two_nodes():
     ns = NodeSet([5])
     with pytest.raises(ValueError, match="^companion check needs N >= 2$"):

@@ -168,11 +168,6 @@ def test_stanley_three_nodes():
     np.testing.assert_allclose(m[1:, 0], [-6, 11], atol=1e-12)
 
 
-def test_stanley_rejects_mikkawy():
-    with pytest.raises(ValueError):
-        stanley_matrix(NodeSet([1, 2]), esp_backend="mikkawy")
-
-
 # ---------------------------------------------------------------- inverses
 
 EXPECTED_2x2 = np.array([[2, -1], [-1, 1]], dtype=complex)
