@@ -39,17 +39,17 @@ from .nodes import NODE_FAMILIES, RNG_ALGORITHM, NodeSet, generate_nodes
 from .serialize import (
     INTERP_SUMMARY_HEADER,
     companion_table_to_csv,
+    complex_text,
     esp_table_to_csv,
-    float_rows,
     interp_report_to_csv,
-    interp_summaries_to_csv,
     interp_summary_row,
-    inverse_text_rows,
     inverse_to_csv,
     inverse_to_json,
+    lines_to_csv,
     order_values_to_csv,
     sweep_to_csv,
     sweep_to_json,
+    text_rows,
     write_json,
 )
 from .stability import companion_identity_nmse, noise_sweep
@@ -72,9 +72,6 @@ DEFAULT_INTERP_NS = tuple(range(10, 101, 10))
 # companion-table column label -> (inverse route, ESP backend), baseline last
 COMPANION_COMBOS = {f"closed_form+{esp}": ("closed_form", esp) for esp in ESP_BACKENDS}
 COMPANION_COMBOS["elimination_baseline"] = ("elimination_baseline", "proposed")
-
-_COMPLEX = "%.17g%+.17gj"  # one complex stdout entry from its (re, im) floats
-
 
 def _parse_list(text: str, kind) -> list:
     """Comma-separated values converted by ``kind`` (complex, float or int);
@@ -134,10 +131,11 @@ def _cmd_esp(args):
     if args.table:
         if args.drop is not None:
             raise ValueError("--table shows the full-set table; it cannot combine with --drop")
-        table = esp_table(nodes, args.backend)
-        lines = [f"n={n}: " + " ".join([_COMPLEX] * (n + 1)) % tuple(values[: 2 * n + 2])
-                 for n, values in enumerate(float_rows(table[1:]), 1)]
-        return lines, partial(esp_table_to_csv, table), None
+        # row n of the table holds sigma(n, j) for j = 0..n, zeros beyond
+        rows = [",".join(row.split(",")[: n + 1])
+                for n, row in enumerate(text_rows(esp_table(nodes, args.backend)[1:]), 1)]
+        lines = [f"n={n}: " + complex_text(row, " ") for n, row in enumerate(rows, 1)]
+        return lines, partial(esp_table_to_csv, rows), None
 
     if args.all_orders:
         first = 0
@@ -148,8 +146,8 @@ def _cmd_esp(args):
     else:  # a single order is a one-value sweep that starts at that order
         first = args.order
         values = [esp_single(nodes, args.order, args.backend, drop_index=args.drop)]
-    lines = ["order=%d re=%.17g im=%.17g abs=%.17g" % (order, re, im, abs(complex(re, im)))
-             for order, (re, im) in enumerate(float_rows(values), first)]
+    lines = ["order=%d re=%.17g im=%.17g abs=%.17g" % (order, z.real, z.imag, abs(z))
+             for order, z in enumerate(map(complex, values), first)]
     return lines, partial(order_values_to_csv, values, first_order=first), None
 
 
@@ -159,14 +157,10 @@ def _cmd_invert(args):
     matrix = compute_inverse(nodes, inverse_backend, args.esp)
     if args.real:
         matrix = real_part(matrix)
-    rows = inverse_text_rows(matrix)
-    # an entry prints as re, im with its sign, j: the bytes of _COMPLEX
-    lines = [row.replace(",", "j,").replace(";-", "-").replace(";", "+") + "j" for row in rows]
-    esp_backend = inverse_esp_backend(inverse_backend, args.esp)
-    to_json = partial(
-        inverse_to_json, matrix, esp_backend=esp_backend, inverse_backend=inverse_backend
-    )
-    return lines, partial(inverse_to_csv, rows), to_json
+    rows = text_rows(matrix)
+    esp = inverse_esp_backend(inverse_backend, args.esp)
+    to_json = partial(inverse_to_json, rows, esp_backend=esp, inverse_backend=inverse_backend)
+    return [complex_text(row) for row in rows], partial(inverse_to_csv, rows), to_json
 
 
 def _cmd_companion_table(args):
@@ -218,7 +212,7 @@ def _cmd_interp(args):
     lines = [",".join(INTERP_SUMMARY_HEADER)]
     lines += [",".join(str(cell) for cell in interp_summary_row(r)) for r in reports]
     if args.n is None:
-        return lines, partial(interp_summaries_to_csv, reports), None
+        return lines, partial(lines_to_csv, lines), None
     return lines, partial(interp_report_to_csv, reports[0]), None
 
 

@@ -7,9 +7,11 @@ registry.  Writers are deterministic: the same object always produces
 identical bytes.  Each ``*_to_csv`` / ``*_to_json`` writer takes its result
 first and the file path second.  CSV goes through `_write_csv`, a %-template
 per row, and JSON but the inverse through `write_json` (also the CLI's
-manifests).  Every matrix writer and ``invert`` stdout formats rows from one
-bulk conversion, `float_rows`, to the bytes of per-entry cells and of
-json.dumps; the inverse CSV and ``invert`` stdout share `inverse_text_rows`.
+manifests).  A matrix's floats become text once, in `text_rows`: the
+``invert`` CSV, JSON and stdout and the ``esp --table`` CSV and stdout are
+cut from its rows, so all use one number text.  JSON number tokens are the
+CSV's ``%.17g`` cells (``2.0`` reads ``2``, ``-0.0`` ``-0``), and
+``json.loads(text, parse_int=float)`` recovers every float with its sign.
 Every file opens in `_overwrite`, which rewrites it in place and cuts it to
 length: an O_TRUNC open of a written file costs ~0.1 ms on ext4 with discard.
 """
@@ -26,7 +28,7 @@ from .errors import check_finite
 from .nodes import RNG_ALGORITHM
 
 
-def float_rows(matrix) -> list[list[float]]:
+def _float_rows(matrix) -> list[list[float]]:
     """The rows of a matrix (a vector is one column) as Python floats, each
     entry's real and imaginary parts side by side, in one bulk conversion."""
     rows = np.reshape(matrix, (len(matrix), -1))
@@ -63,13 +65,12 @@ def _re_im_header(names) -> list[str]:
     return [f"{name}_{part}" for name in names for part in ("re", "im")]
 
 
-def esp_table_to_csv(table: np.ndarray, path) -> None:
-    """One row per table row n = 1..N; entries beyond j = n stay blank."""
-    order = table.shape[0] - 1
-    lines = (
-        ("%d" + ",%.17g" * (2 * n + 2) + ",," * (order - n) + "\r\n") % (n, *values[: 2 * n + 2])
-        for n, values in enumerate(float_rows(table[1:]), 1)
-    )
+def esp_table_to_csv(rows: list[str], path) -> None:
+    """Row n = 1..N of the table holds sigma(n, 0..n) as `text_rows` gives
+    entries; the entries beyond j = n stay blank."""
+    order = len(rows)
+    lines = ("%d,%s%s\r\n" % (n, row.replace(";", ","), ",," * (order - n))
+             for n, row in enumerate(rows, 1))
     _write_csv(path, ["n", *_re_im_header(f"sigma{j}" for j in range(order + 1))], lines)
 
 
@@ -79,40 +80,42 @@ def order_values_to_csv(values, path, first_order: int = 0) -> None:
     # a Python complex's abs has the bits of numpy's scalar abs, not its vectorised one
     lines = (
         "%d,%.17g,%.17g,%.17g\r\n" % (n, re, im, abs(complex(re, im)))
-        for n, (re, im) in enumerate(float_rows(values), first_order)
+        for n, (re, im) in enumerate(_float_rows(values), first_order)
     )
     _write_csv(path, ["order", "re", "im", "abs"], lines)
 
 
-def inverse_text_rows(matrix: np.ndarray) -> list[str]:
-    """Each matrix row formatted once, for its CSV line and the ``invert``
-    stdout: entries joined by ",", an entry's ``%.17g`` re and im by ";"."""
+def text_rows(matrix: np.ndarray) -> list[str]:
+    """Each row of a finite matrix formatted once, for every output of it:
+    entries joined by ",", an entry's ``%.17g`` re and im by ";"."""
+    check_finite("matrix to write", matrix)
     line = ",".join(["%.17g;%.17g"] * matrix.shape[1])
-    return [line % tuple(values) for values in float_rows(matrix)]
+    return [line % tuple(values) for values in _float_rows(matrix)]
+
+
+def complex_text(row: str, sep: str = ",") -> str:
+    """A `text_rows` row's entries as ``re+imj`` or ``re-imj``, the bytes of a
+    per-entry ``%.17g%+.17gj``, joined by ``sep``."""
+    return row.replace(",", "j" + sep).replace(";-", "-").replace(";", "+") + "j"
 
 
 def inverse_to_csv(rows: list[str], path) -> None:
-    """``rows`` as `inverse_text_rows` gives them."""
+    """``rows`` as `text_rows` gives them."""
     header = _re_im_header(f"col{j}" for j in range(1, rows[0].count(",") + 2))
     _write_csv(path, header, (row.replace(";", ",") + "\r\n" for row in rows))
 
 
-def inverse_to_json(
-    matrix: np.ndarray, path, esp_backend: str | None, inverse_backend: str
-) -> None:
-    """``esp_backend`` is None for a route that reads no ESPs.  The matrix
-    text is laid out as json.dumps(indent=2) lays out nested [re, im] pairs,
-    and written a row at a time."""
-    check_finite("matrix to write as JSON", matrix)
-    head = json.dumps({"n": int(matrix.shape[0]), "esp_backend": esp_backend,
+def inverse_to_json(rows: list[str], path, esp_backend: str | None, inverse_backend: str) -> None:
+    """``rows`` as `text_rows` gives them, in json.dumps(indent=2)'s layout of
+    [re, im] pairs, a row at a time; ``esp_backend`` is None for a route that reads no ESPs."""
+    head = json.dumps({"n": len(rows), "esp_backend": esp_backend,
                        "inverse_backend": inverse_backend}, indent=2)
-    pair = "[\n        %r,\n        %r\n      ]"  # %r: float.__repr__, as json.dumps
-    row = "[\n      " + ",\n      ".join([pair] * matrix.shape[1]) + "\n    ]"
-    *rows, last = float_rows(matrix)
-    with _overwrite(path) as handle:
-        handle.write(f'{head[:-2]},\n  "matrix": [\n    ')
-        handle.writelines(row % tuple(values) + ",\n    " for values in rows)
-        handle.write(row % tuple(last) + "\n  ]\n}\n")
+    between_entries, between_parts = "\n      ],\n      [\n        ", ",\n        "
+    texts = (row.replace(",", between_entries).replace(";", between_parts) for row in rows)
+    with _overwrite(path) as handle:  # one string for the whole matrix raises interp-io's peak RSS
+        handle.write(f'{head[:-2]},\n  "matrix": [\n    [\n      [\n        ' + next(texts))
+        handle.writelines("\n      ]\n    ],\n    [\n      [\n        " + text for text in texts)
+        handle.write("\n      ]\n    ]\n  ]\n}\n")
 
 
 def companion_table_to_csv(table, path) -> None:
@@ -155,7 +158,7 @@ def interp_report_to_csv(report, path) -> None:
     """An `InterpolationReport` per dense node: prediction, reference, residual, excluded."""
     total = report.evaluations.size
     e = report.excluded_count_per_side
-    values = float_rows(np.column_stack([report.evaluations, report.reference]))
+    values = _float_rows(np.column_stack([report.evaluations, report.reference]))
     lines = (
         "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d\r\n"
         % (k + 1, pr, pi, rr, ri, abs(complex(pr - rr, pi - ri)), k < e or k >= total - e)
@@ -193,6 +196,6 @@ def interp_summary_row(report) -> list:
     ]
 
 
-def interp_summaries_to_csv(reports, path) -> None:
-    line = ",".join(["%s"] * len(INTERP_SUMMARY_HEADER)) + "\r\n"
-    _write_csv(path, INTERP_SUMMARY_HEADER, (line % tuple(interp_summary_row(r)) for r in reports))
+def lines_to_csv(lines: list[str], path) -> None:
+    """Comma-separated ``lines``, the header first, e.g. the ``interp`` sweep's stdout."""
+    _write_csv(path, [lines[0]], (line + "\r\n" for line in lines[1:]))

@@ -57,7 +57,8 @@ def nmse(estimate, reference) -> float:
 
 
 def companion_identity_nmse(nodes: NodeSet, inverse: np.ndarray) -> float:
-    """Score a candidate inverse (finite, else ValueError) through the companion identity block."""
+    """Score a candidate inverse (finite, else ValueError) through the companion identity block,
+    which grows with cond(V): it judges an inverse only where that is small, near |v| = 1."""
     n, inverse = len(nodes), np.asarray(inverse)
     if inverse.shape != (n, n):
         raise ValueError(f"inverse shape {inverse.shape} does not match {n} nodes")

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import vandinv
+from vandinv import serialize
 from vandinv import (
     ESP_BACKENDS,
     FUNCTION_KINDS,
@@ -36,7 +37,7 @@ from vandinv.cli import (
     main,
 )
 from vandinv.interpolation import DEFAULT_EXCLUDE_PER_SIDE
-from vandinv.serialize import inverse_text_rows, inverse_to_csv, inverse_to_json
+from vandinv.serialize import inverse_to_csv, inverse_to_json, text_rows
 from vandinv.vandermonde import inverse_esp_backend, real_part
 
 from test_serialize import writer_matrices
@@ -479,8 +480,8 @@ def test_invert_keeps_the_per_entry_bytes(capsys, tmp_path, argv):
         for row in matrix
     )
     esp = None if inverse == "elimination_baseline" else args.esp
-    inverse_to_csv(inverse_text_rows(matrix), tmp_path / "want.csv")
-    inverse_to_json(matrix, tmp_path / "want.json", esp, inverse)
+    inverse_to_csv(text_rows(matrix), tmp_path / "want.csv")
+    inverse_to_json(text_rows(matrix), tmp_path / "want.json", esp, inverse)
     for suffix in ("csv", "json"):
         out_path = tmp_path / f"inv.{suffix}"
         code, out, _ = run(capsys, "invert", *argv, "--output", str(out_path))
@@ -489,17 +490,11 @@ def test_invert_keeps_the_per_entry_bytes(capsys, tmp_path, argv):
         assert out_path.read_bytes() == (tmp_path / f"want.{suffix}").read_bytes()
 
 
-def stdout_matrices():
-    signed_zeros = np.array([[complex(-0.0, -0.0), complex(0.0, -0.0)],
-                             [complex(-1e-310, 0.0), complex(2.0, -5e-324)]])
-    return {**writer_matrices(), "signed zeros": signed_zeros}
-
-
-@pytest.mark.parametrize("name", list(stdout_matrices()))
+@pytest.mark.parametrize("name", list(writer_matrices()))
 def test_invert_stdout_keeps_the_per_entry_bytes_on_any_value(capsys, monkeypatch, name):
     # stdout entries are derived from the CSV cells: signs, exponents, zeros
     # and subnormals keep the bytes of a per-entry "%.17g%+.17gj"
-    matrix = stdout_matrices()[name]
+    matrix = writer_matrices()[name]
     monkeypatch.setattr(vandinv.cli, "compute_inverse", lambda *args: matrix)
     code, out, _ = run(capsys, "invert", "--nodes", "1,2")
     assert code == 0
@@ -509,18 +504,28 @@ def test_invert_stdout_keeps_the_per_entry_bytes_on_any_value(capsys, monkeypatc
     )
 
 
-@pytest.mark.parametrize("what", [("--table", "--backend", "yang"), ("--all-orders",)])
+@pytest.mark.parametrize("what", [("--table", "--backend", "yang"), ("--all-orders",),
+                                  ("--table", "--backend", "traub")])
 def test_esp_stdout_keeps_the_per_entry_bytes(capsys, what):
     nodes = [1, 2j, -3.5, 1e-3, -0.25 + 7e5j]
     code, out, _ = run(capsys, "esp", "--nodes", ",".join(map(str, nodes)), *what)
     assert code == 0
     if what[0] == "--table":
-        table = esp_table(NodeSet(nodes), "yang")
+        # and a table with subnormal entries, whose yang form holds negative zeros
+        tiny = ["-0", "1e-160", "-1e-160j", "2e-160"]
+        code, tiny_out, _ = run(capsys, "esp", "--nodes=" + ",".join(tiny), *what)
+        assert code == 0
+        out += tiny_out
+        tables = [esp_table(NodeSet(v), what[-1]) for v in (nodes, list(map(complex, tiny)))]
         expected = "".join(
             f"n={n}: " + " ".join(f"{z.real:.17g}{z.imag:+.17g}j"
                                   for z in map(complex, table[n, : n + 1])) + "\n"
-            for n in range(1, len(nodes) + 1)
+            for table in tables for n in range(1, len(table))
         )
+        entries = np.concatenate([tables[1][n, : n + 1] for n in range(len(tables[1]))])
+        entries = entries.view(float)
+        assert np.any((entries != 0) & (np.abs(entries) < np.finfo(float).tiny))
+        assert np.any((entries == 0) & np.signbit(entries)) == (what[-1] == "yang")
     else:
         values = map(complex, esp_all_orders(NodeSet(nodes), "proposed"))
         expected = "".join(
@@ -528,6 +533,25 @@ def test_esp_stdout_keeps_the_per_entry_bytes(capsys, what):
             for k, z in enumerate(values)
         )
     assert out == expected
+
+
+@pytest.mark.parametrize("argv, output", [
+    (("invert", "--roots-of-unity", "6"), "x.json"),
+    (("esp", "--nodes", "1,2j,-3", "--table"), "t.csv"),
+])
+def test_a_matrix_output_converts_its_floats_once(capsys, tmp_path, monkeypatch, argv, output):
+    calls = []
+
+    def spy(matrix):
+        calls.append(matrix)
+        return float_rows(matrix)
+
+    float_rows = serialize._float_rows
+    for module in (serialize, vandinv.cli):  # a conversion the CLI made itself counts too
+        monkeypatch.setattr(module, "_float_rows", spy, raising=False)
+    code, out, _ = run(capsys, *argv, "--output", str(tmp_path / output))
+    assert code == 0 and out and (tmp_path / output).stat().st_size > 0
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------- tables
@@ -717,6 +741,14 @@ def test_interp_single_run_summary(capsys, tmp_path):
     assert nmse_value < 1e-10
     rows = read_rows(out_path)
     assert len(rows) == 121  # header + 2N
+
+
+def test_interp_sweep_csv_holds_its_stdout_lines(capsys, tmp_path):
+    out_path = tmp_path / "sweep.csv"
+    code, out, _ = run(capsys, "interp", "--fn", "exp", "--family", "chebyshev",
+                       "--inverse", "wa-product", "--esp", "traub", "--output", str(out_path))
+    assert code == 0 and len(out.splitlines()) == 11  # the header and N = 10..100
+    assert out_path.read_bytes() == out.replace("\n", "\r\n").encode()
 
 
 def test_interp_baseline_summary_names_no_esp_backend(capsys):

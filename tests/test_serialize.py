@@ -4,6 +4,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import typing
 
 import numpy as np
@@ -23,20 +24,32 @@ from vandinv.serialize import (
     companion_table_to_csv,
     esp_table_to_csv,
     interp_report_to_csv,
-    interp_summaries_to_csv,
     interp_summary_row,
-    inverse_text_rows,
     inverse_to_csv,
     inverse_to_json,
+    lines_to_csv,
     order_values_to_csv,
     sweep_to_csv,
     sweep_to_json,
+    text_rows,
 )
 
 
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.reader(handle))
+
+
+def table_rows(table):
+    """The text rows of an ESP table as ``esp --table`` cuts them: row n
+    keeps sigma(n, 0..n)."""
+    return [",".join(row.split(",")[: n + 1]) for n, row in enumerate(text_rows(table[1:]), 1)]
+
+
+def summary_lines(reports):
+    """The ``interp`` sweep's stdout lines, which its CSV holds."""
+    return [",".join(serialize.INTERP_SUMMARY_HEADER),
+            *(",".join(map(str, interp_summary_row(r))) for r in reports)]
 
 
 def test_format_float_round_trips(tmp_path):
@@ -97,7 +110,7 @@ def test_csv_files_use_crlf(tmp_path):
 
 def test_esp_table_csv_blank_above_diagonal(tmp_path):
     path = tmp_path / "table.csv"
-    esp_table_to_csv(esp_table(NodeSet([1, 2, 3]), "traub"), path)
+    esp_table_to_csv(table_rows(esp_table(NodeSet([1, 2, 3]), "traub")), path)
     rows = read_rows(path)
     assert rows[0][0] == "n"
     assert len(rows) == 4  # header + rows n=1..3
@@ -120,14 +133,14 @@ def test_order_values_csv(tmp_path):
 def test_inverse_csv_and_json(tmp_path):
     inv = inverse_closed_form(NodeSet([1, 2]))
     csv_path = tmp_path / "inv.csv"
-    inverse_to_csv(inverse_text_rows(inv), csv_path)
+    inverse_to_csv(text_rows(inv), csv_path)
     rows = read_rows(csv_path)
     assert rows[0] == ["col1_re", "col1_im", "col2_re", "col2_im"]
     assert float(rows[1][0]) == 2.0
     assert float(rows[1][2]) == -1.0
 
     json_path = tmp_path / "inv.json"
-    inverse_to_json(inv, json_path, "proposed", "closed_form")
+    inverse_to_json(text_rows(inv), json_path, "proposed", "closed_form")
     doc = json.loads(json_path.read_text())
     assert doc["n"] == 2
     assert doc["esp_backend"] == "proposed"
@@ -204,7 +217,7 @@ def test_interp_summary_csv(tmp_path):
         for n in (10, 12)
     ]
     path = tmp_path / "summary.csv"
-    interp_summaries_to_csv(reports, path)
+    lines_to_csv(summary_lines(reports), path)
     rows = read_rows(path)
     assert rows[0][0] == "fn"
     assert len(rows) == 3
@@ -215,8 +228,9 @@ def test_interp_summary_csv(tmp_path):
 
 # ------------------------------------------ bytes of the per-entry writers
 # The recipes the writers had before they formatted rows in bulk: csv.writer
-# over f"{x:.17g}" cells, and json.dumps(indent=2) over nested [re, im]
-# pairs.  Each bulk writer must reproduce them byte for byte.
+# over f"{x:.17g}" cells, and json.dumps(indent=2)'s layout of nested
+# [re, im] pairs, whose number tokens are those same cells.  Each bulk
+# writer must reproduce them byte for byte.
 
 def csv_oracle(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as handle:
@@ -228,6 +242,18 @@ def csv_oracle(path, header, rows):
 def re_im(z):
     z = complex(z)
     return f"{z.real:.17g}", f"{z.imag:.17g}"
+
+
+def json_oracle(matrix, esp_backend, inverse_backend):
+    """json.dumps(indent=2) over [re, im] pairs of per-entry %.17g cells,
+    each written as a bare number token."""
+    doc = {
+        "n": matrix.shape[0],
+        "esp_backend": esp_backend,
+        "inverse_backend": inverse_backend,
+        "matrix": [[[f"<{cell}>" for cell in re_im(z)] for z in row] for row in matrix],
+    }
+    return re.sub(r'"<([^"]*)>"', r"\1", json.dumps(doc, indent=2)) + "\n"
 
 
 SPECIAL = [-0.0, 5e-324, 1e308, -1e308, 3.0, -42.0, 1e16, 1.5e-300, 6.02e23, 1 / 3]
@@ -243,6 +269,8 @@ def writer_matrices():
         "special": special,
         "transposed": (wide + 1j * wide[::-1]).T,  # not C-contiguous
         "inverse": inverse_closed_form(NodeSet([1, 2j, -3, 0.5 + 0.5j])),
+        "signed zeros": np.array([[complex(-0.0, -0.0), complex(0.0, -0.0)],
+                                  [complex(-1e-310, 0.0), complex(2.0, -5e-324)]]),
     }
 
 
@@ -250,28 +278,51 @@ def writer_matrices():
 @pytest.mark.parametrize("esp_backend", ["proposed", None])
 def test_inverse_writers_keep_the_per_entry_bytes(tmp_path, name, esp_backend):
     matrix = writer_matrices()[name]
-    inverse_to_csv(inverse_text_rows(matrix), tmp_path / "new.csv")
+    inverse_to_csv(text_rows(matrix), tmp_path / "new.csv")
     header = [f"col{j}_{part}" for j in range(1, matrix.shape[1] + 1) for part in ("re", "im")]
     csv_oracle(tmp_path / "old.csv", header,
                ([cell for z in row for cell in re_im(z)] for row in matrix))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-    inverse_to_json(matrix, tmp_path / "new.json", esp_backend, "closed_form")
-    doc = {
-        "n": matrix.shape[0],
-        "esp_backend": esp_backend,
-        "inverse_backend": "closed_form",
-        "matrix": [[[z.real, z.imag] for z in row] for row in matrix.astype(complex)],
-    }
-    old = json.dumps(doc, indent=2) + "\n"
+    inverse_to_json(text_rows(matrix), tmp_path / "new.json", esp_backend, "closed_form")
+    old = json_oracle(matrix, esp_backend, "closed_form")
     assert (tmp_path / "new.json").read_text(encoding="utf-8") == old
+
+
+def json_number_tokens(text):
+    """The number tokens of a JSON text, in order (its strings hold none)."""
+    return re.findall(r"-?[0-9][-+.0-9eE]*", re.sub(r'"[^"]*"', "", text))
+
+
+@pytest.mark.parametrize("name", list(writer_matrices()))
+def test_inverse_json_numbers_are_the_csv_cells(tmp_path, name):
+    matrix = writer_matrices()[name]
+    rows = text_rows(matrix)
+    inverse_to_csv(rows, tmp_path / "inv.csv")
+    inverse_to_json(rows, tmp_path / "inv.json", "traub", "closed_form")
+    cells = [cell for row in read_rows(tmp_path / "inv.csv")[1:] for cell in row]
+    n, *tokens = json_number_tokens((tmp_path / "inv.json").read_text(encoding="utf-8"))
+    assert n == str(matrix.shape[0])
+    assert tokens == cells
+
+
+@pytest.mark.parametrize("name", list(writer_matrices()))
+def test_inverse_json_reads_back_every_float_bit_for_bit(tmp_path, name):
+    # an integral token such as -0 or 10000000000000000 parses as an int
+    # unless parse_int=float, which keeps the sign of -0
+    matrix = writer_matrices()[name]
+    inverse_to_json(text_rows(matrix), tmp_path / "inv.json", None, "elimination_baseline")
+    doc = json.loads((tmp_path / "inv.json").read_text(encoding="utf-8"), parse_int=float)
+    back = np.array(doc["matrix"], dtype=np.float64)
+    want = np.ascontiguousarray(matrix, np.complex128).view(np.float64).reshape(back.shape)
+    np.testing.assert_array_equal(back.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
 def test_inverse_json_refuses_non_finite_entries(tmp_path, bad):
     matrix = np.array([[1.0, 2.0], [3.0, bad]])
     with pytest.raises(NumericalError):
-        inverse_to_json(matrix, tmp_path / "inv.json", None, "elimination_baseline")
+        inverse_to_json(text_rows(matrix), tmp_path / "inv.json", None, "elimination_baseline")
     assert not (tmp_path / "inv.json").exists()
 
 
@@ -283,7 +334,7 @@ def test_value_writers_keep_the_per_entry_bytes(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     table = esp_table(NodeSet([1.5, -2j, 3e-7, 4 + 1j]), "yang")
-    esp_table_to_csv(table, tmp_path / "new.csv")
+    esp_table_to_csv(table_rows(table), tmp_path / "new.csv")
     order = table.shape[0] - 1
     header = ["n", *(f"sigma{j}_{part}" for j in range(order + 1) for part in ("re", "im"))]
     csv_oracle(tmp_path / "old.csv", header, (
@@ -317,7 +368,7 @@ def test_interp_summary_csv_keeps_the_per_entry_bytes(tmp_path):
                interp_experiment("exponential", "equidistant", 16,
                                  inverse_backend="elimination_baseline")]
     reports.append(dataclasses.replace(reports[0], nmse_after_exclusion=0.0))
-    interp_summaries_to_csv(reports, tmp_path / "new.csv")
+    lines_to_csv(summary_lines(reports), tmp_path / "new.csv")
     csv_oracle(tmp_path / "old.csv", serialize.INTERP_SUMMARY_HEADER, (
         [r.fn, r.family, r.n, f"{r.t:.17g}", r.esp_backend or "none", r.inverse_backend,
          r.excluded_count_per_side, f"{r.nmse_after_exclusion:.17g}",
@@ -362,7 +413,7 @@ OPENING_WRITERS = {
     ),
     "json": lambda k, path: serialize.write_json({"k": list(range(k))}, path),
     "inverse_json": lambda k, path: inverse_to_json(
-        np.arange(k * k).reshape(k, k) / 3 + 1j, path, None, "elimination_baseline"
+        text_rows(np.arange(k * k).reshape(k, k) / 3 + 1j), path, None, "elimination_baseline"
     ),
 }
 
