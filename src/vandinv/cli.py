@@ -50,6 +50,7 @@ from .serialize import (
     sweep_to_csv,
     sweep_to_json,
     text_rows,
+    triangle_text_rows,
     write_json,
 )
 from .stability import companion_identity_nmse, noise_sweep
@@ -131,9 +132,7 @@ def _cmd_esp(args):
     if args.table:
         if args.drop is not None:
             raise ValueError("--table shows the full-set table; it cannot combine with --drop")
-        # row n of the table holds sigma(n, j) for j = 0..n, zeros beyond
-        rows = [",".join(row.split(",")[: n + 1])
-                for n, row in enumerate(text_rows(esp_table(nodes, args.backend)[1:]), 1)]
+        rows = triangle_text_rows(esp_table(nodes, args.backend))
         lines = [f"n={n}: " + complex_text(row, " ") for n, row in enumerate(rows, 1)]
         return lines, partial(esp_table_to_csv, rows), None
 
@@ -209,6 +208,7 @@ def _cmd_interp(args):
         )
         for n in (DEFAULT_INTERP_NS if args.n is None else (args.n,))
     ]
+    args.t = reports[0].t  # resolved, so the manifest names it
     lines = [",".join(INTERP_SUMMARY_HEADER)]
     lines += [",".join(str(cell) for cell in interp_summary_row(r)) for r in reports]
     if args.n is None:

@@ -33,10 +33,11 @@ that overflowed to inf or NaN.  All functions are pure.
   steps, as many as every other, so no column steps past its orders.  The
   columns are the (lane, row) pairs, sorted by lane, then row, and go in
   node-major chunks of at most 512 KB, views of one working array per
-  call (see `_proposed_lanes`).  The results are the paper's; only the
-  Python dispatch and the memory passes are shared.  A zero node drops
-  out of the recursion, so the full product of a set holding one is
-  returned as exactly 0 rather than as the recursion's rounding residue.
+  call; each chunk writes its sums straight into the C-ordered result
+  (see `_proposed`).  The results are the paper's; only the Python
+  dispatch and the memory passes are shared.  A zero node drops out of the
+  recursion, so the full product of a set holding one is returned as
+  exactly 0 rather than as the recursion's rounding residue.
 * ``traub``    - the classic triangular table sigma(n, j) =
   sigma(n-1, j) + v_n * sigma(n-1, j-1) over node prefixes; O(N^2).  Its
   one orders-major (orders x rows) array is yielded after each step: the
@@ -132,20 +133,23 @@ def _proposed_kernel(vp, g, first, second):
     return low, c
 
 
-def _proposed_lanes(v, run):
-    """Lane j's sigma(m, lo + j) and sigma(m, hi - j) for every row of v
-    (rows x m), ``run`` the ascending orders lo..hi >= 1, as two (lanes x
-    rows) arrays.  The (lane, row) columns run in chunks of at most
-    _BLOCK_BYTES of node values, gathered from one contiguous copy of v.T.
+def _proposed(v, orders):
+    """sigma(m, n) for every row of v (rows x m) and order n of ``orders``,
+    ascending and contiguous ([k], 0..N-1 or 0..N), as a C-ordered (rows x
+    orders) array.  Lane j of the orders lo..hi >= 1 runs lo + j and hi - j;
+    the (lane, row) columns run in chunks of at most _BLOCK_BYTES of node
+    values, gathered from one contiguous copy of v.T, and each chunk writes
+    its two sums straight into the result, the second last: a middle order
+    whose lane ran alone has no first sum.
 
     The chunks share one working array, allocated before the column arrays
-    and ``low`` and ``high``, and freed on return, while those two live on.
-    Below them it cannot merge with the free top of the heap, so glibc
-    keeps its pages for the next call.  Allocated after them, it could land
-    on top of the heap, which glibc hands back to the OS when it is freed,
-    and the next call faults its pages in again (~170 at N = 37).  Nothing
-    is kept between calls."""
+    and the result, and freed on return while the result lives on.  Below
+    them it cannot merge with the free top of the heap, so glibc keeps its
+    pages for the next call.  Allocated after them, it could land on top of
+    the heap, which glibc hands back to the OS when freed, and the next call
+    faults its pages in again (~170 at N = 37).  Nothing is kept between calls."""
     rows, m = v.shape
+    run = orders[orders > 0]
     lanes = (run.size + 1) // 2
     step = max(1, _BLOCK_BYTES // (16 * max(m, 1)))
     work = np.empty(2 * m * min(step, lanes * rows), dtype=np.complex128)
@@ -153,8 +157,7 @@ def _proposed_lanes(v, run):
     first = np.repeat(run[:lanes], rows)
     second = np.repeat(run[::-1][:lanes], rows)
     col_rows = np.tile(np.arange(rows), lanes)
-    low = np.empty(first.size, dtype=np.complex128)
-    high = np.empty_like(low)
+    out = np.ones((rows, orders.size), dtype=np.complex128)  # sigma(m, 0) = 1
     with np.errstate():  # whose exit restores the buffer size
         np.setbufsize(_UFUNC_BUFSIZE)
         for s in range(0, first.size, step):
@@ -162,22 +165,9 @@ def _proposed_lanes(v, run):
             cols = col_rows[chunk]
             vp, g = work[: 2 * m * cols.size].reshape(2, m, cols.size)
             np.take(vt, cols, axis=1, out=vp, mode="clip")  # "raise" fills a copy
-            low[chunk], high[chunk] = _proposed_kernel(vp, g, first[chunk], second[chunk])
-    return low.reshape(lanes, rows), high.reshape(lanes, rows)
-
-
-def _proposed(v, orders):
-    """sigma(m, n) for every row of v (rows x m) and order n of ``orders``:
-    ascending, and those >= 1 one run lo..hi, which `_proposed_lanes`
-    pairs into lanes, the middle order of an odd run alone."""
-    run = orders[orders > 0]
-    out = np.ones((orders.size, v.shape[0]), dtype=np.complex128)  # sigma(m, 0) = 1
-    low, high = _proposed_lanes(v, run)  # no lanes for order 0 alone
-    k = orders.size - run.size  # where lo sits
-    out[k : k + len(low)] = low
-    # written last: a middle order's sum is in high, whether it ran alone or twice
-    out[orders.size - len(high) :] = high[::-1]
-    out = out.T.copy()  # C order, as _KERNELS says
+            low, high = _proposed_kernel(vp, g, first[chunk], second[chunk])
+            out[cols, first[chunk] - orders[0]] = low
+            out[cols, second[chunk] - orders[0]] = high
     # a zero node's g_i stays 0, so an order above a row's count of nonzero
     # nodes is exactly 0; the recursion reaches it only up to rounding
     out[orders > np.count_nonzero(v, axis=1)[:, None]] = 0

@@ -7,9 +7,10 @@ registry.  Writers are deterministic: the same object always produces
 identical bytes.  Each ``*_to_csv`` / ``*_to_json`` writer takes its result
 first and the file path second.  CSV goes through `_write_csv`, a %-template
 per row, and JSON but the inverse through `write_json` (also the CLI's
-manifests).  A matrix's floats become text once, in `text_rows`: the
-``invert`` CSV, JSON and stdout and the ``esp --table`` CSV and stdout are
-cut from its rows, so all use one number text.  JSON number tokens are the
+manifests).  A matrix's floats become text once, in `text_rows`, or in
+`triangle_text_rows` for the lower triangle of an ESP table: the ``invert``
+CSV, JSON and stdout and the ``esp --table`` CSV and stdout are cut from
+those rows, so all use one number text.  JSON number tokens are the
 CSV's ``%.17g`` cells (``2.0`` reads ``2``, ``-0.0`` ``-0``), and
 ``json.loads(text, parse_int=float)`` recovers every float with its sign.
 Every file opens in `_overwrite`, which rewrites it in place and cuts it to
@@ -66,8 +67,8 @@ def _re_im_header(names) -> list[str]:
 
 
 def esp_table_to_csv(rows: list[str], path) -> None:
-    """Row n = 1..N of the table holds sigma(n, 0..n) as `text_rows` gives
-    entries; the entries beyond j = n stay blank."""
+    """Row n = 1..N of the table holds sigma(n, 0..n) as `triangle_text_rows`
+    gives them; the entries beyond j = n stay blank."""
     order = len(rows)
     lines = ("%d,%s%s\r\n" % (n, row.replace(";", ","), ",," * (order - n))
              for n, row in enumerate(rows, 1))
@@ -91,6 +92,14 @@ def text_rows(matrix: np.ndarray) -> list[str]:
     check_finite("matrix to write", matrix)
     line = ",".join(["%.17g;%.17g"] * matrix.shape[1])
     return [line % tuple(values) for values in _float_rows(matrix)]
+
+
+def triangle_text_rows(table: np.ndarray) -> list[str]:
+    """Rows n = 1..N of a finite lower-triangular (N+1) x (N+1) table as
+    `text_rows` formats them, each holding its entries j = 0..n alone."""
+    check_finite("matrix to write", table[1:])
+    return [",".join(["%.17g;%.17g"] * (n + 1)) % tuple(values[: 2 * n + 2])
+            for n, values in enumerate(_float_rows(table[1:]), 1)]
 
 
 def complex_text(row: str, sep: str = ",") -> str:

@@ -120,6 +120,19 @@ def test_esp_table_defaults_to_traub(capsys, tmp_path):
     assert manifest["parameters"]["backend"] == "traub"
 
 
+@pytest.mark.parametrize("argv, t", [
+    (("--fn", "tanh", "--n", "10"), 8.0),  # the function's own t
+    (("--fn", "cos", "--n", "10", "--t", "1.5"), 1.5),
+    (("--fn", "exp",), 1.0),  # the sweep over N
+])
+def test_interp_manifest_names_the_resolved_t(capsys, tmp_path, argv, t):
+    out_path = tmp_path / "interp.csv"
+    code, _, _ = run(capsys, "interp", "--family", "chebyshev", *argv, "--output", str(out_path))
+    assert code == 0
+    manifest = json.loads((tmp_path / "interp.csv.manifest.json").read_text())
+    assert manifest["parameters"]["t"] == t
+
+
 def test_esp_table_output(capsys, tmp_path):
     out_path = tmp_path / "table.csv"
     code, out, _ = run(

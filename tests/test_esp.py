@@ -3,10 +3,11 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vandinv
@@ -242,10 +243,10 @@ def test_esp_single_runs_only_its_order(monkeypatch):
 # Warm closed-form proposed inverses at N = 37, counting minor page faults
 # per inverse, with numpy blocks of the KB sizes in argv kept alive first.
 # The chunks of a call share one working array; where glibc places it
-# depends on the blocks alive, and only below the call's smaller arrays is
-# it kept on the heap when freed (see esp._proposed_lanes).  Allocated after
-# them, it landed on top of the heap beside each of the blocks below, was
-# handed back to the OS when freed and took 10-55 faults an inverse.
+# depends on the blocks alive, and only below the call's column arrays and
+# result is it kept on the heap when freed (see esp._proposed).  Allocated
+# after them, it landed on top of the heap beside each of the blocks below,
+# was handed back to the OS when freed and took 10-55 faults an inverse.
 # The child gets PYTHONPATH and the loader's library path alone, so the
 # caller's environment, which Python copies onto the heap, does not move
 # the layout.
@@ -312,6 +313,38 @@ def test_proposed_lanes_are_bit_identical_to_the_scalar_recursion(monkeypatch, o
     bufsize = np.getbufsize()
     assert same_bits(esp_module._proposed(rows, orders), expected)
     assert np.getbufsize() == bufsize  # the kernel's ufunc buffer size is undone
+
+
+@st.composite
+def proposed_requests(draw):
+    """Rows (1..12 x m, m in 1..14) of complex nodes with parts in [-2, 2],
+    some of them zero; orders 0..m, 0..m-1 or one order; and a chunk size
+    of 1 to all of the request's (lane, row) columns."""
+    rows, m = draw(st.integers(1, 12)), draw(st.integers(1, 14))
+    parts = st.lists(st.floats(-2, 2), min_size=rows * m, max_size=rows * m)
+    v = np.reshape(draw(parts), (rows, m)) + 1j * np.reshape(draw(parts), (rows, m))
+    v[np.reshape(draw(st.lists(st.booleans(), min_size=rows * m, max_size=rows * m)), v.shape)
+      & draw(st.booleans())] = 0
+    orders = draw(st.sampled_from([np.arange(m + 1), np.arange(m)]) | st.builds(
+        lambda k: np.array([k]), st.integers(0, m)))
+    lanes = (np.count_nonzero(orders) + 1) // 2
+    return v, orders, draw(st.integers(1, max(1, lanes * rows)))
+
+
+# 3 rows, orders 0..5: lanes (1, 5), (2, 4) and the middle (3, 3), 9
+# columns.  7 a chunk puts the middle lane's first row beside the other
+# lanes, where it runs its order twice, and its last two in a chunk alone.
+@example((np.arange(1, 16).reshape(3, 5) * (1 - 0.5j), np.arange(6), 7))
+@settings(max_examples=150, deadline=None)
+@given(proposed_requests())
+def test_proposed_writes_each_chunk_where_the_scalar_recursion_puts_it(case):
+    v, orders, columns = case
+    expected = [proposed_reference(w, orders) for w in v]
+    with mock.patch.object(esp_module, "_BLOCK_BYTES", columns * 16 * v.shape[1]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = esp_module._proposed(v, orders)
+    assert out.flags.c_contiguous
+    assert same_bits(out, expected)
 
 
 def test_proposed_keeps_negative_zero_sums():

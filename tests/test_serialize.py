@@ -32,6 +32,7 @@ from vandinv.serialize import (
     sweep_to_csv,
     sweep_to_json,
     text_rows,
+    triangle_text_rows,
 )
 
 
@@ -110,7 +111,7 @@ def test_csv_files_use_crlf(tmp_path):
 
 def test_esp_table_csv_blank_above_diagonal(tmp_path):
     path = tmp_path / "table.csv"
-    esp_table_to_csv(table_rows(esp_table(NodeSet([1, 2, 3]), "traub")), path)
+    esp_table_to_csv(triangle_text_rows(esp_table(NodeSet([1, 2, 3]), "traub")), path)
     rows = read_rows(path)
     assert rows[0][0] == "n"
     assert len(rows) == 4  # header + rows n=1..3
@@ -119,6 +120,26 @@ def test_esp_table_csv_blank_above_diagonal(tmp_path):
     assert first[5] == ""  # sigma(1, 2) absent
     last = rows[3]
     assert [float(last[k]) for k in (1, 3, 5, 7)] == [1.0, 6.0, 11.0, 6.0]
+
+
+@pytest.mark.parametrize("method", ["traub", "yang"])
+@pytest.mark.parametrize("values", [
+    [1, 2, 3],
+    [2 - 3j],
+    [1.5, -2j, 3e-7, 4 + 1j],
+    [-0.0, 1e-160, -1e-160j, 2e-160],  # subnormals and, on yang, negative zeros
+    np.exp(2j * np.pi * np.arange(40) / 40),
+], ids=["1,2,3", "one", "mixed", "tiny", "roots40"])
+def test_triangle_text_rows_are_the_cut_text_rows(method, values):
+    table = esp_table(NodeSet(values), method)
+    assert triangle_text_rows(table) == table_rows(table)
+
+
+def test_triangle_text_rows_refuse_non_finite_entries():
+    table = esp_table(NodeSet([1, 2, 3]), "traub")
+    table[2, 1] = np.inf
+    with pytest.raises(NumericalError, match="1 of 12 entries"):
+        triangle_text_rows(table)
 
 
 def test_order_values_csv(tmp_path):
@@ -334,7 +355,7 @@ def test_value_writers_keep_the_per_entry_bytes(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     table = esp_table(NodeSet([1.5, -2j, 3e-7, 4 + 1j]), "yang")
-    esp_table_to_csv(table_rows(table), tmp_path / "new.csv")
+    esp_table_to_csv(triangle_text_rows(table), tmp_path / "new.csv")
     order = table.shape[0] - 1
     header = ["n", *(f"sigma{j}_{part}" for j in range(order + 1) for part in ("re", "im"))]
     csv_oracle(tmp_path / "old.csv", header, (
