@@ -3,13 +3,16 @@
 Subcommands: ``esp``, ``invert``, ``companion-table``, ``noise-sweep``,
 ``interp``.  Each subcommand handler returns its stdout lines, its CSV
 writer and its JSON writer (None without ``--format``) and prints nothing.
-`main` alone picks the writer, writes ``--output`` and, beside a regular
-file only (not ``/dev/null``), the ``<file>.manifest.json`` sidecar
-recording the command, resolved parameters, seed, library version, and
-timestamp, so any output can be regenerated; it prints the lines last,
-after every file is written.  A command that fails prints nothing and
-writes no manifest; a write that fails part-way can leave a partial file,
-as a crash can.  Seeded commands are byte-reproducible on one platform.
+Stdout cuts an exact value's text from the text `serialize` formats for
+its files; the CLI formats only the display grids of ``companion-table``
+and ``noise-sweep``, which have no CSV twin.  `main` alone picks the
+writer, writes ``--output`` and, beside a regular file only (not
+``/dev/null``), the ``<file>.manifest.json`` sidecar recording the
+command, resolved parameters, seed, library version, and timestamp, so
+any output can be regenerated; it prints the lines last, after every file
+is written.  A command that fails prints nothing and writes no manifest;
+a write that fails part-way can leave a partial file, as a crash can.
+Seeded commands are byte-reproducible on one platform.
 
 Exit codes: 0 success, 2 argument/usage error or an empty or unwritable
 ``--output`` (relative to the working directory), 3 numerical failure, 141
@@ -37,20 +40,19 @@ from .esp import (
 from .interpolation import DEFAULT_EXCLUDE_PER_SIDE, interp_experiment
 from .nodes import NODE_FAMILIES, RNG_ALGORITHM, NodeSet, generate_nodes
 from .serialize import (
-    INTERP_SUMMARY_HEADER,
     companion_table_to_csv,
     complex_text,
     esp_table_to_csv,
     interp_report_to_csv,
-    interp_summary_row,
+    interp_summary_lines,
     inverse_to_csv,
     inverse_to_json,
     lines_to_csv,
-    order_values_to_csv,
     sweep_to_csv,
     sweep_to_json,
     text_rows,
     triangle_text_rows,
+    value_lines,
     write_json,
 )
 from .stability import companion_identity_nmse, noise_sweep
@@ -145,9 +147,9 @@ def _cmd_esp(args):
     else:  # a single order is a one-value sweep that starts at that order
         first = args.order
         values = [esp_single(nodes, args.order, args.backend, drop_index=args.drop)]
-    lines = ["order=%d re=%.17g im=%.17g abs=%.17g" % (order, z.real, z.imag, abs(z))
-             for order, z in enumerate(map(complex, values), first)]
-    return lines, partial(order_values_to_csv, values, first_order=first), None
+    text = value_lines(values, first)
+    lines = ["order=%s re=%s im=%s abs=%s" % tuple(line.split(",")) for line in text[1:]]
+    return lines, partial(lines_to_csv, text), None
 
 
 def _cmd_invert(args):
@@ -209,8 +211,7 @@ def _cmd_interp(args):
         for n in (DEFAULT_INTERP_NS if args.n is None else (args.n,))
     ]
     args.t = reports[0].t  # resolved, so the manifest names it
-    lines = [",".join(INTERP_SUMMARY_HEADER)]
-    lines += [",".join(str(cell) for cell in interp_summary_row(r)) for r in reports]
+    lines = interp_summary_lines(reports)
     if args.n is None:
         return lines, partial(lines_to_csv, lines), None
     return lines, partial(interp_report_to_csv, reports[0]), None

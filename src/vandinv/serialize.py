@@ -7,14 +7,17 @@ registry.  Writers are deterministic: the same object always produces
 identical bytes.  Each ``*_to_csv`` / ``*_to_json`` writer takes its result
 first and the file path second.  CSV goes through `_write_csv`, a %-template
 per row, and JSON but the inverse through `write_json` (also the CLI's
-manifests).  A matrix's floats become text once, in `text_rows`, or in
-`triangle_text_rows` for the lower triangle of an ESP table: the ``invert``
-CSV, JSON and stdout and the ``esp --table`` CSV and stdout are cut from
-those rows, so all use one number text.  JSON number tokens are the
-CSV's ``%.17g`` cells (``2.0`` reads ``2``, ``-0.0`` ``-0``), and
-``json.loads(text, parse_int=float)`` recovers every float with its sign.
-Every file opens in `_overwrite`, which rewrites it in place and cuts it to
-length: an O_TRUNC open of a written file costs ~0.1 ms on ext4 with discard.
+manifests).  An exact value becomes text once, here, for every output of
+it: a matrix in `text_rows`, or in `triangle_text_rows` for the lower
+triangle of an ESP table; an ESP sweep or single order in `value_lines`;
+the ``interp`` summary in `interp_summary_lines`.  The ``invert`` CSV, JSON
+and stdout, the ``esp`` CSV and stdout and the ``interp`` summary's stdout
+and sweep CSV (`lines_to_csv`) are cut from that text, so each result has
+one number text.  JSON number tokens are the CSV's ``%.17g`` cells (``2.0``
+reads ``2``, ``-0.0`` ``-0``), and ``json.loads(text, parse_int=float)``
+recovers every float with its sign.  Every file opens in `_overwrite`,
+which rewrites it in place and cuts it to length: an O_TRUNC open of a
+written file costs ~0.1 ms on ext4 with discard.
 """
 
 from __future__ import annotations
@@ -75,15 +78,13 @@ def esp_table_to_csv(rows: list[str], path) -> None:
     _write_csv(path, ["n", *_re_im_header(f"sigma{j}" for j in range(order + 1))], lines)
 
 
-def order_values_to_csv(values, path, first_order: int = 0) -> None:
-    """An (order, value) sequence numbered from ``first_order``, e.g. a
-    dropped-ESP sweep or one ESP order."""
+def value_lines(values, first_order: int = 0) -> list[str]:
+    """The ``order,re,im,abs`` header and one line per value of an (order,
+    value) sequence numbered from ``first_order``, e.g. a dropped-ESP sweep
+    or one ESP order."""
     # a Python complex's abs has the bits of numpy's scalar abs, not its vectorised one
-    lines = (
-        "%d,%.17g,%.17g,%.17g\r\n" % (n, re, im, abs(complex(re, im)))
-        for n, (re, im) in enumerate(_float_rows(values), first_order)
-    )
-    _write_csv(path, ["order", "re", "im", "abs"], lines)
+    return ["order,re,im,abs", *("%d,%.17g,%.17g,%.17g" % (n, re, im, abs(complex(re, im)))
+                                 for n, (re, im) in enumerate(_float_rows(values), first_order))]
 
 
 def text_rows(matrix: np.ndarray) -> list[str]:
@@ -177,34 +178,19 @@ def interp_report_to_csv(report, path) -> None:
     _write_csv(path, header, lines)
 
 
-INTERP_SUMMARY_HEADER = [
-    "fn",
-    "family",
-    "n",
-    "t",
-    "esp_backend",
-    "inverse_backend",
-    "excluded_per_side",
-    "nmse",
-    "log10_nmse",
-]
-
-
-def interp_summary_row(report) -> list:
-    val = report.nmse_after_exclusion
-    return [
-        report.fn,
-        report.family,
-        report.n,
-        "%.17g" % report.t,
-        report.esp_backend or "none",
-        report.inverse_backend,
-        report.excluded_count_per_side,
-        "%.17g" % val,
-        "-inf" if val == 0 else "%.17g" % np.log10(val),
-    ]
+def interp_summary_lines(reports) -> list[str]:
+    """The header and one line per `InterpolationReport`; a zero NMSE's
+    log10_nmse is ``-inf``."""
+    lines = ["fn,family,n,t,esp_backend,inverse_backend,excluded_per_side,nmse,log10_nmse"]
+    for r in reports:
+        val = r.nmse_after_exclusion
+        lines.append("%s,%s,%d,%.17g,%s,%s,%d,%.17g,%s" % (
+            r.fn, r.family, r.n, r.t, r.esp_backend or "none", r.inverse_backend,
+            r.excluded_count_per_side, val, "-inf" if val == 0 else "%.17g" % np.log10(val)))
+    return lines
 
 
 def lines_to_csv(lines: list[str], path) -> None:
-    """Comma-separated ``lines``, the header first, e.g. the ``interp`` sweep's stdout."""
+    """Comma-separated ``lines``, the header first, as `value_lines` and
+    `interp_summary_lines` give them."""
     _write_csv(path, [lines[0]], (line + "\r\n" for line in lines[1:]))

@@ -24,6 +24,8 @@ from vandinv import (
     companion_identity_nmse,
     compute_inverse,
     esp_all_orders,
+    esp_dropped,
+    esp_single,
     esp_table,
     generate_nodes,
 )
@@ -517,19 +519,41 @@ def test_invert_stdout_keeps_the_per_entry_bytes_on_any_value(capsys, monkeypatc
     )
 
 
-@pytest.mark.parametrize("what", [("--table", "--backend", "yang"), ("--all-orders",),
-                                  ("--table", "--backend", "traub")])
+# the subnormal nodes, whose ESPs hold subnormals and, on yang, negative zeros
+TINY_NODES = ["-0", "1e-160", "-1e-160j", "2e-160"]
+
+ESP_VALUE_ARGVS = [
+    ("--all-orders",),
+    ("--order", "2"),
+    ("--order", "2", "--drop", "1", "--backend", "mikkawy"),
+    ("--all-orders", "--drop", "3", "--backend", "traub"),
+]
+
+
+def esp_values(nodes, what):
+    """The values an ``esp`` value run on ``nodes`` prints, by the library,
+    and the order of the first."""
+    args = build_parser().parse_args(["esp", "--nodes", "1", *what])
+    nodes, backend = NodeSet(list(map(complex, nodes))), args.backend or "proposed"
+    if args.order is not None:
+        return [esp_single(nodes, args.order, backend, drop_index=args.drop)], args.order
+    if args.drop is not None:
+        return esp_dropped(nodes, args.drop, backend), 0
+    return esp_all_orders(nodes, backend), 0
+
+
+@pytest.mark.parametrize("what", [("--table", "--backend", "yang"), ESP_VALUE_ARGVS[0],
+                                  ("--table", "--backend", "traub"), *ESP_VALUE_ARGVS[1:]])
 def test_esp_stdout_keeps_the_per_entry_bytes(capsys, what):
     nodes = [1, 2j, -3.5, 1e-3, -0.25 + 7e5j]
     code, out, _ = run(capsys, "esp", "--nodes", ",".join(map(str, nodes)), *what)
     assert code == 0
+    # and on the subnormal set
+    code, tiny_out, _ = run(capsys, "esp", "--nodes=" + ",".join(TINY_NODES), *what)
+    assert code == 0
+    out += tiny_out
     if what[0] == "--table":
-        # and a table with subnormal entries, whose yang form holds negative zeros
-        tiny = ["-0", "1e-160", "-1e-160j", "2e-160"]
-        code, tiny_out, _ = run(capsys, "esp", "--nodes=" + ",".join(tiny), *what)
-        assert code == 0
-        out += tiny_out
-        tables = [esp_table(NodeSet(v), what[-1]) for v in (nodes, list(map(complex, tiny)))]
+        tables = [esp_table(NodeSet(v), what[-1]) for v in (nodes, list(map(complex, TINY_NODES)))]
         expected = "".join(
             f"n={n}: " + " ".join(f"{z.real:.17g}{z.imag:+.17g}j"
                                   for z in map(complex, table[n, : n + 1])) + "\n"
@@ -540,17 +564,36 @@ def test_esp_stdout_keeps_the_per_entry_bytes(capsys, what):
         assert np.any((entries != 0) & (np.abs(entries) < np.finfo(float).tiny))
         assert np.any((entries == 0) & np.signbit(entries)) == (what[-1] == "yang")
     else:
-        values = map(complex, esp_all_orders(NodeSet(nodes), "proposed"))
-        expected = "".join(
-            f"order={k} re={z.real:.17g} im={z.imag:.17g} abs={abs(z):.17g}\n"
-            for k, z in enumerate(values)
-        )
+        expected = ""
+        for values, first in (esp_values(nodes, what), esp_values(TINY_NODES, what)):
+            expected += "".join(
+                f"order={k} re={z.real:.17g} im={z.imag:.17g} abs={abs(z):.17g}\n"
+                for k, z in enumerate(map(complex, values), first)
+            )
     assert out == expected
+
+
+@pytest.mark.parametrize("nodes", [["1", "2j", "-3.5", "1e-3", "-0.25+7e5j"], TINY_NODES],
+                         ids=["mixed", "tiny"])
+@pytest.mark.parametrize("what", ESP_VALUE_ARGVS)
+def test_esp_stdout_fields_are_the_csv_cells(capsys, tmp_path, nodes, what):
+    out_path = tmp_path / "values.csv"
+    code, out, _ = run(capsys, "esp", "--nodes=" + ",".join(nodes), *what,
+                       "--output", str(out_path))
+    assert code == 0
+    fields = [[part.split("=", 1)[1] for part in line.split(" ")] for line in out.splitlines()]
+    header, *rows = read_rows(out_path)
+    assert header == ["order", "re", "im", "abs"]
+    assert rows == fields and len(rows) == len(esp_values(nodes, what)[0])
 
 
 @pytest.mark.parametrize("argv, output", [
     (("invert", "--roots-of-unity", "6"), "x.json"),
     (("esp", "--nodes", "1,2j,-3", "--table"), "t.csv"),
+    (("esp", "--nodes", "1,2j,-3", "--all-orders"), "v.csv"),
+    (("esp", "--nodes", "1,2j,-3", "--all-orders"), None),
+    (("esp", "--nodes", "1,2j,-3", "--order", "2", "--drop", "1"), "v.csv"),
+    (("esp", "--nodes", "1,2j,-3", "--order", "2", "--drop", "1"), None),
 ])
 def test_a_matrix_output_converts_its_floats_once(capsys, tmp_path, monkeypatch, argv, output):
     calls = []
@@ -562,8 +605,11 @@ def test_a_matrix_output_converts_its_floats_once(capsys, tmp_path, monkeypatch,
     float_rows = serialize._float_rows
     for module in (serialize, vandinv.cli):  # a conversion the CLI made itself counts too
         monkeypatch.setattr(module, "_float_rows", spy, raising=False)
-    code, out, _ = run(capsys, *argv, "--output", str(tmp_path / output))
-    assert code == 0 and out and (tmp_path / output).stat().st_size > 0
+    if output is not None:
+        argv = (*argv, "--output", str(tmp_path / output))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    assert output is None or (tmp_path / output).stat().st_size > 0
     assert len(calls) == 1
 
 

@@ -24,15 +24,15 @@ from vandinv.serialize import (
     companion_table_to_csv,
     esp_table_to_csv,
     interp_report_to_csv,
-    interp_summary_row,
+    interp_summary_lines,
     inverse_to_csv,
     inverse_to_json,
     lines_to_csv,
-    order_values_to_csv,
     sweep_to_csv,
     sweep_to_json,
     text_rows,
     triangle_text_rows,
+    value_lines,
 )
 
 
@@ -47,12 +47,6 @@ def table_rows(table):
     return [",".join(row.split(",")[: n + 1]) for n, row in enumerate(text_rows(table[1:]), 1)]
 
 
-def summary_lines(reports):
-    """The ``interp`` sweep's stdout lines, which its CSV holds."""
-    return [",".join(serialize.INTERP_SUMMARY_HEADER),
-            *(",".join(map(str, interp_summary_row(r))) for r in reports)]
-
-
 def test_format_float_round_trips(tmp_path):
     # the %.17g float cells of the sweep CSV and of the interp summary row
     values = np.array([1 / 3, 5.74e-15, -0.0, 1.7976931348623157e308, 3.0])
@@ -65,7 +59,7 @@ def test_format_float_round_trips(tmp_path):
     cells = [row[2] for row in read_rows(tmp_path / "sweep.csv")[1:]]
     report = interp_experiment("cosine", "roots_of_unity", 4)
     for x, cell in zip(values, cells):
-        t_cell = interp_summary_row(dataclasses.replace(report, t=x))[3]
+        t_cell = interp_summary_lines([dataclasses.replace(report, t=x)])[1].split(",")[3]
         assert cell == t_cell == "%.17g" % x
         assert float(cell) == x and np.signbit(float(cell)) == np.signbit(x)
 
@@ -75,7 +69,7 @@ def test_every_writer_takes_path_second():
         fn for name, fn in vars(serialize).items()
         if "_to_" in name and not name.startswith("_") and inspect.isfunction(fn)
     ]
-    assert len(writers) == 9
+    assert len(writers) == 8
     for fn in writers:
         assert list(inspect.signature(fn).parameters)[1] == "path", fn.__name__
 
@@ -103,7 +97,7 @@ def test_every_public_annotation_resolves():
 
 def test_csv_files_use_crlf(tmp_path):
     path = tmp_path / "orders.csv"
-    order_values_to_csv([1 + 0j, 2 - 1j], path)
+    lines_to_csv(value_lines([1 + 0j, 2 - 1j]), path)
     lines = path.read_bytes().split(b"\r\n")
     assert len(lines) == 4 and lines[-1] == b""  # header, two rows, CRLF ending
     assert all(b"\n" not in line for line in lines)
@@ -144,7 +138,7 @@ def test_triangle_text_rows_refuse_non_finite_entries():
 
 def test_order_values_csv(tmp_path):
     path = tmp_path / "orders.csv"
-    order_values_to_csv([1 + 0j, -1j], path)
+    lines_to_csv(value_lines([1 + 0j, -1j]), path)
     rows = read_rows(path)
     assert rows[0] == ["order", "re", "im", "abs"]
     assert float(rows[2][2]) == -1.0
@@ -238,7 +232,7 @@ def test_interp_summary_csv(tmp_path):
         for n in (10, 12)
     ]
     path = tmp_path / "summary.csv"
-    lines_to_csv(summary_lines(reports), path)
+    lines_to_csv(interp_summary_lines(reports), path)
     rows = read_rows(path)
     assert rows[0][0] == "fn"
     assert len(rows) == 3
@@ -349,7 +343,7 @@ def test_inverse_json_refuses_non_finite_entries(tmp_path, bad):
 
 def test_value_writers_keep_the_per_entry_bytes(tmp_path):
     values = np.array(SPECIAL) + 1j * np.array(SPECIAL[::-1])
-    order_values_to_csv(values, tmp_path / "new.csv", first_order=3)
+    lines_to_csv(value_lines(values, first_order=3), tmp_path / "new.csv")
     csv_oracle(tmp_path / "old.csv", ["order", "re", "im", "abs"],
                ([n, *re_im(z), f"{abs(z):.17g}"] for n, z in enumerate(values, 3)))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -389,8 +383,10 @@ def test_interp_summary_csv_keeps_the_per_entry_bytes(tmp_path):
                interp_experiment("exponential", "equidistant", 16,
                                  inverse_backend="elimination_baseline")]
     reports.append(dataclasses.replace(reports[0], nmse_after_exclusion=0.0))
-    lines_to_csv(summary_lines(reports), tmp_path / "new.csv")
-    csv_oracle(tmp_path / "old.csv", serialize.INTERP_SUMMARY_HEADER, (
+    lines_to_csv(interp_summary_lines(reports), tmp_path / "new.csv")
+    header = ["fn", "family", "n", "t", "esp_backend", "inverse_backend", "excluded_per_side",
+              "nmse", "log10_nmse"]
+    csv_oracle(tmp_path / "old.csv", header, (
         [r.fn, r.family, r.n, f"{r.t:.17g}", r.esp_backend or "none", r.inverse_backend,
          r.excluded_count_per_side, f"{r.nmse_after_exclusion:.17g}",
          f"{np.log10(r.nmse_after_exclusion):.17g}" if r.nmse_after_exclusion else "-inf"]
@@ -419,11 +415,12 @@ def test_interp_report_csv_keeps_the_per_entry_bytes(tmp_path, fn, family):
 
 def test_summary_row_writes_minus_inf_only_for_a_zero_nmse():
     report = interp_experiment("cosine", "roots_of_unity", 10)
-    assert interp_summary_row(report)[-1] == f"{np.log10(report.nmse_after_exclusion):.17g}"
+    cells = interp_summary_lines([report])[1].split(",")
+    assert cells[-1] == f"{np.log10(report.nmse_after_exclusion):.17g}"
     zero = dataclasses.replace(report, nmse_after_exclusion=0.0)
-    assert interp_summary_row(zero)[-2:] == ["0", "-inf"]
+    assert interp_summary_lines([zero])[1].split(",")[-2:] == ["0", "-inf"]
     nan = dataclasses.replace(report, nmse_after_exclusion=float("nan"))
-    assert interp_summary_row(nan)[-1] == "nan"
+    assert interp_summary_lines([nan])[1].split(",")[-1] == "nan"
 
 
 # The three writers that open a file, each writing a document of k rows: an
